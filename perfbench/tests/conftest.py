@@ -1,0 +1,13 @@
+"""Put the repository root and ``src`` on the import path for these tests.
+
+Run them with ``python3 -m pytest perfbench/tests`` from the repository
+root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
