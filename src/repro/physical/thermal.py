@@ -8,10 +8,12 @@ rejects).  The budget it checks against comes from the shared
 :class:`~repro.core.thermal.ThermalStack`, the single home of the repo's
 thermal constants.
 
-When numpy is available the report is backed by the spatial Jacobi solve
-of :mod:`repro.physical.thermal_map`; without it, the stage degrades to
-the scalar Eq. 17 estimate (uniform heat over the die), flagged by
-``spatial=False`` so consumers know the hotspot is a die average.
+When numpy is available the report is backed by the exact cosine-basis
+grid solve of :mod:`repro.physical.thermal_map`, and records that solve's
+relative residual so a run states the numerical quality it reached;
+without numpy, the stage degrades to the scalar Eq. 17 estimate (uniform
+heat over the die), flagged by ``spatial=False`` so consumers know the
+hotspot is a die average.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ class ThermalReport:
         budget_k: The rise budget the feasibility check used, K.
         spatial: True when backed by the grid solver, False for the
             scalar Eq. 17 fallback (no numpy available).
+        residual: Relative max-norm residual of the grid solve,
+            ``max|(G_v I + G_l L) T - P| / max|P|`` (0 for the scalar
+            fallback, which is closed-form).
     """
 
     design_name: str
@@ -48,6 +53,7 @@ class ThermalReport:
     hotspot_y: float
     budget_k: float
     spatial: bool
+    residual: float
 
     @property
     def headroom_k(self) -> float:
@@ -65,7 +71,6 @@ def analyze_thermal(
     power: PowerReport,
     grid: int = 64,
     budget_k: float | None = None,
-    iterations: int = 400,
 ) -> ThermalReport:
     """Thermal summary of a placed design against a rise budget.
 
@@ -88,9 +93,9 @@ def analyze_thermal(
             hotspot_y=center[1],
             budget_k=budget,
             spatial=False,
+            residual=0.0,
         )
-    solved = solve_thermal_map(floorplan, power, grid=grid,
-                               iterations=iterations, stack=stack)
+    solved = solve_thermal_map(floorplan, power, grid=grid, stack=stack)
     x, y = solved.hotspot_location
     return ThermalReport(
         design_name=floorplan.name,
@@ -100,4 +105,5 @@ def analyze_thermal(
         hotspot_y=y,
         budget_k=budget,
         spatial=True,
+        residual=solved.residual,
     )

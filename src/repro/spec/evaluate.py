@@ -75,6 +75,8 @@ class PhysicalSummary:
         hotspot_rise_k: M3D hotspot temperature rise, K.
         thermal_headroom_k: Budget minus M3D hotspot rise, K.
         thermal_ok: Both designs inside the thermal budget.
+        thermal_residual: Worst relative residual of the two designs'
+            thermal solves (0 when the thermal stage did not run).
     """
 
     feasible: bool
@@ -93,6 +95,7 @@ class PhysicalSummary:
     hotspot_rise_k: float
     thermal_headroom_k: float
     thermal_ok: bool
+    thermal_residual: float
 
     @property
     def verdict(self) -> str:
@@ -193,6 +196,9 @@ def _physical_summary(spec: DesignSpec,
                         if m3d.thermal is not None else 0.0),
         thermal_headroom_k=fm.thermal_headroom_k,
         thermal_ok=fm.thermal_ok and fb.thermal_ok,
+        thermal_residual=max((outcome.thermal.residual
+                              for outcome in (m3d, base)
+                              if outcome.thermal is not None), default=0.0),
     )
 
 

@@ -15,6 +15,7 @@ Pins the four tentpole guarantees of the staged pipeline:
   overlap-free per tier) across capacities and aspect ratios.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from repro.physical.floorplan import build_floorplan
 from repro.physical.netlist import synthesize
 from repro.physical.placement import legalize_floorplan
 from repro.runtime.engine import EvaluationEngine
-from repro.spec import DesignSpec, FlowSpec, evaluate_spec
+from repro.spec import DesignSpec, FlowSpec, evaluate_spec, evaluate_specs
 from repro.spec.design import ArchSpec
 from repro.spec.resolve import resolve
 from repro.spec.sweep import SweepSpec
@@ -223,6 +224,7 @@ def test_evaluate_spec_physical_summary(pdk):
     assert physical.achieved_frequency > 0
     assert physical.total_power > 0
     assert 0 < physical.ilv_utilization < 1
+    assert 0 <= physical.thermal_residual <= 1e-10
 
 
 def test_evaluate_spec_infeasible_point_does_not_raise(pdk):
@@ -305,6 +307,75 @@ def test_thermal_stage_matches_spatial_solver(pdk, m3d):
     assert outcome.thermal.average_rise_k == solved.average
     assert outcome.thermal.budget_k == stack.max_rise
     assert outcome.thermal.spatial
+    assert outcome.thermal.residual == solved.residual <= 1e-10
+
+
+# --- records persisted before the solver residual existed -------------------
+
+
+#: The fields a pre-residual (iterative-solver) record lacks, by class.
+_RESIDUAL_FIELDS = {"PhysicalSummary": "thermal_residual",
+                    "ThermalReport": "residual"}
+
+
+def _drop_residuals(node) -> int:
+    """Remove the residual fields from a lowered record; count removals."""
+    if isinstance(node, list):
+        return sum(_drop_residuals(item) for item in node)
+    if not isinstance(node, dict):
+        return 0
+    removed = 0
+    cls = str(node.get("__dataclass__", "")).rpartition(":")[2]
+    if cls in _RESIDUAL_FIELDS:
+        del node["fields"][_RESIDUAL_FIELDS[cls]]
+        removed = 1
+    return removed + sum(_drop_residuals(value) for value in node.values())
+
+
+def _age_records(directory) -> int:
+    """Rewrite every JSON record under ``directory`` as a pre-residual one."""
+    removed = 0
+    for path in directory.rglob("*.json"):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        removed += _drop_residuals(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+    return removed
+
+
+def test_stale_cached_evaluation_is_quarantined(pdk, tmp_path):
+    (fresh,) = evaluate_specs([DesignSpec()], pdk, physical=True,
+                              engine=EvaluationEngine(jobs=1,
+                                                      cache_dir=tmp_path))
+    assert _age_records(tmp_path) == 1
+    engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
+    (again,) = evaluate_specs([DesignSpec()], pdk, physical=True,
+                              engine=engine)
+    assert engine.cache.stats.corrupt == 1
+    assert [(stage.cache_hits, stage.evaluated)
+            for stage in engine.report().stages] == [(0, 1)]
+    assert list(tmp_path.glob("*.corrupt"))
+    assert again == fresh
+
+
+def test_stale_cached_thermal_stage_reruns(pdk, m3d, tmp_path):
+    _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
+    assert _age_records(tmp_path) == 1
+    counters = _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
+    assert counters["flow.thermal"] == (0, 1)
+    untouched = {name: counts for name, counts in counters.items()
+                 if name != "flow.thermal"}
+    assert all(counts == (1, 0) for counts in untouched.values()), counters
+
+
+def test_stale_checkpoint_record_is_reevaluated(pdk, tmp_path):
+    sweep = _feasibility_sweep()
+    first = run_streaming_sweep(sweep, pdk, chunk_size=2, physical=True,
+                                checkpoint=tmp_path)
+    assert _age_records(tmp_path) == first.points
+    second = run_streaming_sweep(sweep, pdk, chunk_size=2, physical=True,
+                                 checkpoint=tmp_path)
+    assert second.resumed_chunks == 0
+    assert second.evaluations == first.evaluations
 
 
 # --- floorplan legalization invariants -------------------------------------
