@@ -40,7 +40,6 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.batch import backend_name  # noqa: E402
 from repro.batch.pack import clear_key_caches  # noqa: E402
 from repro.runtime.engine import EvaluationEngine  # noqa: E402
 from repro.runtime.memo import (  # noqa: E402
@@ -203,7 +202,6 @@ def measure(quick: bool = False, repeats: int = 2) -> dict:
         "grid_points": len(specs),
         "quick": quick,
         "repeats": repeats,
-        "backend": backend_name(),
         "legacy_cold_s": round(legacy_s, 6),
         "scalar_cold_s": round(scalar_s, 6),
         "batch_cold_s": round(batch_s, 6),
@@ -269,8 +267,7 @@ def main(argv=None) -> int:
     print(f"batch cold  : {result['batch_cold_s'] * 1e3:9.1f} ms  "
           f"({result['batch_us_per_point']:.1f} us/pt, "
           f"{result['speedup_cold']:.1f}x legacy, "
-          f"{result['speedup_vs_scalar']:.1f}x scalar, "
-          f"backend={result['backend']})")
+          f"{result['speedup_vs_scalar']:.1f}x scalar)")
     print(f"batch warm  : {result['batch_warm_s'] * 1e3:9.1f} ms  "
           f"({result['speedup_warm']:.1f}x legacy)")
     print(f"parity      : {result['max_rel_diff_vs_scalar']:.3e} "

@@ -3,15 +3,12 @@
 Public surface:
 
 * :class:`~repro.batch.kernel.BatchKernel` — batched ``evaluate_spec``
-  with delta-evaluation between neighboring sweep points.
-* :mod:`repro.batch.analytical` — Eqs. 1-8 over packed arrays.
-* :mod:`repro.batch.backend` — numpy/pure-python backend selection.
-
-Importing this package never imports numpy eagerly; the kernel degrades
-to row-wise python loops when numpy is unavailable.
+  with delta-evaluation between neighboring sweep points, running the
+  simulator's own per-layer cost model (:mod:`repro.perf.layer_cost`)
+  on numpy arrays.
+* :mod:`repro.batch.analytical` — Eqs. 1-8 over numpy arrays.
 """
 
-from repro.batch.backend import backend_name, numpy_available, set_numpy_enabled
 from repro.batch.kernel import BatchKernel
 from repro.batch.pack import DesignRow, UnsupportedSpec, pack_point, spec_call_key
 
@@ -19,9 +16,6 @@ __all__ = [
     "BatchKernel",
     "DesignRow",
     "UnsupportedSpec",
-    "backend_name",
-    "numpy_available",
     "pack_point",
-    "set_numpy_enabled",
     "spec_call_key",
 ]

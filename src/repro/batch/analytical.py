@@ -4,26 +4,18 @@
 per call; these functions evaluate whole sequences at once.  Sequences
 broadcast like numpy: a length-1 sequence pairs with every element of
 the longer one (Fig. 8's shape — one workload, one baseline, a grid of
-candidates).  With numpy the math runs as float64 arrays; without it
-each pair delegates to the scalar framework functions, so the fallback
-is bit-identical by construction and the numpy path agrees within 1e-9
-(same formulas, same operation order — only the max/min/floor ops turn
-elementwise).
+candidates).  The math runs as numpy float64 arrays and agrees with the
+scalar framework within 1e-9 (same formulas, same operation order —
+only the max/min/floor ops turn elementwise).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.batch.backend import active_numpy
-from repro.core.framework import (
-    DesignPoint,
-    Workload,
-    energy,
-    energy_benefit,
-    execution_time,
-    speedup,
-)
+import numpy as np
+
+from repro.core.framework import DesignPoint, Workload
 from repro.errors import require
 
 __all__ = [
@@ -35,8 +27,8 @@ __all__ = [
 ]
 
 
-def _broadcast(*sequences: Sequence) -> int:
-    """Common length of the sequences (each must have it, or length 1)."""
+def _check_broadcast(*sequences: Sequence) -> None:
+    """Require every sequence to share one length, or have length 1."""
     length = 1
     for sequence in sequences:
         size = len(sequence)
@@ -46,14 +38,9 @@ def _broadcast(*sequences: Sequence) -> int:
         else:
             require(size in (1, length),
                     f"cannot broadcast batch of {size} against {length}")
-    return length
 
 
-def _pick(sequence: Sequence, index: int):
-    return sequence[0] if len(sequence) == 1 else sequence[index]
-
-
-def _workload_columns(np, workloads: Sequence[Workload]):
+def _workload_columns(workloads: Sequence[Workload]):
     ops = np.array([w.compute_ops for w in workloads], dtype=np.float64)
     bits = np.array([w.data_bits for w in workloads], dtype=np.float64)
     partitions = np.array([w.max_partitions for w in workloads],
@@ -61,7 +48,7 @@ def _workload_columns(np, workloads: Sequence[Workload]):
     return ops, bits, partitions
 
 
-def _design_columns(np, designs: Sequence[DesignPoint]):
+def _design_columns(designs: Sequence[DesignPoint]):
     return tuple(
         np.array([getattr(d, name) for d in designs], dtype=np.float64)
         for name in ("n_cs", "peak_ops_per_cycle", "bandwidth_bits_per_cycle",
@@ -70,47 +57,36 @@ def _design_columns(np, designs: Sequence[DesignPoint]):
                      "memory_idle_energy_per_cycle"))
 
 
-def _time_terms(np, workloads, designs):
-    """(transfer, compute, total) time arrays — Eqs. 1/4 vectorized."""
-    ops, bits, partitions = _workload_columns(np, workloads)
-    n_cs, peak, bandwidth, _, _, _, _ = _design_columns(np, designs)
+def _time_terms(workload_columns, design_columns):
+    """(transfer, compute, total, n_max) arrays — Eqs. 1/4 vectorized."""
+    ops, bits, partitions = workload_columns
+    n_cs, peak, bandwidth = design_columns[:3]
     # int(min(N#, N)) truncates toward zero == floor for N >= 1.
     n_max = np.floor(np.minimum(partitions, n_cs))
     transfer = bits * n_cs / bandwidth
     compute = ops / (n_max * peak)
-    return transfer, compute, np.maximum(transfer, compute)
+    return transfer, compute, np.maximum(transfer, compute), n_max
 
 
 def execution_time_batch(workloads: Sequence[Workload],
                          designs: Sequence[DesignPoint]) -> "list[float]":
     """Eq. 1/4 over pairs; length-1 sequences broadcast."""
-    length = _broadcast(workloads, designs)
-    np = active_numpy()
-    if np is None:
-        return [execution_time(_pick(workloads, i), _pick(designs, i))
-                for i in range(length)]
-    workloads = [_pick(workloads, i) for i in range(length)]
-    designs = [_pick(designs, i) for i in range(length)]
-    _, _, total = _time_terms(np, workloads, designs)
+    _check_broadcast(workloads, designs)
+    _, _, total, _ = _time_terms(_workload_columns(workloads),
+                                 _design_columns(designs))
     return total.tolist()
 
 
 def energy_batch(workloads: Sequence[Workload],
                  designs: Sequence[DesignPoint]) -> "list[float]":
     """Eq. 6/7 over pairs; length-1 sequences broadcast."""
-    length = _broadcast(workloads, designs)
-    np = active_numpy()
-    if np is None:
-        return [energy(_pick(workloads, i), _pick(designs, i))
-                for i in range(length)]
-    workloads = [_pick(workloads, i) for i in range(length)]
-    designs = [_pick(designs, i) for i in range(length)]
-    ops, bits, _ = _workload_columns(np, workloads)
-    n_cs, _, _, alpha, per_op, cs_idle, memory_idle = \
-        _design_columns(np, designs)
-    transfer, compute, total = _time_terms(np, workloads, designs)
-    partitions = _workload_columns(np, workloads)[2]
-    n_max = np.floor(np.minimum(partitions, n_cs))
+    _check_broadcast(workloads, designs)
+    workload_columns = _workload_columns(workloads)
+    design_columns = _design_columns(designs)
+    ops, bits, _ = workload_columns
+    n_cs, _, _, alpha, per_op, cs_idle, memory_idle = design_columns
+    transfer, compute, total, n_max = _time_terms(workload_columns,
+                                                  design_columns)
     access = alpha * bits
     memory_stall = memory_idle * (total - transfer)
     unused_cs = (n_cs - n_max) * cs_idle * total
@@ -124,11 +100,7 @@ def speedup_batch(workloads: Sequence[Workload],
                   baselines: Sequence[DesignPoint],
                   m3ds: Sequence[DesignPoint]) -> "list[float]":
     """Eq. 5 over triples; length-1 sequences broadcast."""
-    length = _broadcast(workloads, baselines, m3ds)
-    np = active_numpy()
-    if np is None:
-        return [speedup(_pick(workloads, i), _pick(baselines, i),
-                        _pick(m3ds, i)) for i in range(length)]
+    _check_broadcast(workloads, baselines, m3ds)
     baseline_t = execution_time_batch(workloads, baselines)
     m3d_t = execution_time_batch(workloads, m3ds)
     return (np.array(baseline_t) / np.array(m3d_t)).tolist()
@@ -138,11 +110,7 @@ def energy_benefit_batch(workloads: Sequence[Workload],
                          baselines: Sequence[DesignPoint],
                          m3ds: Sequence[DesignPoint]) -> "list[float]":
     """E_2D / E_3D over triples; length-1 sequences broadcast."""
-    length = _broadcast(workloads, baselines, m3ds)
-    np = active_numpy()
-    if np is None:
-        return [energy_benefit(_pick(workloads, i), _pick(baselines, i),
-                               _pick(m3ds, i)) for i in range(length)]
+    _check_broadcast(workloads, baselines, m3ds)
     baseline_e = energy_batch(workloads, baselines)
     m3d_e = energy_batch(workloads, m3ds)
     return (np.array(baseline_e) / np.array(m3d_e)).tolist()

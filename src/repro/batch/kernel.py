@@ -3,18 +3,17 @@
 :class:`BatchKernel` evaluates many ``evaluate_spec`` calls at once:
 
 1. **Pack** (python, per point): each spec lowers to two
-   :class:`~repro.batch.pack.DesignRow` parameter rows through the
+   :class:`~repro.perf.layer_cost.DesignRow` parameter rows through the
    delta-evaluation stage tables (:mod:`repro.batch.pack`), mirroring
    the scalar resolver's float arithmetic exactly.  Specs the row
    schema cannot express fall back to scalar ``evaluate_spec``
    (counted as ``batch.fallback_scalar``).
 2. **Evaluate** (arrays): the distinct ``(design row, workload)`` pairs
    that no earlier point — in this batch or a previous one — already
-   evaluated run through :func:`_layer_terms`, the per-layer cost model
-   written once against :class:`~repro.batch.backend.ArrayOps`.  With
-   numpy the whole group computes as (rows x layers) broadcast
-   matrices; without it the same body loops row by row on plain floats
-   (bit-identical to the scalar simulator).  Reused pairs count as
+   evaluated run through :func:`~repro.perf.layer_cost.layer_cost`, the
+   per-layer cost model the scalar simulator runs too, here on numpy
+   ops: each workload's group computes as (rows x layers) broadcast
+   matrices and reduces over the layers.  Reused pairs count as
    ``batch.delta_hits``.
 3. **Assemble** (python, per point): per-design cycle/energy totals
    combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
@@ -30,114 +29,46 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.batch.backend import (
-    active_numpy,
-    backend_name,
-    numpy_ops,
-    scalar_ops,
-)
+import numpy as np
+
 from repro.batch.pack import (
     ROW_RESULTS,
     DesignRow,
     PackedPoint,
     UnsupportedSpec,
     WorkloadStage,
-    _Namespace,
     pack_point,
     workload_stage,
 )
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
+from repro.perf.layer_cost import ArrayOps, layer_cost
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import add_counts
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, evaluate_spec
-from repro.tech.constants import SRAM_ENERGY_PER_BIT, WIRE_ENERGY_PER_BIT_MM
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
 __all__ = ["BatchKernel"]
 
-#: Average on-chip writeback wire length in mm (simulator's 5e-3 m / 1 mm).
-_WIRE_MM = 5e-3 / 1e-3
+#: The cost model's ops over (rows x layers) broadcast arrays.
+_NUMPY_OPS = ArrayOps(maximum=np.maximum, minimum=np.minimum,
+                      where=np.where, ceil=np.ceil)
 
 
-def _layer_terms(ops, d, f):
-    """(cycles, dynamic energy, leakage energy) of design x layer pairs.
-
-    ``d`` carries :class:`DesignRow` fields, ``f`` carries
-    :class:`~repro.batch.pack.LayerRow` fields — either plain scalars
-    (python mode) or broadcastable column/row vectors (numpy mode:
-    ``d.*`` are (R, 1), ``f.*`` are (1, L), every expression is (R, L)).
-    The formulas restate ``AcceleratorSimulator._conv_fc_cycles`` /
-    ``_pool_cycles`` / ``_dynamic_energy`` with identical operations in
-    identical order; ``where`` replaces control flow, and every branch
-    is total (no division by zero on the untaken side).
-    """
-    # Timing: conv/FC tiling (systolic.py arithmetic inlined).
-    per_group = ops.maximum(1, ops.ceil(f.out_channels / f.groups / d.cols))
-    k_tiles = f.groups * per_group
-    packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
-    row_tiles = ops.where(
-        packing,
-        ops.maximum(1, ops.ceil(f.group_in * f.kernel / d.rows)),
-        ops.maximum(1, ops.ceil(f.group_in / d.rows)))
-    passes = ops.where(
-        f.is_conv, ops.where(packing, f.kernel, f.kernel * f.kernel), 1)
-    used_cs = ops.minimum(d.n_cs, k_tiles)
-    slabs_per_cs = ops.ceil(k_tiles / used_cs) * row_tiles * passes
-    stream = f.positions * d.batch + d.fill_cycles
-    channel_bits = d.bandwidth_bits / d.n_cs
-    weight_load = d.weight_bits_per_slab / channel_bits
-    per_slab = ops.maximum(stream, weight_load)
-    conv_compute = slabs_per_cs * per_slab
-    # Timing: pooling on the per-CS vector lanes.
-    pool_used = ops.minimum(
-        d.n_cs, ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes)))
-    pool_compute = f.macs * d.batch / d.pool_lanes / pool_used
-    compute = ops.where(f.is_pool, pool_compute, conv_compute)
-    writeback = f.output_elements * d.batch * d.precision_bits / d.bus_bits
-    cycles = compute + writeback
-    # Energy (simulator's _dynamic_energy, same term order).
-    compute_e = f.macs * d.batch * d.mac_energy
-    weights_e = f.weights * d.precision_bits * d.read_energy
-    input_reads = f.macs * d.batch / d.cols
-    inputs_e = input_reads * d.precision_bits * SRAM_ENERGY_PER_BIT
-    output_bits = f.output_elements * d.batch * d.precision_bits
-    wire_e = output_bits * WIRE_ENERGY_PER_BIT_MM * _WIRE_MM
-    outputs_e = output_bits * SRAM_ENERGY_PER_BIT * (1 + d.n_cs)
-    dynamic = compute_e + weights_e + inputs_e + outputs_e + wire_e
-    leakage = d.static_power * cycles * d.cycle_time
-    return cycles, dynamic, leakage
-
-
-def _design_columns(np, rows: Sequence[DesignRow]):
+def _design_columns(rows: Sequence[DesignRow]) -> DesignRow:
     """Stack design rows into (R, 1) column vectors for broadcasting."""
-    columns = {}
-    for name, values in zip(DesignRow._fields, zip(*rows)):
-        dtype = bool if name == "row_packing" else np.float64
-        columns[name] = np.array(values, dtype=dtype)[:, None]
-    return _Namespace(columns)
+    return DesignRow._make(
+        np.array(values, dtype=bool if name == "row_packing"
+                 else np.float64)[:, None]
+        for name, values in zip(DesignRow._fields, zip(*rows)))
 
 
 def _evaluate_rows(rows: Sequence[DesignRow],
                    stage: WorkloadStage) -> "list[tuple[float, float]]":
     """Total (cycles, energy) of each design row on the stage's network."""
-    np = active_numpy()
-    if np is None:
-        totals = []
-        for row in rows:
-            cycles = 0.0
-            energy = 0.0
-            for feature in stage.layers:
-                layer_cycles, dynamic, leakage = \
-                    _layer_terms(scalar_ops, row, feature)
-                cycles += layer_cycles
-                energy += dynamic + leakage
-            totals.append((cycles, energy))
-        return totals
-    d = _design_columns(np, rows)
-    f = stage.columns(np)
-    cycles, dynamic, leakage = _layer_terms(numpy_ops(np), d, f)
+    _, _, _, cycles, dynamic, leakage = layer_cost(
+        _NUMPY_OPS, _design_columns(rows), stage.columns())
     total_cycles = cycles.sum(axis=1)
     total_energy = (dynamic + leakage).sum(axis=1)
     return list(zip(total_cycles.tolist(), total_energy.tolist()))
@@ -263,8 +194,7 @@ class BatchKernel:
                    fallback_scalar=len(fallback))
         if _obs_enabled():
             registry = _metrics_registry()
-            registry.counter("repro_batch_points_total",
-                             backend=backend_name()).inc(len(calls))
+            registry.counter("repro_batch_points_total").inc(len(calls))
             registry.counter("repro_batch_delta_hits_total").inc(delta_hits)
             registry.counter("repro_batch_fallback_scalar_total") \
                 .inc(len(fallback))

@@ -3,9 +3,10 @@
 The scalar pipeline resolves every spec into live objects (PDK, two
 :class:`~repro.arch.accelerator.AcceleratorDesign`\\ s, a
 :class:`~repro.workloads.models.Network`) and walks them per layer.  The
-batch kernel instead lowers each spec to two :class:`DesignRow`\\ s — flat
-parameter rows holding exactly the scalars the per-layer cost model reads
-— plus a :class:`WorkloadStage` of per-layer feature rows.  Stacking the
+batch kernel instead lowers each spec to two
+:class:`~repro.perf.layer_cost.DesignRow`\\ s — flat parameter rows holding
+exactly the scalars the per-layer cost model reads — plus a
+:class:`WorkloadStage` of per-layer feature rows.  Stacking the
 design rows (one row per design, one column per parameter) against the
 layer features (one column per layer) is what lets the kernel evaluate a
 whole batch as array operations.
@@ -21,8 +22,8 @@ identify which intermediate stages its neighbors already computed.
   and weight totals.  Points that only vary tech/arch axes reuse it.
 * ``batch.rows`` — keyed on (DesignRow, workload key): the evaluated
   (cycles, energy) totals.  Equal rows are interchangeable by
-  construction (the row *is* everything the cost model reads — the
-  vectorized analogue of the simulator's design fingerprint), so sweep
+  construction (the row *is* everything the cost model reads, and the
+  scalar simulator keys its layer memo on the same row), so sweep
   neighbors whose knob changes are absorbed by the construction (e.g.
   a beta that doesn't change the derived CS count) skip even the
   vectorized math.  Hits count as ``batch.delta_hits``.
@@ -43,6 +44,8 @@ import json
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
     DEFAULT_FREQUENCY_HZ,
@@ -54,6 +57,7 @@ from repro.arch.accelerator import (
     peripheral_area,
     precision_scaled_cs,
 )
+from repro.perf.layer_cost import DesignRow, LayerRow, layer_row
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import call_key
 from repro.runtime.memo import memo_table
@@ -67,7 +71,6 @@ from repro.spec.design import (
 )
 from repro.spec.resolve import build_workload, tech_pdk
 from repro.tech.pdk import PDK
-from repro.workloads.layers import Layer, LayerKind
 
 __all__ = [
     "DesignRow",
@@ -91,76 +94,6 @@ class UnsupportedSpec(Exception):
     diagnostic the scalar path always raised (e.g. for weights that do
     not fit on chip) — the batch layer never invents new behavior.
     """
-
-
-class DesignRow(NamedTuple):
-    """One design as a flat parameter row — the batch matrix schema.
-
-    Every field is a scalar the per-layer cost model reads; two equal
-    rows are interchangeable to the kernel, exactly like equal simulator
-    fingerprints.  Stacked rows form the batch's design matrix.
-
-    Attributes:
-        n_cs: Parallel CS count N.
-        bandwidth_bits: Total weight-read bandwidth, bits/cycle.
-        precision_bits: Operand precision.
-        read_energy: RRAM read energy, J/bit.
-        mac_energy: PE MAC energy, J/op.
-        static_power: Chip static power, W.
-        cycle_time: Clock period, s.
-        rows: Systolic-array input-channel dimension.
-        cols: Systolic-array output-channel dimension.
-        fill_cycles: Pipeline fill+drain cycles per slab.
-        weight_bits_per_slab: Weight bits loaded per slab.
-        pool_lanes: Post-processing vector lanes per CS.
-        bus_bits: Shared writeback bus width, bits/cycle.
-        row_packing: Shallow-channel row-packing mapping enabled.
-        batch: Inference batch size.
-    """
-
-    n_cs: int
-    bandwidth_bits: int
-    precision_bits: int
-    read_energy: float
-    mac_energy: float
-    static_power: float
-    cycle_time: float
-    rows: int
-    cols: int
-    fill_cycles: int
-    weight_bits_per_slab: int
-    pool_lanes: int
-    bus_bits: int
-    row_packing: bool
-    batch: int
-
-
-class LayerRow(NamedTuple):
-    """One workload layer as a feature row (one column per layer).
-
-    Attributes:
-        is_pool: Pooling layer (vector-unit timing path).
-        is_conv: Convolution (kernel passes / row packing apply).
-        positions: Output positions streamed per slab (1 for FC).
-        out_channels: Output channels K.
-        kernel: Square kernel size.
-        groups: Channel groups.
-        group_in: Input channels per group.
-        macs: MAC count.
-        weights: Weight count.
-        output_elements: Output feature-map elements.
-    """
-
-    is_pool: bool
-    is_conv: bool
-    positions: int
-    out_channels: int
-    kernel: int
-    groups: int
-    group_in: int
-    macs: int
-    weights: int
-    output_elements: int
 
 
 class DesignStage(NamedTuple):
@@ -204,7 +137,7 @@ class WorkloadStage:
 
     def __init__(self, network) -> None:
         self.network = network
-        self.layers = tuple(_layer_row(layer) for layer in network.layers)
+        self.layers = tuple(layer_row(layer) for layer in network.layers)
         self._weight_bits: dict[int, int] = {}
         self._columns = None
 
@@ -216,26 +149,16 @@ class WorkloadStage:
             self._weight_bits[precision_bits] = bits
         return bits
 
-    def columns(self, np):
+    def columns(self) -> LayerRow:
         """The layer features as (1, L) numpy row vectors, built lazily."""
         if self._columns is None:
             stacked = list(zip(*self.layers)) if self.layers else \
                 [[] for _ in LayerRow._fields]
-            columns = {}
-            for name, values in zip(LayerRow._fields, stacked):
-                dtype = bool if name in ("is_pool", "is_conv") else np.float64
-                columns[name] = np.array(values, dtype=dtype)[None, :]
-            self._columns = _Namespace(columns)
+            self._columns = LayerRow._make(
+                np.array(values, dtype=bool if name in ("is_pool", "is_conv")
+                         else np.float64)[None, :]
+                for name, values in zip(LayerRow._fields, stacked))
         return self._columns
-
-
-class _Namespace:
-    """Attribute access over a dict of packed columns."""
-
-    __slots__ = ("__dict__",)
-
-    def __init__(self, columns: dict) -> None:
-        self.__dict__.update(columns)
 
 
 class PackedPoint(NamedTuple):
@@ -264,24 +187,6 @@ _WORKLOAD_STAGE = memo_table("batch.workload")
 
 #: Row results: (DesignRow, workload key) -> (cycles, energy).
 ROW_RESULTS = memo_table("batch.rows")
-
-
-def _layer_row(layer: Layer) -> LayerRow:
-    kind = layer.kind
-    positions = 1 if kind == LayerKind.FC else layer.out_size * layer.out_size
-    groups = layer.channel_groups
-    return LayerRow(
-        is_pool=kind == LayerKind.POOL,
-        is_conv=kind == LayerKind.CONV,
-        positions=positions,
-        out_channels=layer.out_channels,
-        kernel=layer.kernel,
-        groups=groups,
-        group_in=layer.in_channels // groups,
-        macs=layer.macs,
-        weights=layer.weights,
-        output_elements=layer.output_elements,
-    )
 
 
 def _cs_preset(arch: ArchSpec) -> ComputingSubsystem:

@@ -78,7 +78,7 @@ def sweep_bandwidth_vs_cs(
 
     ``batch=True`` evaluates the whole grid through the vectorized
     framework (:func:`repro.batch.analytical.edp_benefit_batch`) in one
-    array pass — same values within 1e-9 (bit-identical without numpy).
+    array pass — same values within 1e-9.
     """
     require(intensity_ops_per_bit > 0, "intensity must be positive")
     base = base if base is not None else reference_design_point()

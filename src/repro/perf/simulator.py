@@ -23,24 +23,19 @@ layer's runtime — idle CSs keep leaking, which is how the M3D energy stays
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import require
 from repro.obs.trace import span as _span
-from repro.tech import constants
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import AcceleratorDesign, peripheral_area
-from repro.arch.systolic import SystolicArrayConfig
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
-from repro.workloads.layers import Layer, LayerKind, shape_key
+from repro.perf.layer_cost import DesignRow, layer_cost, layer_row, scalar_ops
+from repro.workloads.layers import Layer, shape_key
 from repro.workloads.models import Network
 
-#: Average on-chip distance for writeback-bus transfers, metres.
-_WRITEBACK_WIRE_LENGTH = 5e-3
-
-#: Layer-level memo: (design fingerprint, layer shape) -> numeric results.
+#: Layer-level memo: (design row, layer shape) -> numeric results.
 _LAYER_MEMO = memo_table("simulator.layer")
 
 
@@ -127,6 +122,9 @@ class AcceleratorSimulator:
     per-slab streaming grows with the batch while the slab load happens
     once, so weight-bound layers (FC, transformer projections) move toward
     the compute-bound regime.  Reports cover the whole batch.
+
+    ``row`` is the design as a :class:`~repro.perf.layer_cost.DesignRow`:
+    everything :meth:`run_layer` reads beyond the layer itself.
     """
 
     def __init__(self, design: AcceleratorDesign, pdk: PDK | None = None,
@@ -136,21 +134,26 @@ class AcceleratorSimulator:
         self.pdk = pdk if pdk is not None else foundry_m3d_pdk()
         self.batch = batch
         self._static_power = self._compute_static_power()
-        # Everything run_layer reads beyond the layer itself, so equal
-        # fingerprints make layer results interchangeable — including
+        array = design.cs.array
+        # Equal rows make layer results interchangeable — including
         # across *different* designs (e.g. 2D baselines that differ only
         # in footprint).  Documented in DESIGN.md ("Layer memoization").
-        self._fingerprint = (
-            design.cs.array,
-            design.n_cs,
-            design.total_weight_bandwidth,
-            design.writeback_bus_bits,
-            design.precision_bits,
-            design.pool_lanes,
-            design.bank_plan.array.cell.read_energy_per_bit,
-            design.cycle_time,
-            self._static_power,
-            batch,
+        self.row = DesignRow(
+            n_cs=design.n_cs,
+            bandwidth_bits=design.total_weight_bandwidth,
+            precision_bits=design.precision_bits,
+            read_energy=design.bank_plan.array.cell.read_energy_per_bit,
+            mac_energy=array.pe.mac_energy,
+            static_power=self._static_power,
+            cycle_time=design.cycle_time,
+            rows=array.rows,
+            cols=array.cols,
+            fill_cycles=array.fill_drain_cycles,
+            weight_bits_per_slab=array.weight_bits_per_slab(),
+            pool_lanes=design.pool_lanes,
+            bus_bits=design.writeback_bus_bits,
+            row_packing=array.enable_row_packing,
+            batch=batch,
         )
 
     def _compute_static_power(self) -> float:
@@ -171,74 +174,19 @@ class AcceleratorSimulator:
         """Chip static power in watts."""
         return self._static_power
 
-    # --- timing -----------------------------------------------------------
-
-    def _conv_fc_cycles(self, layer: Layer) -> tuple[int, float, float]:
-        """(used_cs, compute_cycles, writeback_cycles) for conv/FC layers."""
-        design = self.design
-        array: SystolicArrayConfig = design.cs.array
-        k_tiles = array.k_tiles(layer)
-        used_cs = min(design.n_cs, k_tiles)
-        slabs_per_cs = (math.ceil(k_tiles / used_cs)
-                        * array.row_tiles(layer) * array.kernel_passes(layer))
-        fill = array.fill_drain_cycles
-        per_input_stream = array.stream_cycles_per_slab(layer) - fill
-        stream = per_input_stream * self.batch + fill
-        # Each CS's weight channel: private bank in M3D, a share of the
-        # single channel in (possibly enlarged, Case 1) 2D baselines.
-        channel_bits = design.total_weight_bandwidth / design.n_cs
-        weight_load = array.weight_bits_per_slab() / channel_bits
-        per_slab = max(stream, weight_load)
-        compute = slabs_per_cs * per_slab
-        writeback = (layer.output_elements * self.batch
-                     * design.precision_bits / design.writeback_bus_bits)
-        return used_cs, compute, writeback
-
-    def _pool_cycles(self, layer: Layer) -> tuple[int, float, float]:
-        """(used_cs, compute_cycles, writeback_cycles) for pooling layers."""
-        design = self.design
-        lanes = design.pool_lanes
-        channel_tiles = max(1, math.ceil(layer.out_channels / lanes))
-        used_cs = min(design.n_cs, channel_tiles)
-        compute = layer.macs * self.batch / lanes / used_cs
-        writeback = (layer.output_elements * self.batch
-                     * design.precision_bits / design.writeback_bus_bits)
-        return used_cs, compute, writeback
-
-    # --- energy ------------------------------------------------------------
-
-    def _dynamic_energy(self, layer: Layer, used_cs: int) -> float:
-        """Dynamic energy of one layer in joules."""
-        design = self.design
-        precision = design.precision_bits
-        mac_energy = design.cs.array.pe.mac_energy
-        compute = layer.macs * self.batch * mac_energy
-        # Weight slabs are loaded once regardless of the batch size.
-        read_energy = design.bank_plan.array.cell.read_energy_per_bit
-        weights = layer.weights * precision * read_energy
-        # Input streaming: `rows` operands enter each array per cycle while
-        # `rows * cols` MACs retire, so SRAM read traffic is macs / cols.
-        input_reads = layer.macs * self.batch / design.cs.array.cols
-        inputs = input_reads * precision * constants.SRAM_ENERGY_PER_BIT
-        # Outputs: one SRAM write at the producer, a bus transfer, and one
-        # SRAM write into each consumer CS's input buffer.
-        output_bits = layer.output_elements * self.batch * precision
-        wire = (output_bits * constants.WIRE_ENERGY_PER_BIT_MM
-                * (_WRITEBACK_WIRE_LENGTH / 1e-3))
-        outputs = output_bits * constants.SRAM_ENERGY_PER_BIT * (1 + design.n_cs)
-        return compute + weights + inputs + outputs + wire
-
     # --- execution -----------------------------------------------------------
 
     def run_layer(self, layer: Layer) -> LayerExecution:
         """Execute one layer and return its timing/energy breakdown.
 
-        Results memoize on ``(design fingerprint, layer shape)``: the
-        numeric breakdown of a repeated shape (ResNet residual blocks,
-        identical layers across sweep points) is computed once and
-        re-attached to each requesting layer.
+        The breakdown is :func:`~repro.perf.layer_cost.layer_cost` over
+        this simulator's :attr:`row` and the layer's features.  Results
+        memoize on ``(design row, layer shape)``: the numeric breakdown
+        of a repeated shape (ResNet residual blocks, identical layers
+        across sweep points) is computed once and re-attached to each
+        requesting layer.
         """
-        key = (self._fingerprint, shape_key(layer))
+        key = (self.row, shape_key(layer))
         memoized = _LAYER_MEMO.get(key)
         if memoized is not MISSING:
             with _span("simulator.run_layer") as sp:
@@ -249,16 +197,9 @@ class AcceleratorSimulator:
             with _span("simulator.run_layer") as sp:
                 if sp:
                     sp.set(layer=layer.name, memo="miss")
-                if layer.kind == LayerKind.POOL:
-                    used_cs, compute, writeback = self._pool_cycles(layer)
-                else:
-                    used_cs, compute, writeback = self._conv_fc_cycles(layer)
-                cycles = compute + writeback
-                dynamic = self._dynamic_energy(layer, used_cs)
-                leakage = (self._static_power * cycles
-                           * self.design.cycle_time)
-            _LAYER_MEMO.put(
-                key, (used_cs, compute, writeback, cycles, dynamic, leakage))
+                memoized = layer_cost(scalar_ops, self.row, layer_row(layer))
+            _LAYER_MEMO.put(key, memoized)
+            used_cs, compute, writeback, cycles, dynamic, leakage = memoized
         return LayerExecution(
             layer=layer,
             used_cs=used_cs,

@@ -8,19 +8,16 @@ rejects).  The budget it checks against comes from the shared
 :class:`~repro.core.thermal.ThermalStack`, the single home of the repo's
 thermal constants.
 
-When numpy is available the report is backed by the exact cosine-basis
-grid solve of :mod:`repro.physical.thermal_map`, and records that solve's
-relative residual so a run states the numerical quality it reached;
-without numpy, the stage degrades to the scalar Eq. 17 estimate (uniform
-heat over the die), flagged by ``spatial=False`` so consumers know the
-hotspot is a die average.
+The report is backed by the exact cosine-basis grid solve of
+:mod:`repro.physical.thermal_map`, and records that solve's relative
+residual so a run states the numerical quality it reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.thermal import ThermalStack, temperature_rise
+from repro.core.thermal import ThermalStack
 from repro.errors import require
 from repro.physical.floorplan import Floorplan
 from repro.physical.power import PowerReport
@@ -39,11 +36,8 @@ class ThermalReport:
         hotspot_x: Hotspot x coordinate on the die, metres.
         hotspot_y: Hotspot y coordinate on the die, metres.
         budget_k: The rise budget the feasibility check used, K.
-        spatial: True when backed by the grid solver, False for the
-            scalar Eq. 17 fallback (no numpy available).
         residual: Relative max-norm residual of the grid solve,
-            ``max|(G_v I + G_l L) T - P| / max|P|`` (0 for the scalar
-            fallback, which is closed-form).
+            ``max|(G_v I + G_l L) T - P| / max|P|``.
     """
 
     design_name: str
@@ -52,7 +46,6 @@ class ThermalReport:
     hotspot_x: float
     hotspot_y: float
     budget_k: float
-    spatial: bool
     residual: float
 
     @property
@@ -80,21 +73,9 @@ def analyze_thermal(
     stack = ThermalStack()
     budget = stack.max_rise if budget_k is None else budget_k
     require(budget > 0, "thermal budget must be positive")
-    try:
-        from repro.physical.thermal_map import solve_thermal_map
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI
-        rise = temperature_rise([power.total], stack)
-        center = floorplan.die.center
-        return ThermalReport(
-            design_name=floorplan.name,
-            hotspot_rise_k=rise,
-            average_rise_k=rise,
-            hotspot_x=center[0],
-            hotspot_y=center[1],
-            budget_k=budget,
-            spatial=False,
-            residual=0.0,
-        )
+    # Deferred so numpy loads only once a thermal stage runs.
+    from repro.physical.thermal_map import solve_thermal_map
+
     solved = solve_thermal_map(floorplan, power, grid=grid, stack=stack)
     x, y = solved.hotspot_location
     return ThermalReport(
@@ -104,6 +85,5 @@ def analyze_thermal(
         hotspot_x=x,
         hotspot_y=y,
         budget_k=budget,
-        spatial=True,
         residual=solved.residual,
     )

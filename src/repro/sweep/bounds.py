@@ -23,9 +23,10 @@ The bound prices exactly the simulator's *mandatory* work:
   serial writeback, and the dynamic energy with the output fan-out at its
   ``n_cs = 1`` minimum and leakage at its ``>= 0`` minimum.
 
-Each mandatory term reproduces the corresponding expression of
-:class:`repro.perf.simulator.AcceleratorSimulator` (same arithmetic, same
-order), so where the bound is mathematically tight it is bit-tight too;
+Each mandatory term reproduces the corresponding expression of the
+simulator's cost model, :func:`repro.perf.layer_cost.layer_cost` (same
+arithmetic, same order), so where the bound is mathematically tight it
+is bit-tight too;
 :data:`repro.mapper.cost.BOUND_MARGIN` keeps the benefit ratio on the
 admissible side of any remaining float reassociation.  Admissibility —
 ``spec_bounds(spec).edp_benefit_ub >= evaluate_spec(spec).edp_benefit``
@@ -43,7 +44,8 @@ from typing import Any
 from repro.arch.accelerator import AcceleratorDesign
 from repro.errors import require
 from repro.mapper.cost import BOUND_MARGIN
-from repro.perf.simulator import _WRITEBACK_WIRE_LENGTH, simulate
+from repro.perf.layer_cost import WRITEBACK_WIRE_LENGTH
+from repro.perf.simulator import simulate
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
 from repro.runtime.serialize import from_jsonable, to_jsonable
@@ -97,9 +99,9 @@ def _layer_lower_bounds(design: AcceleratorDesign, layer: Layer,
                         batch: int) -> tuple[float, float]:
     """(cycles_lb, dynamic_energy_lb) for one layer on the M3D design.
 
-    Mirrors ``AcceleratorSimulator._conv_fc_cycles`` / ``_pool_cycles`` /
-    ``_dynamic_energy`` term by term, replacing every CS-count-dependent
-    factor with its best case over ``n_cs >= 1``.
+    Mirrors :func:`repro.perf.layer_cost.layer_cost` term by term,
+    replacing every CS-count-dependent factor with its best case over
+    ``n_cs >= 1``.
     """
     array = design.cs.array
     precision = design.precision_bits
@@ -127,7 +129,7 @@ def _layer_lower_bounds(design: AcceleratorDesign, layer: Layer,
     inputs = input_reads * precision * constants.SRAM_ENERGY_PER_BIT
     output_bits = layer.output_elements * batch * precision
     wire = (output_bits * constants.WIRE_ENERGY_PER_BIT_MM
-            * (_WRITEBACK_WIRE_LENGTH / 1e-3))
+            * (WRITEBACK_WIRE_LENGTH / 1e-3))
     # Output fan-out (1 + n_cs) bottoms out at 2; leakage bottoms at 0.
     outputs = output_bits * constants.SRAM_ENERGY_PER_BIT * 2
     energy = compute_e + weights + inputs + outputs + wire

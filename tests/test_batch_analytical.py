@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import numpy_available, set_numpy_enabled
 from repro.batch.analytical import (
     edp_benefit_batch,
     energy_batch,
@@ -82,24 +81,6 @@ def test_benefit_parity(workload, baseline, m3ds):
             energy_benefit(workload, baseline, m3d), rel=REL)
         assert edps[i] == pytest.approx(
             edp_benefit(workload, baseline, m3d), rel=REL)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy to compare")
-def test_python_mode_is_bit_identical():
-    workload = Workload(compute_ops=16e9, data_bits=1e9)
-    baseline = DesignPoint(
-        n_cs=1, peak_ops_per_cycle=512, bandwidth_bits_per_cycle=256,
-        memory_energy_per_bit=1e-12, compute_energy_per_op=1e-13,
-        cs_idle_energy_per_cycle=1e-11, memory_idle_energy_per_cycle=1e-11)
-    m3ds = [baseline.with_n_cs(n).with_bandwidth(n * 256)
-            for n in (1, 2, 4, 8, 16)]
-    previous = set_numpy_enabled(False)
-    try:
-        python_mode = edp_benefit_batch([workload], [baseline], m3ds)
-    finally:
-        set_numpy_enabled(previous)
-    scalar = [edp_benefit(workload, baseline, m3d) for m3d in m3ds]
-    assert python_mode == scalar
 
 
 def test_broadcast_rejects_incompatible_lengths():

@@ -6,8 +6,9 @@ The contract under test (ISSUE PR 7 acceptance):
   resolve+simulate pipeline bit-for-bit;
 * the batched path agrees with the scalar path within 1e-9 relative on
   speedup/energy/EDP (and exactly on CS counts and footprints);
-* the pure-python backend (numpy forced off) is *bit-identical* to the
-  scalar path;
+* the design rows ``pack_point`` derives equal, exactly, the rows the
+  simulator builds from the resolved designs (both paths then run the
+  one per-layer cost model, :mod:`repro.perf.layer_cost`);
 * engine cache keys are identical between the paths (a scalar-warmed
   cache serves a batch run and vice versa), as are stage counters;
 * specs the kernel cannot express fall back to scalar evaluation with
@@ -23,14 +24,12 @@ from hypothesis import strategies as st
 from repro.batch import (
     BatchKernel,
     UnsupportedSpec,
-    numpy_available,
     pack_point,
-    set_numpy_enabled,
     spec_call_key,
 )
 from repro.errors import ReproError
 from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
+from repro.perf.simulator import AcceleratorSimulator, simulate
 from repro.runtime.engine import EvaluationEngine
 from repro.runtime.keys import call_key
 from repro.runtime.memo import counter_stats
@@ -135,25 +134,17 @@ def test_batch_size_chunking_matches_single_batch():
     assert whole == chunked
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy to compare")
-def test_python_backend_is_bit_identical_to_scalar():
-    from repro.batch.pack import ROW_RESULTS
-
-    specs = _grid_specs() + EDGE_SPECS
-    scalar = evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
-    previous = set_numpy_enabled(False)
-    ROW_RESULTS.clear()  # drop totals memoized by earlier numpy batches
-    try:
-        kernel = BatchKernel()
-        batched = kernel.evaluate_specs(specs)
-    finally:
-        set_numpy_enabled(previous)
-        ROW_RESULTS.clear()  # don't leak python-mode totals either
-    for b, s in zip(batched, scalar):
-        assert b.speedup == s.speedup
-        assert b.energy_benefit == s.energy_benefit
-        assert b.edp_benefit == s.edp_benefit
-        assert b.footprint == s.footprint
+@pytest.mark.parametrize("spec", _grid_specs() + EDGE_SPECS)
+def test_packed_rows_equal_simulator_rows(spec):
+    """pack.py restates the resolver's arithmetic; the rows it derives
+    must equal the simulator's rows of the resolved designs exactly."""
+    packed = pack_point(spec, foundry_m3d_pdk())
+    point = resolve(spec, None)
+    batch = spec.workload.batch
+    assert packed.row_2d == AcceleratorSimulator(
+        point.baseline, point.pdk, batch=batch).row
+    assert packed.row_m3d == AcceleratorSimulator(
+        point.m3d, point.pdk, batch=batch).row
 
 
 _SPECS = st.builds(

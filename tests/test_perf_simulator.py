@@ -76,12 +76,12 @@ def test_shared_channel_slows_weight_load(pdk, baseline):
     four_cs = baseline.with_n_cs(4)
     sim = AcceleratorSimulator(four_cs, pdk)
     fc = FCLayer("FC", in_features=4096, out_features=4096)
-    used, compute, _ = sim._conv_fc_cycles(fc)
-    assert used == 4
+    result = sim.run_layer(fc)
+    assert result.used_cs == 4
     # Per-CS channel is 64 bits -> 32 cycles per slab load, close to the
     # 33-cycle stream; the max() keeps streaming dominant (33).
     slabs_per_cs = 64 * 256
-    assert compute == pytest.approx(slabs_per_cs * 33)
+    assert result.compute_cycles == pytest.approx(slabs_per_cs * 33)
 
 
 def test_pool_partitioned_across_cs(base_report, m3d_report):

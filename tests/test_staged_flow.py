@@ -306,11 +306,10 @@ def test_thermal_stage_matches_spatial_solver(pdk, m3d):
     assert outcome.thermal.hotspot_rise_k == solved.hotspot
     assert outcome.thermal.average_rise_k == solved.average
     assert outcome.thermal.budget_k == stack.max_rise
-    assert outcome.thermal.spatial
     assert outcome.thermal.residual == solved.residual <= 1e-10
 
 
-# --- records persisted before the solver residual existed -------------------
+# --- records persisted by earlier versions --------------------------------
 
 
 #: The fields a pre-residual (iterative-solver) record lacks, by class.
@@ -318,28 +317,45 @@ _RESIDUAL_FIELDS = {"PhysicalSummary": "thermal_residual",
                     "ThermalReport": "residual"}
 
 
-def _drop_residuals(node) -> int:
-    """Remove the residual fields from a lowered record; count removals."""
+def _drop_residual(cls: str, fields: dict) -> bool:
+    """Age a record to before the solver residual existed."""
+    if cls not in _RESIDUAL_FIELDS:
+        return False
+    del fields[_RESIDUAL_FIELDS[cls]]
+    return True
+
+
+def _add_spatial(cls: str, fields: dict) -> bool:
+    """Age a record to when ThermalReport carried the ``spatial`` flag of
+    its removed no-numpy fallback."""
+    if cls != "ThermalReport":
+        return False
+    fields["spatial"] = True
+    return True
+
+
+def _age_tree(node, age) -> int:
+    """Apply ``age`` to every dataclass record in a lowered tree; count
+    the records it changed."""
     if isinstance(node, list):
-        return sum(_drop_residuals(item) for item in node)
+        return sum(_age_tree(item, age) for item in node)
     if not isinstance(node, dict):
         return 0
-    removed = 0
-    cls = str(node.get("__dataclass__", "")).rpartition(":")[2]
-    if cls in _RESIDUAL_FIELDS:
-        del node["fields"][_RESIDUAL_FIELDS[cls]]
-        removed = 1
-    return removed + sum(_drop_residuals(value) for value in node.values())
+    aged = 0
+    if "__dataclass__" in node:
+        cls = str(node["__dataclass__"]).rpartition(":")[2]
+        aged = int(age(cls, node["fields"]))
+    return aged + sum(_age_tree(value, age) for value in node.values())
 
 
-def _age_records(directory) -> int:
-    """Rewrite every JSON record under ``directory`` as a pre-residual one."""
-    removed = 0
+def _age_records(directory, age=_drop_residual) -> int:
+    """Rewrite every JSON record under ``directory`` as an older one."""
+    aged = 0
     for path in directory.rglob("*.json"):
         data = json.loads(path.read_text(encoding="utf-8"))
-        removed += _drop_residuals(data)
+        aged += _age_tree(data, age)
         path.write_text(json.dumps(data), encoding="utf-8")
-    return removed
+    return aged
 
 
 def test_stale_cached_evaluation_is_quarantined(pdk, tmp_path):
@@ -357,11 +373,16 @@ def test_stale_cached_evaluation_is_quarantined(pdk, tmp_path):
     assert again == fresh
 
 
-def test_stale_cached_thermal_stage_reruns(pdk, m3d, tmp_path):
+@pytest.mark.parametrize("age", [
+    pytest.param(_drop_residual, id="missing-residual"),
+    pytest.param(_add_spatial, id="removed-spatial"),
+])
+def test_stale_cached_thermal_stage_reruns(pdk, m3d, tmp_path, age):
     _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
-    assert _age_records(tmp_path) == 1
+    assert _age_records(tmp_path, age) == 1
     counters = _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
     assert counters["flow.thermal"] == (0, 1)
+    assert len(list(tmp_path.rglob("*.corrupt"))) == 1
     untouched = {name: counts for name, counts in counters.items()
                  if name != "flow.thermal"}
     assert all(counts == (1, 0) for counts in untouched.values()), counters
