@@ -2,15 +2,16 @@
 
 from _reporting import report_table
 
-from repro.core.dse import explore, pareto_frontier
+from repro.core.dse import joint_grid_sweep
 from repro.experiments.reporting import format_table, times
+from repro.sweep import run_streaming_sweep
 from repro.tech import foundry_m3d_pdk
 from repro.units import MEGABYTE, to_mm2
 
 
 def _run(pdk):
-    candidates = explore(pdk)
-    return candidates, pareto_frontier(candidates)
+    result = run_streaming_sweep(joint_grid_sweep(), pdk=pdk)
+    return result.evaluations, result.frontier_evaluations()
 
 
 def test_bench_ext_dse_pareto(benchmark):
@@ -20,12 +21,14 @@ def test_bench_ext_dse_pareto(benchmark):
     assert 1 <= len(frontier) <= len(candidates)
     # The case-study point must not be dominated at its capacity.
     case = next(c for c in candidates
-                if c.capacity_bits == 64 * MEGABYTE and c.delta == 1.0
-                and c.beta == 1.0 and c.tier_pairs == 1)
+                if c.spec.arch.capacity_bits == 64 * MEGABYTE
+                and c.spec.tech.delta == 1.0 and c.spec.tech.beta == 1.0
+                and c.spec.arch.tier_pairs == 1)
     same_size = [c for c in candidates if c.footprint <= case.footprint]
     assert case.edp_benefit >= 0.8 * max(c.edp_benefit for c in same_size)
-    rows = [[f"{c.capacity_bits / MEGABYTE:.0f} MB", c.delta, c.beta,
-             c.tier_pairs, c.n_cs, f"{to_mm2(c.footprint):.0f}",
+    rows = [[f"{c.spec.arch.capacity_bits / MEGABYTE:.0f} MB",
+             c.spec.tech.delta, c.spec.tech.beta, c.spec.arch.tier_pairs,
+             c.n_cs_m3d, f"{to_mm2(c.footprint):.0f}",
              times(c.edp_benefit)] for c in frontier]
     report_table("ext_dse", format_table(
         "Extension — Pareto frontier of the joint (capacity, delta, beta, "

@@ -14,8 +14,8 @@ records in ``BENCH_PR6.json``:
 * a warm re-run against the same checkpoint directory: every chunk must
   replay from disk (zero re-evaluations);
 * an exactness spot check — the pruned streaming frontier over the
-  36-point joint grid equals the brute-force frontier of the eager
-  ``evaluate_sweep`` results.
+  36-point joint grid equals the brute-force frontier of scalar
+  ``evaluate_specs`` over the expanded grid.
 
 ``--quick`` shrinks the grid to ~1k points for CI smoke runs; the
 measurements and invariants are identical.  ``--check`` exits non-zero
@@ -37,7 +37,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.dse import joint_grid_sweep  # noqa: E402
 from repro.runtime.engine import EvaluationEngine  # noqa: E402
-from repro.spec import DesignSpec, SweepSpec, evaluate_sweep  # noqa: E402
+from repro.spec import DesignSpec, SweepSpec, evaluate_specs  # noqa: E402
 from repro.sweep import (  # noqa: E402
     exhaustive_frontier,
     run_streaming_sweep,
@@ -72,9 +72,10 @@ def _rss_mb() -> float:
 def exactness_spot_check() -> bool:
     """Pruned streaming frontier == brute-force frontier, 36-point grid."""
     sweep = joint_grid_sweep()
-    eager = evaluate_sweep(sweep, engine=EvaluationEngine(jobs=1))
+    reference = evaluate_specs(sweep.expand(),
+                               engine=EvaluationEngine(jobs=1))
     expected = exhaustive_frontier(
-        (e.footprint, e.edp_benefit, e) for e in eager)
+        (e.footprint, e.edp_benefit, e) for e in reference)
     result = run_streaming_sweep(sweep, chunk_size=5, prune=True,
                                  engine=EvaluationEngine(jobs=1))
     return result.frontier.steps() == tuple(

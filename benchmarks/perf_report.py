@@ -2,12 +2,12 @@
 
 Measures the joint DSE grid (``repro dse``) three ways on this machine:
 
-* **legacy** — the pre-PR evaluation strategy: one independent
-  ``evaluate_design_point`` call per grid point, no layer memoization,
-  no fingerprint cache, no within-batch deduplication;
-* **cold** — the accelerated path (``explore``) from empty caches:
-  planned sweep, batch dedup, layer/slice memoization, cached
-  fingerprints;
+* **legacy** — the unaccelerated evaluation strategy: one independent
+  ``evaluate_spec`` call per grid point, no layer memoization, no
+  fingerprint cache, no within-batch deduplication;
+* **cold** — the accelerated path (``run_streaming_sweep`` over
+  ``joint_grid_sweep()``) from empty caches: chunked dispatch, batch
+  dedup, layer/slice memoization, cached fingerprints;
 * **warm** — the accelerated path again on the same engine, where the
   result cache answers every call.
 
@@ -33,7 +33,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.dse import evaluate_design_point, explore  # noqa: E402
+from repro.core.dse import joint_grid_sweep  # noqa: E402
 from repro.core.insights import sweep_rram_capacity  # noqa: E402
 from repro.runtime.engine import EvaluationEngine  # noqa: E402
 from repro.runtime.memo import reset_memoization, set_memoization  # noqa: E402
@@ -41,9 +41,10 @@ from repro.runtime.serialize import (  # noqa: E402
     clear_fingerprint_cache,
     set_fingerprint_cache,
 )
+from repro.spec.evaluate import evaluate_spec, spec_calls  # noqa: E402
+from repro.sweep import run_streaming_sweep  # noqa: E402
 from repro.tech import foundry_m3d_pdk  # noqa: E402
 from repro.units import MEGABYTE  # noqa: E402
-from repro.workloads.models import resnet18  # noqa: E402
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
 
@@ -53,18 +54,6 @@ GRID = dict(
     betas=(1.0, 1.3),
     tier_pairs=(1, 2),
 )
-
-
-def _grid_calls(pdk, network):
-    """The pre-PR call list: one evaluate_design_point per grid point."""
-    return [
-        {"pdk": pdk, "network": network, "capacity_bits": capacity,
-         "delta": delta, "beta": beta, "tier_pairs": pairs}
-        for capacity in GRID["capacities_bits"]
-        for delta in GRID["deltas"]
-        for beta in GRID["betas"]
-        for pairs in GRID["tier_pairs"]
-    ]
 
 
 def _cold_state():
@@ -89,8 +78,8 @@ def _best_of(repeats, run):
 
 def measure(jobs: int = 1, repeats: int = 3) -> dict:
     pdk = foundry_m3d_pdk()
-    network = resnet18()
-    calls = _grid_calls(pdk, network)
+    sweep = joint_grid_sweep(**GRID)
+    calls = spec_calls(sweep.expand(), pdk)
 
     # Legacy arm: pointwise evaluation with every acceleration disabled.
     def run_legacy():
@@ -99,8 +88,8 @@ def measure(jobs: int = 1, repeats: int = 3) -> dict:
         set_fingerprint_cache(False)
         try:
             engine = EvaluationEngine(jobs=jobs)
-            engine.map(evaluate_design_point, calls,
-                       stage="dse.explore", dedup=False)
+            engine.map(evaluate_spec, calls, stage="legacy.evaluate",
+                       dedup=False)
         finally:
             set_memoization(True)
             set_fingerprint_cache(True)
@@ -109,23 +98,24 @@ def measure(jobs: int = 1, repeats: int = 3) -> dict:
     legacy_s, legacy_all = _best_of(repeats, run_legacy)
 
     # Accelerated arm, cold: fresh engine and empty memo tables each run.
+    def run_sweep(engine):
+        return run_streaming_sweep(sweep, pdk=pdk, engine=engine, jobs=jobs)
+
     def run_cold():
         _cold_state()
-        explore(pdk, network, engine=EvaluationEngine(jobs=jobs), jobs=jobs,
-                **GRID)
+        run_sweep(EvaluationEngine(jobs=jobs))
 
     cold_s, cold_all = _best_of(repeats, run_cold)
 
     # One instrumented cold run to report hit-rate statistics.
     _cold_state()
     engine = EvaluationEngine(jobs=jobs)
-    candidates = explore(pdk, network, engine=engine, jobs=jobs, **GRID)
+    result = run_sweep(engine)
     report = engine.report()
-    stage = report.stage("dse.simulate")
+    stage = report.stage("sweep.evaluate")
 
     # Warm arm: same engine again — the result cache answers everything.
-    warm_s, warm_all = _best_of(repeats, lambda: explore(
-        pdk, network, engine=engine, jobs=jobs, **GRID))
+    warm_s, warm_all = _best_of(repeats, lambda: run_sweep(engine))
 
     # Fig. 9 capacity sweep, accelerated and cold, for the record.
     _cold_state()
@@ -136,7 +126,7 @@ def measure(jobs: int = 1, repeats: int = 3) -> dict:
 
     return {
         "benchmark": "joint DSE grid (repro dse), ResNet-18, full factorial",
-        "grid_points": len(candidates),
+        "grid_points": result.points,
         "jobs": jobs,
         "repeats": repeats,
         "legacy_cold_s": round(legacy_s, 6),
@@ -153,7 +143,7 @@ def measure(jobs: int = 1, repeats: int = 3) -> dict:
             "median_accelerated_cold_s": round(statistics.median(cold_all), 6),
         },
         "cold_run_stats": {
-            "simulate_calls": stage.calls,
+            "evaluate_calls": stage.calls,
             "evaluated": stage.evaluated,
             "dedup_hits": stage.dedup_hits,
             "dedup_hit_rate": round(stage.dedup_hits / stage.calls, 3),

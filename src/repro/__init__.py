@@ -94,7 +94,6 @@ from repro.spec import (
     SweepSpec,
     evaluate_spec,
     evaluate_specs,
-    evaluate_sweep,
     load_design_spec,
     load_sweep_spec,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "SweepSpec",
     "evaluate_spec",
     "evaluate_specs",
-    "evaluate_sweep",
     "load_design_spec",
     "load_sweep_spec",
     "run_streaming_sweep",

@@ -6,7 +6,6 @@ Public surface:
   with delta-evaluation between neighboring sweep points, running the
   simulator's own per-layer cost model (:mod:`repro.perf.layer_cost`)
   on numpy arrays.
-* :mod:`repro.batch.analytical` — Eqs. 1-8 over numpy arrays.
 """
 
 from repro.batch.kernel import BatchKernel

@@ -46,7 +46,7 @@ from repro.perf.layer_cost import ArrayOps, layer_cost
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import add_counts
 from repro.spec.design import DesignSpec
-from repro.spec.evaluate import SpecEvaluation, evaluate_spec
+from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
 __all__ = ["BatchKernel"]
@@ -104,11 +104,7 @@ class BatchKernel:
     def evaluate_specs(
             self, specs: Sequence[DesignSpec]) -> "list[SpecEvaluation]":
         """Evaluate specs directly (no engine cache involved)."""
-        if self.pdk is None:
-            calls = [((spec,), {}) for spec in specs]
-        else:
-            calls = [((spec, self.pdk), {}) for spec in specs]
-        return self.evaluate_calls(calls)
+        return self.evaluate_calls(spec_calls(specs, self.pdk))
 
     def evaluate_calls(
             self,

@@ -104,12 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
              "design point every named experiment derives from")
     parser.add_argument(
         "--stream", action="store_true",
-        help="with 'sweep': evaluate chunk by chunk through the streaming "
-             "executor (bounded memory; implied by --checkpoint-dir and "
-             "--prune)")
+        help="with 'sweep': report the run as a stream, with a summary "
+             "line of chunks, pruned and resumed points and frontier size "
+             "(implied by --checkpoint-dir and --prune); every sweep is "
+             "evaluated chunk by chunk either way")
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
-        help="points per streamed chunk (default 64)")
+        help="points per sweep chunk (default 64)")
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist completed chunks under DIR; re-running the same "
@@ -132,12 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch", action="store_true",
         help="with 'eval'/'sweep': evaluate points through the vectorized "
-             "batch kernel (numpy when available, pure-python fallback "
-             "otherwise; implied by --batch-size)")
+             "batch kernel (implied by --batch-size)")
     parser.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="points packed per batch-kernel invocation (default: the "
-             "whole sweep, or one chunk when streaming)")
+        help="points packed per batch-kernel invocation; with 'sweep' it "
+             "is the chunk size unless --chunk-size is given (default 64)")
     parser.add_argument(
         "--physical", action="store_true",
         help="with 'eval'/'sweep': run every point through the staged "
@@ -228,6 +228,10 @@ def _main(argv: list[str] | None = None) -> int:
     if args.jobs < 0:
         return _fail(args, "--jobs must be >= 0 (1 = serial, 0 = one "
                            "per CPU)")
+    for flag, size in (("--chunk-size", args.chunk_size),
+                       ("--batch-size", args.batch_size)):
+        if size is not None and size < 1:
+            return _fail(args, f"{flag} must be >= 1")
     from repro.runtime.engine import configure
 
     engine = configure(jobs=args.jobs, cache_dir=args.cache_dir,
@@ -427,7 +431,6 @@ def _run_spec_command(command: str, args: argparse.Namespace, engine,
     from repro.errors import ReproError
     from repro.spec import (
         evaluate_specs,
-        evaluate_sweep,
         format_spec_evaluations,
         load_design_spec,
         load_sweep_spec,
@@ -453,42 +456,37 @@ def _run_spec_command(command: str, args: argparse.Namespace, engine,
                                              engine=engine, batch=batch,
                                              physical=args.physical)
                 title = f"Spec evaluation — {args.spec}"
-            elif streaming:
+            else:
                 from repro.sweep import DEFAULT_CHUNK_SIZE, run_streaming_sweep
 
                 sweep = load_sweep_spec(args.spec)
-                chunk_size = args.chunk_size
-                if chunk_size is None:
-                    chunk_size = args.batch_size \
-                        if args.batch_size is not None else DEFAULT_CHUNK_SIZE
+                # Both sizes were checked >= 1 above, so ``or`` only
+                # skips the ones not given.
+                chunk_size = (args.chunk_size or args.batch_size
+                              or DEFAULT_CHUNK_SIZE)
                 result = run_streaming_sweep(
                     sweep, engine=engine, chunk_size=chunk_size,
                     prune=args.prune, checkpoint=args.checkpoint_dir,
                     checkpoint_every=args.checkpoint_every, batch=batch,
-                    physical=args.physical, max_failures=args.max_failures)
+                    physical=args.physical,
+                    max_failures=args.max_failures if streaming else 0)
                 evaluations = result.evaluations
-                title = (f"Streaming sweep — {args.spec} "
-                         f"({result.points} points)")
-                infeasible = (f"{result.infeasible} infeasible, "
-                              if args.physical else "")
-                failed = (f"{result.failed} failed, "
-                          if args.max_failures != 0 or result.failed else "")
-                summary = (f"streamed {result.points} points in "
-                           f"{result.chunks} chunk(s): "
-                           f"{result.evaluated} evaluated, "
-                           f"{infeasible}"
-                           f"{failed}"
-                           f"{result.pruned} pruned, "
-                           f"{result.resumed_chunks} chunk(s) resumed; "
-                           f"frontier size {len(result.frontier)}")
-            else:
-                sweep = load_sweep_spec(args.spec)
-                evaluations = evaluate_sweep(sweep, engine=engine,
-                                             batch=batch,
-                                             batch_size=args.batch_size,
-                                             physical=args.physical)
-                title = (f"Sweep evaluation — {args.spec} "
-                         f"({len(sweep)} points)")
+                kind = "Streaming sweep" if streaming else "Sweep evaluation"
+                title = f"{kind} — {args.spec} ({result.points} points)"
+                if streaming:
+                    infeasible = (f"{result.infeasible} infeasible, "
+                                  if args.physical else "")
+                    failed = (f"{result.failed} failed, "
+                              if args.max_failures != 0 or result.failed
+                              else "")
+                    summary = (f"streamed {result.points} points in "
+                               f"{result.chunks} chunk(s): "
+                               f"{result.evaluated} evaluated, "
+                               f"{infeasible}"
+                               f"{failed}"
+                               f"{result.pruned} pruned, "
+                               f"{result.resumed_chunks} chunk(s) resumed; "
+                               f"frontier size {len(result.frontier)}")
     except (OSError, ValueError, ReproError) as error:
         return _fail(args, error, prefix=f"bad --spec {args.spec}: ")
     print(format_spec_evaluations(evaluations, title=title))

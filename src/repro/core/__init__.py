@@ -41,15 +41,7 @@ from repro.core.insights import (
     sweep_rram_capacity,
 )
 from repro.core.allocate import Allocation, AllocationResult, optimize_freed_silicon
-from repro.core.dse import (
-    DesignCandidate,
-    candidate_from_point,
-    design_point_spec,
-    evaluate_design_point,
-    explore,
-    pareto_frontier,
-    plan_design_point,
-)
+from repro.core.dse import design_point_spec
 from repro.core.roofline import RooflineModel, RooflinePoint, roofline
 from repro.core.sensitivity import (
     Elasticity,
@@ -88,13 +80,7 @@ __all__ = [
     "Allocation",
     "AllocationResult",
     "optimize_freed_silicon",
-    "DesignCandidate",
-    "candidate_from_point",
     "design_point_spec",
-    "evaluate_design_point",
-    "explore",
-    "pareto_frontier",
-    "plan_design_point",
     "RooflinePoint",
     "RooflineModel",
     "roofline",

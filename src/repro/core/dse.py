@@ -2,87 +2,26 @@
 
 Sections III-D/E/F study one knob at a time (FET width delta, via pitch
 beta, tier pairs Y) around the capacity sweep of Obs. 6.  This module
-explores the *joint* space: a full-factorial grid over
-(capacity, delta, beta, Y), each point evaluated with the same simulator
-pipeline as the single-knob studies, plus a Pareto-frontier extractor over
-(footprint, EDP benefit) — the "which chips are worth building" view.
+declares the *joint* space: a full-factorial grid over
+(capacity, delta, beta, Y) as a :class:`~repro.spec.sweep.SweepSpec`
+(:func:`joint_grid_sweep`), whose every point equals
+:func:`design_point_spec` for the same knobs.
 
-Sweeps are *resolved* before they run: each grid point lowers to a
-:class:`~repro.spec.design.DesignSpec` (:func:`design_point_spec`) and
-:func:`explore` hands the resulting ``simulate`` calls to the evaluation
-engine in one batch.  The engine content-hashes each call, so grid points
-that induce the same (design, network, PDK) triple — e.g. points whose
-knobs only differ in ways the constructed designs absorb — simulate once
-and share the result (``dedup_hits`` in the run report).  Resolution
-itself memoizes on the spec's content fingerprint (see
-:mod:`repro.spec.resolve`), so repeated sweeps over the same grid skip
-straight to the simulator.
+The grid is evaluated like any other sweep, by
+:func:`repro.sweep.stream.run_streaming_sweep`, which also maintains the
+(footprint, EDP benefit) Pareto frontier — the "which chips are worth
+building" view.  The engine content-hashes each ``evaluate_spec`` call,
+so re-runs are served from the result cache, and resolution memoizes on
+the spec's content fingerprint (see :mod:`repro.spec.resolve`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
-from repro.errors import require
-from repro.tech.pdk import PDK
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.runtime.serialize import from_jsonable, to_jsonable
 from repro.spec.design import ArchSpec, DesignSpec, TechSpec, WorkloadSpec
-from repro.spec.resolve import ResolvedPoint, resolve
 from repro.spec.sweep import SweepSpec
 from repro.units import MEGABYTE
-from repro.workloads.models import Network
-
-
-@dataclass(frozen=True)
-class DesignCandidate:
-    """One evaluated point of the joint design space.
-
-    Attributes:
-        capacity_bits: On-chip memory capacity.
-        delta: Access-FET width relaxation.
-        beta: ILV pitch factor.
-        tier_pairs: Interleaved compute+memory pairs Y.
-        n_cs: Parallel CSs of the M3D design.
-        n_cs_2d: CSs of the (possibly enlarged) 2D baseline.
-        footprint: Common chip footprint, m^2.
-        speedup: Workload speedup.
-        edp_benefit: Workload EDP benefit.
-    """
-
-    capacity_bits: int
-    delta: float
-    beta: float
-    tier_pairs: int
-    n_cs: int
-    n_cs_2d: int
-    footprint: float
-    speedup: float
-    edp_benefit: float
-
-    def dominates(self, other: "DesignCandidate") -> bool:
-        """True when this point is no worse on both Pareto axes and
-        strictly better on at least one (smaller footprint, larger EDP)."""
-        no_worse = (self.footprint <= other.footprint
-                    and self.edp_benefit >= other.edp_benefit)
-        better = (self.footprint < other.footprint
-                  or self.edp_benefit > other.edp_benefit)
-        return no_worse and better
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (used by the disk result cache)."""
-        return to_jsonable(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DesignCandidate":
-        """Inverse of :meth:`to_dict`."""
-        candidate = from_jsonable(data)
-        require(isinstance(candidate, cls),
-                f"expected a serialized {cls.__name__}")
-        return candidate
 
 
 def design_point_spec(
@@ -103,133 +42,6 @@ def design_point_spec(
     )
 
 
-def candidate_from_point(
-    point: ResolvedPoint,
-    baseline_report,
-    m3d_report,
-) -> DesignCandidate:
-    """Combine a resolved point and its two simulation reports."""
-    benefit = compare_designs(baseline_report, m3d_report)
-    return DesignCandidate(
-        capacity_bits=point.spec.arch.capacity_bits,
-        delta=point.spec.tech.delta,
-        beta=point.spec.tech.beta,
-        tier_pairs=point.spec.arch.tier_pairs,
-        n_cs=point.n_cs_m3d,
-        n_cs_2d=point.n_cs_2d,
-        footprint=point.footprint,
-        speedup=benefit.speedup,
-        edp_benefit=benefit.edp_benefit,
-    )
-
-
-def plan_design_point(
-    pdk: PDK,
-    capacity_bits: int,
-    delta: float = 1.0,
-    beta: float = 1.0,
-    tier_pairs: int = 1,
-) -> ResolvedPoint:
-    """Build the design pair for one grid point (no simulation).
-
-    Legacy shim: lowers the knobs to a spec and resolves it.  Memoization
-    lives in :func:`repro.spec.resolve.resolve`, keyed on the spec's
-    content fingerprint plus the PDK's content hash.
-    """
-    spec = design_point_spec(capacity_bits, delta=delta, beta=beta,
-                             tier_pairs=tier_pairs)
-    return resolve(spec, pdk)
-
-
-def evaluate_design_point(
-    pdk: PDK,
-    network: Network,
-    capacity_bits: int,
-    delta: float = 1.0,
-    beta: float = 1.0,
-    tier_pairs: int = 1,
-) -> DesignCandidate:
-    """Evaluate one joint design point with the simulator pipeline."""
-    point = plan_design_point(pdk, capacity_bits, delta=delta, beta=beta,
-                              tier_pairs=tier_pairs)
-    return candidate_from_point(
-        point,
-        simulate(point.baseline, network, point.pdk),
-        simulate(point.m3d, network, point.pdk),
-    )
-
-
-def explore(
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    capacities_bits: Iterable[int] = (32 * MEGABYTE, 64 * MEGABYTE,
-                                      128 * MEGABYTE),
-    deltas: Iterable[float] = (1.0, 1.6, 2.0),
-    betas: Iterable[float] = (1.0, 1.3),
-    tier_pairs: Iterable[int] = (1, 2),
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-    batch: bool = False,
-) -> tuple[DesignCandidate, ...]:
-    """Full-factorial sweep over the joint design space.
-
-    The sweep is resolved up front (:func:`design_point_spec` +
-    :func:`~repro.spec.resolve.resolve` per grid point), then every
-    ``simulate(design, network, pdk)`` call dispatches through ``engine``
-    in one batch — content-hash deduplicated, memoized across runs, and
-    with ``jobs`` > 1 evaluated on a process pool.  ``jobs`` applies to
-    this sweep only; the engine's own worker count is left untouched.
-    Results are in grid order regardless.
-
-    ``batch=True`` routes the grid through the vectorized spec kernel
-    (:func:`repro.spec.evaluate.evaluate_specs` with ``batch=True``)
-    instead of per-point simulation — numerically within 1e-9 of the
-    scalar path, typically orders of magnitude faster cold.  The spec
-    path only expresses the spec-defined workload, so it requires the
-    default ``network=None``.
-    """
-    engine = engine if engine is not None else default_engine()
-    if batch:
-        require(network is None,
-                "explore(batch=True) evaluates the spec-defined workload; "
-                "pass workload knobs via specs, not a Network object")
-        from repro.spec.evaluate import evaluate_specs
-
-        specs = [
-            design_point_spec(capacity, delta=delta, beta=beta,
-                              tier_pairs=pairs)
-            for capacity in capacities_bits
-            for delta in deltas
-            for beta in betas
-            for pairs in tier_pairs
-        ]
-        evaluations = evaluate_specs(specs, pdk=pdk, engine=engine,
-                                     jobs=jobs, batch=True)
-        return tuple(candidate_from_evaluation(evaluation)
-                     for evaluation in evaluations)
-    points = [
-        resolve(design_point_spec(capacity, delta=delta, beta=beta,
-                                  tier_pairs=pairs), pdk)
-        for capacity in capacities_bits
-        for delta in deltas
-        for beta in betas
-        for pairs in tier_pairs
-    ]
-    sim_calls: list[dict[str, Any]] = []
-    for point in points:
-        workload = network if network is not None else point.network
-        sim_calls.append({"design": point.baseline, "network": workload,
-                          "pdk": point.pdk})
-        sim_calls.append({"design": point.m3d, "network": workload,
-                          "pdk": point.pdk})
-    reports = engine.map(simulate, sim_calls, stage="dse.simulate",
-                         jobs=jobs)
-    return tuple(
-        candidate_from_point(point, reports[2 * index], reports[2 * index + 1])
-        for index, point in enumerate(points)
-    )
-
-
 def joint_grid_sweep(
     capacities_bits: Iterable[int] = (32 * MEGABYTE, 64 * MEGABYTE,
                                       128 * MEGABYTE),
@@ -240,10 +52,8 @@ def joint_grid_sweep(
 ) -> SweepSpec:
     """The joint grid as a declarative :class:`SweepSpec`.
 
-    Expansion order matches :func:`explore`'s loop nesting (capacity
-    outermost, tier pairs innermost), and each expanded point equals
-    :func:`design_point_spec` for the same knobs, so the streaming path
-    evaluates the very same specs the eager path does.
+    Expansion order is capacity outermost, tier pairs innermost, and each
+    expanded point equals :func:`design_point_spec` for the same knobs.
     """
     base = DesignSpec(arch=ArchSpec(baseline="reoptimized"),
                       workload=workload if workload is not None
@@ -254,74 +64,3 @@ def joint_grid_sweep(
         "tech.beta": tuple(betas),
         "arch.tier_pairs": tuple(tier_pairs),
     })
-
-
-def candidate_from_evaluation(evaluation) -> DesignCandidate:
-    """Lower a :class:`~repro.spec.evaluate.SpecEvaluation` to the joint
-    grid's candidate shape (the two views carry the same numbers)."""
-    spec = evaluation.spec
-    return DesignCandidate(
-        capacity_bits=spec.arch.capacity_bits,
-        delta=spec.tech.delta,
-        beta=spec.tech.beta,
-        tier_pairs=spec.arch.tier_pairs,
-        n_cs=evaluation.n_cs_m3d,
-        n_cs_2d=evaluation.n_cs_2d,
-        footprint=evaluation.footprint,
-        speedup=evaluation.speedup,
-        edp_benefit=evaluation.edp_benefit,
-    )
-
-
-def explore_streaming(
-    pdk: PDK | None = None,
-    workload: WorkloadSpec | None = None,
-    capacities_bits: Iterable[int] = (32 * MEGABYTE, 64 * MEGABYTE,
-                                      128 * MEGABYTE),
-    deltas: Iterable[float] = (1.0, 1.6, 2.0),
-    betas: Iterable[float] = (1.0, 1.3),
-    tier_pairs: Iterable[int] = (1, 2),
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-    prune: bool = False,
-    checkpoint: "str | None" = None,
-    checkpoint_every: int = 1,
-    batch: bool = False,
-) -> tuple[DesignCandidate, ...]:
-    """The joint sweep through the streaming executor.
-
-    Produces candidates with the same values as :func:`explore` (both
-    paths resolve the same specs and share the layer memo), but walks the
-    grid chunk by chunk with optional checkpointing and certified Pareto
-    pruning — see :mod:`repro.sweep.stream`.  With ``prune=True`` the
-    returned tuple omits certifiably dominated points, leaving the Pareto
-    frontier (and every point evaluated before a dominator appeared).
-    """
-    from repro.sweep.stream import DEFAULT_CHUNK_SIZE, run_streaming_sweep
-
-    sweep = joint_grid_sweep(capacities_bits, deltas, betas, tier_pairs,
-                             workload=workload)
-    result = run_streaming_sweep(
-        sweep, pdk=pdk, engine=engine, jobs=jobs,
-        chunk_size=chunk_size if chunk_size is not None
-        else DEFAULT_CHUNK_SIZE,
-        prune=prune, checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every, batch=batch)
-    assert result.evaluations is not None
-    return tuple(candidate_from_evaluation(evaluation)
-                 for evaluation in result.evaluations)
-
-
-def pareto_frontier(
-    candidates: Iterable[DesignCandidate],
-) -> tuple[DesignCandidate, ...]:
-    """Non-dominated subset over (minimize footprint, maximize EDP benefit),
-    sorted by footprint."""
-    pool = list(candidates)
-    require(len(pool) > 0, "need at least one candidate")
-    frontier = [
-        candidate for candidate in pool
-        if not any(other.dominates(candidate) for other in pool)
-    ]
-    return tuple(sorted(frontier, key=lambda c: c.footprint))

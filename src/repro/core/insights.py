@@ -66,7 +66,6 @@ def sweep_bandwidth_vs_cs(
     bandwidth_factors: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
     base: DesignPoint | None = None,
     data_bits: float = 1e9,
-    batch: bool = False,
 ) -> tuple[BandwidthCSPoint, ...]:
     """Fig. 8 grid: EDP benefit vs (per-CS bandwidth, CS count).
 
@@ -75,10 +74,6 @@ def sweep_bandwidth_vs_cs(
     isolates the bandwidth/parallelism trade-off the way the paper does.
     ``bandwidth_factors`` scale the *per-CS* bandwidth relative to the 2D
     baseline's B (Obs. 5 reasons in per-CS terms).
-
-    ``batch=True`` evaluates the whole grid through the vectorized
-    framework (:func:`repro.batch.analytical.edp_benefit_batch`) in one
-    array pass — same values within 1e-9.
     """
     require(intensity_ops_per_bit > 0, "intensity must be positive")
     base = base if base is not None else reference_design_point()
@@ -89,16 +84,6 @@ def sweep_bandwidth_vs_cs(
     pairs = [(n_cs, factor)
              for n_cs in n_cs_values
              for factor in bandwidth_factors]
-    if batch:
-        from repro.batch.analytical import edp_benefit_batch
-
-        candidates = [m3d_point(base, n_cs, factor)
-                      for n_cs, factor in pairs]
-        benefits = edp_benefit_batch([workload], [base], candidates)
-        return tuple(
-            BandwidthCSPoint(n_cs=n_cs, bandwidth_factor=factor,
-                             edp_benefit=benefit)
-            for (n_cs, factor), benefit in zip(pairs, benefits))
     grid: list[BandwidthCSPoint] = []
     for n_cs, factor in pairs:
         candidate = m3d_point(base, n_cs, factor)

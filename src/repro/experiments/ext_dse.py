@@ -2,16 +2,17 @@
 
 Runs the full-factorial (capacity, delta, beta, Y) grid — the sweep the
 paper's Sections III-D/E/F take one axis at a time — and reports the
-Pareto frontier over (footprint, EDP benefit).  The grid executes on the
-streaming path (:func:`repro.core.dse.explore_streaming`): chunked
-dispatch through the engine's ``sweep.evaluate`` stage, content-hash
-caching per spec, layer-shape memoization across points, and re-runs
-served from the result cache outright (see ``repro dse --profile``).
+Pareto frontier over (footprint, EDP benefit).  The grid
+(:func:`repro.core.dse.joint_grid_sweep`) executes on the one sweep path,
+:func:`repro.sweep.stream.run_streaming_sweep`: chunked dispatch through
+the engine's ``sweep.evaluate`` stage, content-hash caching per spec,
+layer-shape memoization across points, and re-runs served from the
+result cache outright (see ``repro dse --profile``).
 """
 
 from __future__ import annotations
 
-from repro.core.dse import DesignCandidate, explore_streaming, pareto_frontier
+from repro.core.dse import joint_grid_sweep
 from repro.experiments.registry import (
     ExperimentContext,
     experiment,
@@ -19,28 +20,34 @@ from repro.experiments.registry import (
 )
 from repro.experiments.reporting import format_table, times
 from repro.runtime.engine import EvaluationEngine
+from repro.spec.evaluate import SpecEvaluation
+from repro.sweep.pareto import ParetoFrontier
+from repro.sweep.stream import run_streaming_sweep
 from repro.tech.pdk import PDK
 from repro.units import MEGABYTE, to_mm2
 
 
 def run_dse(pdk: PDK | None = None,
             engine: EvaluationEngine | None = None,
-            jobs: int | None = None) -> tuple[DesignCandidate, ...]:
+            jobs: int | None = None) -> tuple[SpecEvaluation, ...]:
     """Deprecated shim: builds a context for :func:`dse_experiment`."""
     warn_deprecated_shim("run_dse", "dse")
     return dse_experiment(
         ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs))
 
 
-def format_dse(candidates: tuple[DesignCandidate, ...]) -> str:
+def format_dse(evaluations: tuple[SpecEvaluation, ...]) -> str:
     """Render the grid with its Pareto-frontier members marked."""
-    frontier = set(pareto_frontier(candidates))
+    frontier = ParetoFrontier()
+    frontier.update((e.footprint, e.edp_benefit, index)
+                    for index, e in enumerate(evaluations))
+    members = set(frontier.items())
     rows = [
-        [f"{c.capacity_bits / MEGABYTE:.0f} MB", c.delta, c.beta,
-         c.tier_pairs, c.n_cs, c.n_cs_2d, f"{to_mm2(c.footprint):.1f}",
-         times(c.speedup), times(c.edp_benefit),
-         "*" if c in frontier else ""]
-        for c in candidates
+        [f"{e.spec.arch.capacity_bits / MEGABYTE:.0f} MB", e.spec.tech.delta,
+         e.spec.tech.beta, e.spec.arch.tier_pairs, e.n_cs_m3d, e.n_cs_2d,
+         f"{to_mm2(e.footprint):.1f}", times(e.speedup),
+         times(e.edp_benefit), "*" if index in members else ""]
+        for index, e in enumerate(evaluations)
     ]
     return format_table(
         "Extension — joint (capacity, delta, beta, Y) design space, "
@@ -55,13 +62,9 @@ def format_dse(candidates: tuple[DesignCandidate, ...]) -> str:
             "Extension: joint (capacity, delta, beta, Y) design space "
             "with Pareto frontier",
             formatter=format_dse)
-def dse_experiment(ctx: ExperimentContext) -> tuple[DesignCandidate, ...]:
-    """Run the joint design-space grid (36 points) on the spec's workload.
-
-    Routed through the streaming executor (:mod:`repro.sweep.stream`) —
-    identical values to the eager :func:`repro.core.dse.explore` on this
-    grid, and the path that scales to grids the eager tuple cannot hold.
-    """
-    return explore_streaming(pdk=ctx.pdk,
-                             workload=ctx.design_spec().workload,
-                             engine=ctx.engine, jobs=ctx.jobs)
+def dse_experiment(ctx: ExperimentContext) -> tuple[SpecEvaluation, ...]:
+    """Run the joint design-space grid (36 points) on the spec's workload."""
+    result = run_streaming_sweep(
+        joint_grid_sweep(workload=ctx.design_spec().workload),
+        pdk=ctx.pdk, engine=ctx.engine, jobs=ctx.jobs)
+    return result.evaluations

@@ -10,8 +10,8 @@ each dataclass's ``__post_init__`` validation on the way back up.
 
 The codec powers the disk result cache (:mod:`repro.runtime.cache`) and
 the stable content hashes (:mod:`repro.runtime.keys`); the ``to_dict`` /
-``from_dict`` helpers on :class:`repro.core.dse.DesignCandidate` and
-friends delegate here.
+``from_dict`` helpers on :class:`repro.spec.evaluate.SpecEvaluation`
+and friends delegate here.
 
 Reconstruction only resolves classes from ``repro.*`` modules — a cache
 file cannot name arbitrary importable types.

@@ -28,7 +28,6 @@ from repro.spec.evaluate import (
     SpecEvaluation,
     evaluate_spec,
     evaluate_specs,
-    evaluate_sweep,
     format_spec_evaluations,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "build_workload",
     "evaluate_spec",
     "evaluate_specs",
-    "evaluate_sweep",
     "field_paths",
     "format_spec_evaluations",
     "load_design_spec",

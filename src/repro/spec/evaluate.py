@@ -29,7 +29,6 @@ from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.runtime.serialize import from_jsonable, to_jsonable
 from repro.spec.design import DesignSpec
 from repro.spec.resolve import resolve
-from repro.spec.sweep import SweepSpec
 from repro.tech.pdk import PDK
 from repro.units import MEGABYTE
 
@@ -41,8 +40,8 @@ __all__ = [
     "SpecEvaluation",
     "evaluate_spec",
     "evaluate_specs",
-    "evaluate_sweep",
     "format_spec_evaluations",
+    "spec_calls",
 ]
 
 
@@ -229,13 +228,29 @@ def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
     )
 
 
+def spec_calls(specs: Iterable[DesignSpec], pdk: PDK | None = None,
+               physical: bool = False) -> list[tuple]:
+    """The engine ``(args, kwargs)`` calls of ``evaluate_spec`` over specs.
+
+    These shapes are the cache-key contract: :func:`evaluate_specs` and
+    the sweep executor both build their calls here, so a list of specs
+    and a sweep share cache entries (as does ``/v1/eval``, which sends
+    the same bare ``(spec,)`` shape).  The default PDK is left out of the
+    arguments, which keeps each key a pure function of the spec's
+    content.
+    """
+    kwargs = {"physical": True} if physical else {}
+    if pdk is None:
+        return [((spec,), kwargs) for spec in specs]
+    return [((spec, pdk), kwargs) for spec in specs]
+
+
 def evaluate_specs(
     specs: Iterable[DesignSpec],
     pdk: PDK | None = None,
     engine: EvaluationEngine | None = None,
     jobs: int | None = None,
     batch: bool = False,
-    batch_size: int | None = None,
     physical: bool = False,
 ) -> tuple[SpecEvaluation, ...]:
     """Evaluate many specs as one engine batch.
@@ -244,14 +259,14 @@ def evaluate_specs(
     spec's content, so results persisted with ``--cache-dir`` are served
     across process restarts; duplicate specs deduplicate within the
     batch.  ``jobs`` overrides the engine's worker count for this batch
-    only.
+    only.  A grid is evaluated through
+    :func:`repro.sweep.stream.run_streaming_sweep` instead; this is the
+    entry for an explicit list of specs.
 
-    ``batch=True`` (or a ``batch_size``) evaluates cache-missing specs
-    through the vectorized kernel (:class:`repro.batch.kernel.BatchKernel`)
-    instead of per-spec scalar calls — same cache keys, same counters,
-    same results within 1e-9 (bit-identical when numpy is unavailable).
-    ``batch_size`` caps the points packed per kernel invocation (default:
-    the whole sequence as one batch); specs the kernel cannot express
+    ``batch=True`` evaluates cache-missing specs as one call of the
+    vectorized kernel (:class:`repro.batch.kernel.BatchKernel`) instead
+    of per-spec scalar calls — same cache keys, same counters, results
+    within 1e-9 of the scalar path.  Specs the kernel cannot express
     fall back to scalar evaluation point by point.
 
     ``physical=True`` runs the staged physical flow per point (see
@@ -261,42 +276,16 @@ def evaluate_specs(
     keyword is part of the call's content hash).
     """
     engine = engine if engine is not None else default_engine()
-    kwargs = {"physical": True} if physical else {}
-    if pdk is None:
-        calls: list[tuple] = [((spec,), kwargs) for spec in specs]
-    else:
-        calls = [((spec, pdk), kwargs) for spec in specs]
-    if physical or (not batch and batch_size is None):
+    calls = spec_calls(specs, pdk, physical=physical)
+    if physical or not batch:
         return tuple(engine.map(evaluate_spec, calls, stage="spec.evaluate",
                                 jobs=jobs))
     from repro.batch.kernel import BatchKernel
     from repro.batch.pack import spec_call_key
 
-    kernel = BatchKernel(pdk)
-    size = batch_size if batch_size is not None and batch_size >= 1 \
-        else max(1, len(calls))
-    results: list[SpecEvaluation] = []
-    for chunk in [calls[i:i + size] for i in range(0, len(calls), size)] \
-            or [[]]:
-        results.extend(engine.map_batched(
-            evaluate_spec, chunk, batch_fn=kernel.evaluate_calls,
-            stage="spec.evaluate", key_fn=spec_call_key))
-    return tuple(results)
-
-
-def evaluate_sweep(
-    sweep: SweepSpec,
-    pdk: PDK | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-    batch: bool = False,
-    batch_size: int | None = None,
-    physical: bool = False,
-) -> tuple[SpecEvaluation, ...]:
-    """Expand a sweep and evaluate every point (in expansion order)."""
-    return evaluate_specs(sweep.expand(), pdk=pdk, engine=engine, jobs=jobs,
-                          batch=batch, batch_size=batch_size,
-                          physical=physical)
+    return tuple(engine.map_batched(
+        evaluate_spec, calls, batch_fn=BatchKernel(pdk).evaluate_calls,
+        stage="spec.evaluate", key_fn=spec_call_key))
 
 
 def format_spec_evaluations(

@@ -3,8 +3,8 @@
 The design-space objectives are the paper's "which chips are worth
 building" axes: chip footprint (smaller is better) and workload EDP
 benefit (larger is better).  A point dominates another when it is no
-worse on both axes and strictly better on at least one — the same
-convention as :meth:`repro.core.dse.DesignCandidate.dominates`.
+worse on both axes and strictly better on at least one
+(:func:`dominates`).
 
 :class:`ParetoFrontier` maintains the non-dominated set *incrementally*
 in O(log n) per operation: because the frontier of a 2-objective space is
@@ -12,7 +12,10 @@ a monotone staircase (footprint ascending implies EDP benefit ascending —
 a larger chip must buy more benefit to stay non-dominated), both
 membership and dominance queries reduce to one ``bisect`` probe against
 the staircase.  Ties — points with exactly equal objectives — all stay on
-the frontier, matching :func:`repro.core.dse.pareto_frontier`.
+the frontier, matching the brute-force reference
+:func:`exhaustive_frontier`.  This is the repository's one frontier: the
+sweep executor maintains it and the ``dse`` experiment marks its rows
+with it.
 
 :meth:`ParetoFrontier.certified_dominator` is the pruning primitive: it
 answers dominance for a point known only through *admissible bounds*

@@ -1,9 +1,10 @@
-"""The streaming sweep executor: bounded memory, resume, exact pruning.
+"""The sweep executor: the one code path that evaluates a grid.
 
-``evaluate_sweep`` expands a :class:`~repro.spec.sweep.SweepSpec` into one
-tuple and evaluates every point — fine at the paper's 36-point joint grid,
-hopeless at the million-point grids the spec layer can express.
-:func:`stream_sweep` walks the same grid as a *stream*:
+Every grid in the repository — ``repro sweep`` with or without
+``--stream``, the ``dse`` experiment, the served ``/v1/sweep`` stream —
+runs through :func:`stream_sweep`; :func:`run_streaming_sweep` drives it
+to completion, and its default ``collect=True`` is the eager mode.  The
+grid is walked as a *stream*:
 
 1. specs materialize one chunk at a time (:meth:`SweepSpec.chunks`, backed
    by the lazy generator — peak spec memory is one chunk, not the grid);
@@ -23,12 +24,12 @@ hopeless at the million-point grids the spec layer can express.
    ``sweep.chunk`` trace span — all zero-cost unless observability is on.
 
 Exactness invariants (enforced by ``tests/test_streaming_sweep.py``):
-without pruning the evaluations equal eager ``evaluate_sweep`` results in
-order and value; with pruning the surviving frontier equals the
-exhaustive frontier; resumed runs return values ``==`` uninterrupted
-runs.  The engine cache keys of the evaluate stage match the eager path's
-(same function, same call shapes), so streaming and eager runs share
-disk-cache entries.
+without pruning the evaluations equal ``evaluate_specs`` over the
+expanded grid in order and value; with pruning the surviving frontier
+equals the exhaustive frontier; resumed runs return values ``==``
+uninterrupted runs.  Engine calls are built by
+:func:`~repro.spec.evaluate.spec_calls`, the same helper
+``evaluate_specs`` uses, so both share cache entries.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from repro.errors import EvaluationFailure, PermanentError, require
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
 from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.spec.design import DesignSpec
-from repro.spec.evaluate import SpecEvaluation, evaluate_spec
+from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
 from repro.spec.sweep import SweepSpec
 from repro.sweep.bounds import spec_bounds
 from repro.sweep.checkpoint import ChunkRecord, SweepCheckpoint, chunk_hash
@@ -148,16 +148,6 @@ class StreamingSweepResult:
         return self.frontier.items()
 
 
-def _calls(specs: "tuple[DesignSpec, ...] | list[DesignSpec]",
-           pdk: PDK | None, physical: bool = False) -> list[tuple]:
-    """Engine call specs mirroring ``evaluate_specs``'s shapes, so the
-    streaming path hits the same cache entries as the eager path."""
-    kwargs: dict = {"physical": True} if physical else {}
-    if pdk is None:
-        return [((spec,), kwargs) for spec in specs]
-    return [((spec, pdk), kwargs) for spec in specs]
-
-
 def stream_sweep(
     sweep: SweepSpec,
     pdk: PDK | None = None,
@@ -189,8 +179,9 @@ def stream_sweep(
     kernel call (:class:`repro.batch.kernel.BatchKernel`, shared across
     chunks so delta-evaluation spans the whole sweep) instead of
     per-point scalar dispatch; points the kernel cannot express fall
-    back to scalar evaluation inside the batch.  Cache keys, checkpoint
-    records and results match the scalar path (within 1e-9 on numpy).
+    back to scalar evaluation inside the batch.  Cache keys and
+    checkpoint records match the scalar path, and results agree with it
+    within 1e-9.
 
     ``physical=True`` runs every evaluated point through the staged
     physical flow (``evaluate_spec(..., physical=True)``) and gates the
@@ -258,7 +249,7 @@ def stream_sweep(
         """
         retry_specs = [failure.spec for failure in record.failures]
         raw = engine.map(
-            evaluate_spec, _calls(retry_specs, pdk, physical=physical),
+            evaluate_spec, spec_calls(retry_specs, pdk, physical=physical),
             stage="sweep.evaluate", jobs=jobs, on_error=on_error)
         recovered: dict[int, SpecEvaluation] = {}
         still_failed: list[EvaluationFailure] = []
@@ -284,8 +275,10 @@ def stream_sweep(
     try:
         for index, chunk in enumerate(sweep.chunks(chunk_size)):
             start = time.perf_counter()
-            specs_hash = chunk_hash(chunk)
-            record = None if store is None else store.get(index, specs_hash)
+            record = None
+            if store is not None:  # only the store reads the chunk hash
+                specs_hash = chunk_hash(chunk)
+                record = store.get(index, specs_hash)
             with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
                 if record is not None:
                     if record.failures:
@@ -302,7 +295,7 @@ def stream_sweep(
                     pruned = 0
                     if prune and len(frontier):
                         bounds = engine.map(
-                            spec_bounds, _calls(chunk, pdk),
+                            spec_bounds, spec_calls(chunk, pdk),
                             stage="sweep.bounds", jobs=jobs)
                         kept = []
                         for spec, bound in zip(chunk, bounds):
@@ -318,7 +311,7 @@ def stream_sweep(
                         failures = ()
                     elif kernel is not None:
                         raw = engine.map_batched(
-                            evaluate_spec, _calls(survivors, pdk),
+                            evaluate_spec, spec_calls(survivors, pdk),
                             batch_fn=kernel.evaluate_calls,
                             stage="sweep.evaluate", key_fn=key_fn,
                             on_error=on_error)
@@ -326,7 +319,7 @@ def stream_sweep(
                     else:
                         raw = engine.map(
                             evaluate_spec,
-                            _calls(survivors, pdk, physical=physical),
+                            spec_calls(survivors, pdk, physical=physical),
                             stage="sweep.evaluate", jobs=jobs,
                             on_error=on_error)
                         evaluations, failures = split(survivors, raw)

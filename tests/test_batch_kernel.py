@@ -129,8 +129,14 @@ def test_edge_spec_parity():
 def test_batch_size_chunking_matches_single_batch():
     specs = _grid_specs()
     whole = evaluate_specs(specs, engine=EvaluationEngine(jobs=1), batch=True)
-    chunked = evaluate_specs(specs, engine=EvaluationEngine(jobs=1),
-                             batch_size=5)
+    grid = SweepSpec(grid={
+        "arch.capacity_bits": tuple(mb * MEGABYTE for mb in (32, 64, 128)),
+        "tech.delta": (1.0, 2.0),
+        "tech.beta": (1.0, 1.3),
+        "arch.tier_pairs": (1, 2),
+    })
+    chunked = run_streaming_sweep(grid, engine=EvaluationEngine(jobs=1),
+                                  chunk_size=5, batch=True).evaluations
     assert whole == chunked
 
 
@@ -301,28 +307,39 @@ def test_streaming_sweep_batch_shares_the_scalar_cache():
 
 
 def test_dse_explore_batch_parity():
-    from repro.core.dse import explore
+    from repro.core.dse import joint_grid_sweep
 
-    scalar = explore(engine=EvaluationEngine(jobs=1))
-    batched = explore(engine=EvaluationEngine(jobs=1), batch=True)
+    scalar = run_streaming_sweep(
+        joint_grid_sweep(), engine=EvaluationEngine(jobs=1)).evaluations
+    batched = run_streaming_sweep(
+        joint_grid_sweep(), engine=EvaluationEngine(jobs=1),
+        batch=True).evaluations
     assert len(batched) == len(scalar)
     for b, s in zip(batched, scalar):
-        assert (b.capacity_bits, b.delta, b.beta, b.tier_pairs) \
-            == (s.capacity_bits, s.delta, s.beta, s.tier_pairs)
-        assert (b.n_cs, b.n_cs_2d) == (s.n_cs, s.n_cs_2d)
+        assert b.spec == s.spec
+        assert (b.n_cs_m3d, b.n_cs_2d) == (s.n_cs_m3d, s.n_cs_2d)
         assert b.footprint == s.footprint
         assert b.speedup == pytest.approx(s.speedup, rel=REL)
         assert b.edp_benefit == pytest.approx(s.edp_benefit, rel=REL)
 
 
 def test_cli_sweep_batch(tmp_path, capsys):
+    """``repro sweep`` prints the same table with and without ``--batch``,
+    and with and without ``--stream`` (whose run adds its own title and
+    a summary line below the table)."""
     from repro.cli import main
 
     spec_file = tmp_path / "sweep.json"
     spec_file.write_text(
         '{"grid": {"arch.capacity_mb": [32, 64], "tech.delta": [1, 2]}}')
-    assert main(["sweep", "--spec", str(spec_file), "--batch"]) == 0
-    batched = capsys.readouterr().out
-    assert main(["sweep", "--spec", str(spec_file)]) == 0
-    scalar = capsys.readouterr().out
+    outputs = {}
+    for flags in ((), ("--batch",), ("--stream",), ("--stream", "--batch")):
+        assert main(["sweep", "--spec", str(spec_file), *flags]) == 0
+        outputs[flags] = capsys.readouterr().out
+    batched, scalar = outputs[("--batch",)], outputs[()]
     assert batched == scalar
+    for flags in (("--stream",), ("--stream", "--batch")):
+        title, *table, summary = outputs[flags].splitlines()
+        assert title.startswith("Streaming sweep")
+        assert summary.startswith("streamed 4 points")
+        assert table == scalar.splitlines()[1:]

@@ -34,6 +34,19 @@ def test_unknown_experiment_fails(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stream", [(), ("--stream",)])
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--batch-size", "--chunk-size"])
+def test_sweep_size_below_one_names_the_flag(tmp_path, capsys, flag, value,
+                                            stream):
+    spec_file = tmp_path / "sweep.json"
+    spec_file.write_text('{"grid": {"arch.capacity_mb": [32, 64]}}')
+    assert main(["sweep", "--spec", str(spec_file), flag, value,
+                 *stream]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"{flag} must be >= 1"
+
+
 def test_run_single_experiment(capsys):
     assert main(["obs10"]) == 0
     out = capsys.readouterr().out

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core.dse import (
-    DesignCandidate,
-    evaluate_design_point,
-    explore,
-    pareto_frontier,
-)
+from repro.core.dse import design_point_spec, joint_grid_sweep
 from repro.physical.cellplace import (
     CellNet,
     CellNetlist,
@@ -17,6 +12,13 @@ from repro.physical.cellplace import (
     refine_by_swaps,
     scattered_placement,
 )
+from repro.spec import evaluate_spec
+from repro.sweep import (
+    ParetoFrontier,
+    dominates,
+    exhaustive_frontier,
+    run_streaming_sweep,
+)
 from repro.tech.array_internals import (
     MatGeometry,
     BankOrganization,
@@ -24,14 +26,25 @@ from repro.tech.array_internals import (
     organize_bank,
 )
 from repro.units import MEGABYTE
-from repro.workloads.models import resnet18
 
 
 # --- joint DSE ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def candidates(pdk):
-    return explore(pdk, resnet18())
+    return run_streaming_sweep(joint_grid_sweep(), pdk=pdk).evaluations
+
+
+def _knobs(evaluation):
+    spec = evaluation.spec
+    return (spec.arch.capacity_bits, spec.tech.delta, spec.tech.beta,
+            spec.arch.tier_pairs)
+
+
+def _frontier(evaluations):
+    frontier = ParetoFrontier()
+    frontier.update((e.footprint, e.edp_benefit, e) for e in evaluations)
+    return frontier.items()
 
 
 def test_grid_is_full_factorial(candidates):
@@ -40,9 +53,8 @@ def test_grid_is_full_factorial(candidates):
 
 def test_case_study_point_in_grid(candidates):
     point = next(c for c in candidates
-                 if c.capacity_bits == 64 * MEGABYTE and c.delta == 1.0
-                 and c.beta == 1.0 and c.tier_pairs == 1)
-    assert point.n_cs == 8
+                 if _knobs(c) == (64 * MEGABYTE, 1.0, 1.0, 1))
+    assert point.n_cs_m3d == 8
     assert point.edp_benefit == pytest.approx(5.66, rel=0.05)
 
 
@@ -52,21 +64,25 @@ def test_relaxed_knobs_do_not_help(candidates):
     for capacity in (32 * MEGABYTE, 64 * MEGABYTE, 128 * MEGABYTE):
         for pairs in (1, 2):
             group = [c for c in candidates
-                     if c.capacity_bits == capacity and c.tier_pairs == pairs]
+                     if c.spec.arch.capacity_bits == capacity
+                     and c.spec.arch.tier_pairs == pairs]
             best = max(group, key=lambda c: c.edp_benefit)
             nominal = next(c for c in group
-                           if c.delta == 1.0 and c.beta == 1.0)
+                           if c.spec.tech.delta == 1.0
+                           and c.spec.tech.beta == 1.0)
             assert nominal.edp_benefit >= best.edp_benefit * (1 - 1e-9)
 
 
 def test_frontier_nondominated(candidates):
-    frontier = pareto_frontier(candidates)
+    frontier = _frontier(candidates)
     for point in frontier:
-        assert not any(other.dominates(point) for other in candidates)
+        assert not any(dominates(other.footprint, other.edp_benefit,
+                                 point.footprint, point.edp_benefit)
+                       for other in candidates)
 
 
 def test_frontier_sorted_and_monotone(candidates):
-    frontier = pareto_frontier(candidates)
+    frontier = _frontier(candidates)
     footprints = [c.footprint for c in frontier]
     benefits = [c.edp_benefit for c in frontier]
     assert footprints == sorted(footprints)
@@ -74,70 +90,72 @@ def test_frontier_sorted_and_monotone(candidates):
     assert benefits == sorted(benefits)
 
 
+def test_dse_table_marks_exactly_the_exhaustive_frontier(pdk):
+    from repro.experiments.ext_dse import format_dse
+    from repro.experiments.registry import ExperimentContext, run_experiment
+
+    evaluations = run_experiment("dse", ExperimentContext.create(pdk=pdk))
+    expected = {index for _, _, index in exhaustive_frontier(
+        (e.footprint, e.edp_benefit, index)
+        for index, e in enumerate(evaluations))}
+    # The grid has exact ties on the frontier (equal footprint and EDP
+    # benefit), and every tied member must be marked.
+    steps = {(evaluations[i].footprint, evaluations[i].edp_benefit)
+             for i in expected}
+    assert len(steps) < len(expected)
+    rows = format_dse(evaluations).splitlines()[3:]  # title, header, rule
+    assert len(rows) == len(evaluations)
+    marked = {index for index, row in enumerate(rows)
+              if row.rstrip().endswith("*")}
+    assert marked == expected
+
+
 def test_dominates_semantics():
-    small = DesignCandidate(1, 1.0, 1.0, 1, 8, 1, footprint=1.0,
-                            speedup=5.0, edp_benefit=5.0)
-    better = DesignCandidate(1, 1.0, 1.0, 1, 8, 1, footprint=1.0,
-                             speedup=6.0, edp_benefit=6.0)
-    bigger = DesignCandidate(1, 1.0, 1.0, 1, 8, 1, footprint=2.0,
-                             speedup=6.0, edp_benefit=6.0)
-    assert better.dominates(small)
-    assert not small.dominates(better)
-    assert not bigger.dominates(better)
-    assert not better.dominates(better)
+    small, better, bigger = (1.0, 5.0), (1.0, 6.0), (2.0, 6.0)
+    assert dominates(*better, *small)
+    assert not dominates(*small, *better)
+    assert not dominates(*bigger, *better)
+    assert not dominates(*better, *better)
 
 
-def test_evaluate_design_point_grows_footprint_with_delta(pdk):
-    net = resnet18()
-    nominal = evaluate_design_point(pdk, net, 64 * MEGABYTE, delta=1.0)
-    relaxed = evaluate_design_point(pdk, net, 64 * MEGABYTE, delta=2.5)
+def test_design_point_spec_grows_footprint_with_delta(pdk):
+    nominal = evaluate_spec(design_point_spec(64 * MEGABYTE, delta=1.0), pdk)
+    relaxed = evaluate_spec(design_point_spec(64 * MEGABYTE, delta=2.5), pdk)
     assert relaxed.footprint > nominal.footprint
     assert relaxed.n_cs_2d > 1
 
 
-def test_empty_frontier_rejected():
-    with pytest.raises(ConfigurationError):
-        pareto_frontier([])
-
-
-def _candidate(footprint, edp_benefit, capacity_bits=1):
-    return DesignCandidate(capacity_bits, 1.0, 1.0, 1, 8, 1,
-                           footprint=footprint, speedup=1.0,
-                           edp_benefit=edp_benefit)
+def _frontier_of(*points):
+    frontier = ParetoFrontier()
+    frontier.update(points)
+    return frontier.items()
 
 
 def test_frontier_single_candidate_is_itself():
-    only = _candidate(2.0, 3.0)
-    assert pareto_frontier([only]) == (only,)
+    assert _frontier_of((2.0, 3.0, "only")) == ("only",)
 
 
 def test_frontier_keeps_exact_duplicates():
     """Two identical points don't dominate each other (no strict edge),
     so both survive — callers see the true multiplicity of the grid."""
-    a = _candidate(1.0, 5.0)
-    b = _candidate(1.0, 5.0, capacity_bits=2)  # equal axes, distinct point
-    frontier = pareto_frontier([a, b])
+    frontier = _frontier_of((1.0, 5.0, "a"), (1.0, 5.0, "b"))
     assert len(frontier) == 2
-    assert set(frontier) == {a, b}
+    assert set(frontier) == {"a", "b"}
 
 
 def test_frontier_one_axis_tie_keeps_only_the_better_point():
     """Equal footprint, different benefit: the better point dominates."""
-    worse = _candidate(1.0, 5.0)
-    better = _candidate(1.0, 6.0)
-    assert pareto_frontier([worse, better]) == (better,)
+    assert _frontier_of((1.0, 5.0, "worse"), (1.0, 6.0, "better")) == \
+        ("better",)
     # Same footprint axis flipped: equal benefit, smaller footprint wins.
-    small = _candidate(1.0, 5.0)
-    large = _candidate(2.0, 5.0)
-    assert pareto_frontier([small, large]) == (small,)
+    assert _frontier_of((1.0, 5.0, "small"), (2.0, 5.0, "large")) == \
+        ("small",)
 
 
 def test_frontier_dominated_interior_point_dropped():
-    corner_a = _candidate(1.0, 1.0)
-    corner_b = _candidate(3.0, 9.0)
-    interior = _candidate(2.0, 0.5)  # bigger than a, worse than both
-    assert pareto_frontier([corner_a, interior, corner_b]) == \
-        (corner_a, corner_b)
+    # The interior point is bigger than corner a and worse than both.
+    assert _frontier_of((1.0, 1.0, "corner_a"), (2.0, 0.5, "interior"),
+                        (3.0, 9.0, "corner_b")) == ("corner_a", "corner_b")
 
 
 # --- array internals --------------------------------------------------------------------

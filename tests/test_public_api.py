@@ -39,7 +39,7 @@ PUBLIC_API = frozenset({
     "pmap", "stable_key",
     # declarative specs
     "DesignSpec", "FlowSpec", "SweepSpec", "evaluate_spec", "evaluate_specs",
-    "evaluate_sweep", "load_design_spec", "load_sweep_spec",
+    "load_design_spec", "load_sweep_spec",
     # streaming sweeps
     "run_streaming_sweep", "stream_sweep",
     # serving
@@ -75,8 +75,7 @@ def test_serve_entry_points_are_complete():
 
 def test_evaluation_entry_points_share_signature_contract():
     """Spec evaluation entry points all accept an explicit engine."""
-    for fn in (repro.evaluate_specs, repro.evaluate_sweep,
-               repro.run_streaming_sweep):
+    for fn in (repro.evaluate_specs, repro.run_streaming_sweep):
         assert "engine" in inspect.signature(fn).parameters
 
 

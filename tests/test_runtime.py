@@ -8,8 +8,8 @@ The contracts under test are the ones the sweeps rely on:
   processes and equal-but-distinct objects, different whenever any PDK or
   knob field differs;
 * a cache round-trip through disk returns an equal result object;
-* ``explore(jobs>1)`` equals ``explore(jobs=1)`` exactly, and a warm disk
-  cache serves a repeat sweep with zero ``simulate`` calls;
+* a sweep at ``jobs>1`` equals the same sweep at ``jobs=1`` exactly, and
+  a warm disk cache serves a repeat sweep with zero ``simulate`` calls;
 * within one batch, calls with identical content evaluate once
   (``dedup_hits``), and memo tables / the fingerprint cache / the
   persistent worker pool are observationally invisible.
@@ -28,8 +28,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.dse import DesignCandidate, evaluate_design_point, explore
-from repro.core.insights import CapacityPoint, capacity_point
+from repro.core.dse import design_point_spec, joint_grid_sweep
+from repro.core.insights import (
+    CapacityPoint,
+    capacity_point,
+    sweep_rram_capacity,
+)
 from repro.runtime import (
     MISSING,
     EvaluationEngine,
@@ -55,12 +59,20 @@ from repro.runtime import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import format_run_report
+from repro.spec import SpecEvaluation, WorkloadSpec, evaluate_spec
+from repro.sweep import run_streaming_sweep
 from repro.units import MEGABYTE
-from repro.workloads import resnet18, alexnet
+from repro.workloads import resnet18
 
 #: A small but non-trivial joint-DSE grid (4 points) reused across tests.
 SMALL_GRID = dict(capacities_bits=(32 * MEGABYTE,), deltas=(1.0, 1.6),
                   betas=(1.0,), tier_pairs=(1, 2))
+
+
+def _small_sweep(pdk, engine):
+    """The SMALL_GRID joint sweep's evaluations, in grid order."""
+    return run_streaming_sweep(joint_grid_sweep(**SMALL_GRID), pdk=pdk,
+                               engine=engine).evaluations
 
 
 def _square(x):
@@ -159,23 +171,18 @@ class TestStableKey:
             assert stable_key(perturbed) != base, field.name
 
     def test_any_knob_change_changes_key(self, pdk):
-        net = resnet18()
-        base = call_key(evaluate_design_point, (pdk, net, 64 * MEGABYTE),
-                        {"delta": 1.0, "beta": 1.0, "tier_pairs": 1})
+        base = call_key(evaluate_spec, (design_point_spec(64 * MEGABYTE),
+                                        pdk), {})
         variants = [
-            ((pdk, net, 32 * MEGABYTE),
-             {"delta": 1.0, "beta": 1.0, "tier_pairs": 1}),
-            ((pdk, net, 64 * MEGABYTE),
-             {"delta": 1.6, "beta": 1.0, "tier_pairs": 1}),
-            ((pdk, net, 64 * MEGABYTE),
-             {"delta": 1.0, "beta": 1.3, "tier_pairs": 1}),
-            ((pdk, net, 64 * MEGABYTE),
-             {"delta": 1.0, "beta": 1.0, "tier_pairs": 2}),
-            ((pdk, alexnet(), 64 * MEGABYTE),
-             {"delta": 1.0, "beta": 1.0, "tier_pairs": 1}),
+            design_point_spec(32 * MEGABYTE),
+            design_point_spec(64 * MEGABYTE, delta=1.6),
+            design_point_spec(64 * MEGABYTE, beta=1.3),
+            design_point_spec(64 * MEGABYTE, tier_pairs=2),
+            dataclasses.replace(design_point_spec(64 * MEGABYTE),
+                                workload=WorkloadSpec(network="alexnet")),
         ]
-        keys = [call_key(evaluate_design_point, args, kwargs)
-                for args, kwargs in variants]
+        keys = [call_key(evaluate_spec, (spec, pdk), {})
+                for spec in variants]
         assert base not in keys
         assert len(set(keys)) == len(keys)
 
@@ -185,10 +192,10 @@ class TestStableKey:
 
 class TestSerialization:
     def test_design_candidate_round_trip(self, pdk):
-        candidate = evaluate_design_point(pdk, resnet18(), 32 * MEGABYTE,
-                                          delta=1.6, tier_pairs=2)
+        candidate = evaluate_spec(
+            design_point_spec(32 * MEGABYTE, delta=1.6, tier_pairs=2), pdk)
         data = candidate.to_dict()
-        assert candidate == DesignCandidate.from_dict(
+        assert candidate == SpecEvaluation.from_dict(
             json.loads(json.dumps(data)))
 
     def test_capacity_point_round_trip(self, pdk):
@@ -199,7 +206,7 @@ class TestSerialization:
     def test_from_dict_rejects_other_types(self, pdk):
         point = capacity_point(pdk, resnet18(), 32 * MEGABYTE)
         with pytest.raises(ConfigurationError):
-            DesignCandidate.from_dict(point.to_dict())
+            SpecEvaluation.from_dict(point.to_dict())
 
     def test_benefit_report_round_trip(self, resnet18_benefit):
         assert loads(dumps(resnet18_benefit)) == resnet18_benefit
@@ -242,14 +249,14 @@ class TestResultCache:
         assert cache.get("c") == 3
 
     def test_disk_round_trip_returns_equal_candidate(self, pdk, tmp_path):
-        candidate = evaluate_design_point(pdk, resnet18(), 32 * MEGABYTE)
+        candidate = evaluate_spec(design_point_spec(32 * MEGABYTE), pdk)
         writer = ResultCache(directory=tmp_path)
         key = stable_key(pdk, 32 * MEGABYTE)
         writer.put(key, candidate)
         reader = ResultCache(directory=tmp_path)  # fresh memory tier
         restored = reader.get(key)
         assert restored == candidate
-        assert isinstance(restored, DesignCandidate)
+        assert isinstance(restored, SpecEvaluation)
         assert reader.stats.disk_hits == 1
         assert reader.get(key) == candidate  # now from memory
         assert reader.stats.memory_hits == 1
@@ -273,36 +280,40 @@ class TestResultCache:
 
 class TestEvaluationEngine:
     def test_explore_parallel_identical_to_serial(self, pdk):
-        serial = explore(pdk, engine=EvaluationEngine(jobs=1, use_cache=False),
-                         **SMALL_GRID)
-        parallel = explore(pdk, engine=EvaluationEngine(jobs=4,
-                                                        use_cache=False),
-                           **SMALL_GRID)
+        serial = _small_sweep(pdk, EvaluationEngine(jobs=1, use_cache=False))
+        parallel = _small_sweep(pdk, EvaluationEngine(jobs=4,
+                                                      use_cache=False))
         assert parallel == serial  # dataclass equality: exact floats
         assert [dumps(p) for p in parallel] == [dumps(s) for s in serial]
 
     def test_memory_cache_hits_within_one_engine(self, pdk):
         engine = EvaluationEngine()
-        first = explore(pdk, engine=engine, **SMALL_GRID)
-        second = explore(pdk, engine=engine, **SMALL_GRID)
+        # An explicit point repeating the first grid point: two calls
+        # with the same content inside one chunk.
+        sweep = dataclasses.replace(
+            joint_grid_sweep(**SMALL_GRID),
+            points=(design_point_spec(32 * MEGABYTE),))
+        first = run_streaming_sweep(sweep, pdk=pdk, engine=engine).evaluations
+        second = run_streaming_sweep(sweep, pdk=pdk,
+                                     engine=engine).evaluations
         assert second == first
-        stage = engine.report().stage("dse.simulate")
-        # Two simulate calls per grid point; within the first batch,
-        # repeated (design, network, pdk) triples dedup to one evaluation
-        # each, and the repeat sweep is served entirely from cache.
-        assert stage.calls == 2 * 2 * len(first)
+        stage = engine.report().stage("sweep.evaluate")
+        # One evaluate call per grid point; within the first batch,
+        # repeated specs dedup to one evaluation each, and the repeat
+        # sweep is served entirely from cache.
+        assert stage.calls == 2 * len(first)
         assert stage.evaluated == stage.cache_misses
-        assert stage.evaluated + stage.dedup_hits == 2 * len(first)
+        assert stage.evaluated + stage.dedup_hits == len(first)
         assert stage.dedup_hits > 0
-        assert stage.cache_hits == 2 * len(first)
+        assert stage.cache_hits == len(first)
 
     def test_warm_disk_cache_runs_zero_evaluations(self, pdk, tmp_path,
                                                    monkeypatch):
         from repro.perf.simulator import simulate
 
         cold = EvaluationEngine(jobs=2, cache_dir=tmp_path)
-        expected = explore(pdk, engine=cold, **SMALL_GRID)
-        cold_stage = cold.report().stage("dse.simulate")
+        expected = _small_sweep(pdk, cold)
+        cold_stage = cold.report().stage("sweep.evaluate")
         assert cold_stage.evaluated == cold_stage.cache_misses > 0
 
         # The acceptance bar: a *fresh* engine over the warm directory must
@@ -311,12 +322,12 @@ class TestEvaluationEngine:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate called on warm cache")
 
-        monkeypatch.setattr("repro.core.dse.simulate", forbidden)
+        monkeypatch.setattr("repro.spec.evaluate.simulate", forbidden)
         warm = EvaluationEngine(jobs=1, cache_dir=tmp_path)
-        repeat = explore(pdk, engine=warm, **SMALL_GRID)
+        repeat = _small_sweep(pdk, warm)
         assert repeat == expected
-        stage = warm.report().stage("dse.simulate")
-        assert stage.cache_hits == 2 * len(expected)
+        stage = warm.report().stage("sweep.evaluate")
+        assert stage.cache_hits == len(expected)
         assert stage.cache_misses == 0
         assert stage.evaluated == 0
 
@@ -496,12 +507,14 @@ class TestDedupAndPool:
         # The engine detects kwargs shared by identity across the batch
         # and ships them through the pool initializer; results must be
         # indistinguishable from the serial path.
-        serial = explore(pdk, engine=EvaluationEngine(jobs=1,
-                                                      use_cache=False),
-                         **SMALL_GRID)
-        pooled = explore(pdk, engine=EvaluationEngine(jobs=2,
-                                                      use_cache=False),
-                         **SMALL_GRID)
+        capacities = (32 * MEGABYTE, 64 * MEGABYTE)
+        net = resnet18()
+        serial = sweep_rram_capacity(
+            capacities, pdk=pdk, network=net,
+            engine=EvaluationEngine(jobs=1, use_cache=False))
+        pooled = sweep_rram_capacity(
+            capacities, pdk=pdk, network=net,
+            engine=EvaluationEngine(jobs=2, use_cache=False))
         assert pooled == serial
 
     def test_shutdown_pool_is_idempotent(self):

@@ -222,9 +222,10 @@ def test_sweep_matches_library_results():
         events = await client.sweep(SWEEP)
         served = {event["fingerprint"]: event["speedup"]
                   for event in events if event["event"] == "evaluation"}
-        from repro.spec import SweepSpec, evaluate_sweep
-        expected = evaluate_sweep(SweepSpec.from_jsonable(SWEEP),
-                                  engine=EvaluationEngine())
+        from repro.spec import SweepSpec
+        from repro.sweep import run_streaming_sweep
+        expected = run_streaming_sweep(SweepSpec.from_jsonable(SWEEP),
+                                       engine=EvaluationEngine()).evaluations
         for evaluation in expected:
             fingerprint = evaluation.spec.fingerprint()
             assert served[fingerprint] == pytest.approx(evaluation.speedup)
@@ -282,9 +283,10 @@ def test_client_disconnect_cancels_sweep_without_poisoning_cache():
         assert end["points"] == 40
         served = {e["fingerprint"]: e["edp_benefit"] for e in events
                   if e["event"] == "evaluation"}
-        from repro.spec import SweepSpec, evaluate_sweep
-        expected = evaluate_sweep(SweepSpec.from_jsonable(big_sweep),
-                                  engine=EvaluationEngine())
+        from repro.spec import SweepSpec
+        from repro.sweep import run_streaming_sweep
+        expected = run_streaming_sweep(SweepSpec.from_jsonable(big_sweep),
+                                       engine=EvaluationEngine()).evaluations
         assert len(served) == 40
         for evaluation in expected:
             assert served[evaluation.spec.fingerprint()] == pytest.approx(

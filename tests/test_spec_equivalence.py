@@ -7,7 +7,7 @@ exact ``==`` — same resolver, same simulator, so the floats must be
 identical, not merely close.
 """
 
-from repro.core.dse import design_point_spec, explore
+from repro.core.dse import design_point_spec, joint_grid_sweep
 from repro.core.insights import sweep_rram_capacity
 from repro.core.multitier import sweep_tiers
 from repro.core.relaxed_fet import sweep_fet_width
@@ -17,6 +17,7 @@ from repro.core.sensitivity import (
 )
 from repro.core.via_pitch import sweep_via_pitch
 from repro.spec import ArchSpec, DesignSpec, TechSpec, evaluate_specs
+from repro.sweep import run_streaming_sweep
 from repro.units import MEGABYTE
 
 CAPACITIES = tuple(mb * MEGABYTE for mb in (16, 32, 64))
@@ -77,16 +78,18 @@ def test_tier_sweep_matches_spec_evaluations(pdk):
 
 def test_dse_grid_matches_spec_evaluations(pdk):
     capacities = (32 * MEGABYTE, 64 * MEGABYTE)
-    candidates = explore(pdk, capacities_bits=capacities, deltas=DELTAS,
-                         betas=(1.0,), tier_pairs=(1,))
+    candidates = run_streaming_sweep(
+        joint_grid_sweep(capacities, DELTAS, betas=(1.0,), tier_pairs=(1,)),
+        pdk=pdk).evaluations
     specs = [design_point_spec(capacity, delta=delta)
              for capacity in capacities for delta in DELTAS]
     evaluations = evaluate_specs(specs, pdk=pdk)
     assert len(candidates) == len(evaluations)
     for candidate, evaluation in zip(candidates, evaluations):
-        assert candidate.capacity_bits == evaluation.spec.arch.capacity_bits
-        assert candidate.delta == evaluation.spec.tech.delta
-        assert candidate.n_cs == evaluation.n_cs_m3d
+        assert candidate.spec.arch.capacity_bits == \
+            evaluation.spec.arch.capacity_bits
+        assert candidate.spec.tech.delta == evaluation.spec.tech.delta
+        assert candidate.n_cs_m3d == evaluation.n_cs_m3d
         assert candidate.n_cs_2d == evaluation.n_cs_2d
         assert candidate.footprint == evaluation.footprint
         assert candidate.speedup == evaluation.speedup

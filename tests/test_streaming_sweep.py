@@ -2,8 +2,8 @@
 
 Three families of guarantees (DESIGN.md Sec. 10):
 
-* **Exactness** — streaming evaluations equal the eager
-  ``evaluate_sweep`` results with exact ``==`` (same resolver, same
+* **Exactness** — streaming evaluations equal scalar ``evaluate_specs``
+  over the expanded grid with exact ``==`` (same resolver, same
   simulator, same engine call shapes), and with pruning enabled the
   surviving frontier equals the exhaustive one.  Golden Fig. 9/10 and
   Table I endpoints stay bit-identical through the streaming path.
@@ -28,7 +28,7 @@ import pytest
 import repro
 from repro.core.dse import joint_grid_sweep
 from repro.runtime.engine import EvaluationEngine
-from repro.spec import ArchSpec, DesignSpec, SweepSpec, evaluate_sweep
+from repro.spec import ArchSpec, DesignSpec, SweepSpec, evaluate_specs
 from repro.sweep import (
     ChunkRecord,
     SweepCheckpoint,
@@ -51,8 +51,8 @@ def joint_sweep():
 
 @pytest.fixture(scope="module")
 def eager(joint_sweep, pdk):
-    """Eager reference evaluations of the joint grid."""
-    return evaluate_sweep(joint_sweep, pdk=pdk)
+    """Scalar reference evaluations of the joint grid."""
+    return evaluate_specs(joint_sweep.expand(), pdk=pdk)
 
 
 def _stage(report, name):
@@ -268,7 +268,8 @@ def test_sigkill_mid_sweep_resumes_with_zero_reevaluations(tmp_path, pdk):
     resumed = run_streaming_sweep(sweep, chunk_size=2, checkpoint=ckpt_dir,
                                   engine=engine)
     assert resumed.chunks == 3 and resumed.resumed_chunks == 2
-    reference = evaluate_sweep(sweep, engine=EvaluationEngine(jobs=1))
+    reference = run_streaming_sweep(
+        sweep, chunk_size=2, engine=EvaluationEngine(jobs=1)).evaluations
     assert resumed.evaluations == reference
     # RunReport counters: exactly one chunk (2 points) hit the engine.
     stats = _stage(engine.report(), "sweep.evaluate")
