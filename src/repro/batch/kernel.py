@@ -23,11 +23,18 @@ The kernel plugs into ``EvaluationEngine.map_batched`` as the batch
 executor for the ``spec.evaluate`` / ``sweep.evaluate`` stages — cache
 keys, dedup and counters stay identical to the scalar path, so a batch
 run warms the same cache a scalar run reads and vice versa.
+:meth:`BatchKernel.bound_calls` is the executor of the pruned sweep's
+``sweep.bounds`` stage the same way: it runs each point's 2D row and the
+two relaxed M3D rows of :func:`~repro.sweep.bounds.relaxed_rows` through
+the same delta evaluation (counted as ``batch.bound_points`` /
+``batch.bound_delta_hits`` / ``batch.bound_fallback_scalar``), so the
+bound reuses the one cost model and a survivor's baseline row is already
+evaluated when the point is.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +54,12 @@ from repro.runtime.cache import MISSING
 from repro.runtime.memo import add_counts
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
+from repro.sweep.bounds import (
+    PointBounds,
+    point_bounds,
+    relaxed_rows,
+    spec_bounds,
+)
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
 __all__ = ["BatchKernel"]
@@ -72,6 +85,40 @@ def _evaluate_rows(rows: Sequence[DesignRow],
     total_cycles = cycles.sum(axis=1)
     total_energy = (dynamic + leakage).sum(axis=1)
     return list(zip(total_cycles.tolist(), total_energy.tolist()))
+
+
+def _delta_evaluate(row_keys: "Iterable[tuple[DesignRow, tuple]]",
+                    ) -> "tuple[dict, int]":
+    """Delta evaluation: ``((row, workload key) -> (cycles, energy), hits)``.
+
+    Only the distinct pairs no earlier call already evaluated (the
+    ``batch.rows`` memo) run through :func:`_evaluate_rows`, one
+    vectorized group per workload; every other pair is a delta hit.
+    """
+    local: dict = {}
+    pending: dict = {}
+    delta_hits = 0
+    for row_key in row_keys:
+        if row_key in local or row_key in pending:
+            delta_hits += 1
+            continue
+        memoized = ROW_RESULTS.get(row_key)
+        if memoized is not MISSING:
+            local[row_key] = memoized
+            delta_hits += 1
+            continue
+        pending[row_key] = None
+
+    groups: dict = {}
+    for row, workload_key in pending:
+        groups.setdefault(workload_key, []).append(row)
+    for workload_key, rows in groups.items():
+        stage = workload_stage(*workload_key)
+        for row, totals in zip(rows, _evaluate_rows(rows, stage)):
+            row_key = (row, workload_key)
+            local[row_key] = totals
+            ROW_RESULTS.put(row_key, totals)
+    return local, delta_hits
 
 
 class BatchKernel:
@@ -118,56 +165,15 @@ class BatchKernel:
         would raise scalar-side propagate unchanged.
         """
         results: list = [None] * len(calls)
-        packed: "list[tuple[int, PackedPoint]]" = []
-        fallback: list[int] = []
-        for index, (args, kwargs) in enumerate(calls):
-            supported = (not kwargs and 1 <= len(args) <= 2
-                         and isinstance(args[0], DesignSpec))
-            if supported:
-                supported = self.pdk is None if len(args) == 1 \
-                    else self._accepts_pdk(args[1])
-            if supported:
-                try:
-                    packed.append((index, pack_point(args[0], self.base)))
-                    continue
-                except UnsupportedSpec:
-                    pass
-                except Exception:
-                    # Invalid specs re-raise their scalar diagnostics.
-                    pass
-            fallback.append(index)
-
-        # Delta evaluation: collect the distinct (row, workload) pairs no
-        # earlier point already evaluated; everything else is a hit.
-        local: dict = {}
-        pending: dict = {}
-        delta_hits = 0
-        for _, point in packed:
-            for row in (point.row_2d, point.row_m3d):
-                row_key = (row, point.workload_key)
-                if row_key in local or row_key in pending:
-                    delta_hits += 1
-                    continue
-                memoized = ROW_RESULTS.get(row_key)
-                if memoized is not MISSING:
-                    local[row_key] = memoized
-                    delta_hits += 1
-                    continue
-                pending[row_key] = None
-
-        groups: dict = {}
-        for row, workload_key in pending:
-            groups.setdefault(workload_key, []).append(row)
-        for workload_key, rows in groups.items():
-            stage = workload_stage(*workload_key)
-            for row, totals in zip(rows, _evaluate_rows(rows, stage)):
-                row_key = (row, workload_key)
-                local[row_key] = totals
-                ROW_RESULTS.put(row_key, totals)
+        packed, fallback = self._pack_calls(calls)
+        totals, delta_hits = _delta_evaluate(
+            (row, point.workload_key) for _, point in packed
+            for row in (point.row_2d, point.row_m3d))
 
         for index, point in packed:
-            cycles_2d, energy_2d = local[(point.row_2d, point.workload_key)]
-            cycles_m3d, energy_m3d = local[(point.row_m3d, point.workload_key)]
+            cycles_2d, energy_2d = totals[(point.row_2d, point.workload_key)]
+            cycles_m3d, energy_m3d = totals[(point.row_m3d,
+                                             point.workload_key)]
             # compare_designs ratio arithmetic, with runtime = cycles * t.
             speedup = (cycles_2d * point.row_2d.cycle_time) \
                 / (cycles_m3d * point.row_m3d.cycle_time)
@@ -195,3 +201,68 @@ class BatchKernel:
             registry.counter("repro_batch_fallback_scalar_total") \
                 .inc(len(fallback))
         return results
+
+    def bound_calls(
+            self,
+            calls: "Sequence[tuple[tuple, dict]]") -> "list[PointBounds]":
+        """Certified bounds for normalized ``spec_bounds`` calls.
+
+        The ``batch_fn`` of the sweep's ``sweep.bounds`` stage: each
+        packed point's 2D row and the two relaxed rows of its M3D row
+        (:func:`~repro.sweep.bounds.relaxed_rows`) run through the same
+        delta evaluation as :meth:`evaluate_calls`, so a survivor's
+        baseline row is already evaluated when the point is.  Calls the
+        kernel cannot take fall back to scalar ``spec_bounds``.
+        """
+        results: list = [None] * len(calls)
+        packed, fallback = self._pack_calls(calls)
+        relaxed = [(index, point, *relaxed_rows(point.row_m3d))
+                   for index, point in packed]
+        totals, delta_hits = _delta_evaluate(
+            (row, point.workload_key) for _, point, timing, energy in relaxed
+            for row in (point.row_2d, timing, energy))
+
+        for index, point, timing, energy in relaxed:
+            workload_key = point.workload_key
+            cycles_2d, energy_2d = totals[(point.row_2d, workload_key)]
+            cycles_lb = totals[(timing, workload_key)][0]
+            # Zero static power: the energy row's total is its dynamic
+            # energy exactly.
+            energy_lb = totals[(energy, workload_key)][1]
+            results[index] = point_bounds(
+                point.spec, point.footprint,
+                cycles_2d * point.row_2d.cycle_time, energy_2d,
+                cycles_lb * timing.cycle_time, energy_lb)
+
+        for index in fallback:
+            args, kwargs = calls[index]
+            results[index] = spec_bounds(*args, **kwargs)
+
+        add_counts("batch", bound_points=len(calls),
+                   bound_delta_hits=delta_hits,
+                   bound_fallback_scalar=len(fallback))
+        return results
+
+    def _pack_calls(self, calls: "Sequence[tuple[tuple, dict]]",
+                    ) -> "tuple[list[tuple[int, PackedPoint]], list[int]]":
+        """Split ``(spec[, pdk])`` calls into packed points and the
+        indices that must take the scalar path."""
+        packed: "list[tuple[int, PackedPoint]]" = []
+        fallback: list[int] = []
+        for index, (args, kwargs) in enumerate(calls):
+            supported = (not kwargs and 1 <= len(args) <= 2
+                         and isinstance(args[0], DesignSpec))
+            if supported:
+                supported = self.pdk is None if len(args) == 1 \
+                    else self._accepts_pdk(args[1])
+            if supported:
+                try:
+                    packed.append((index, pack_point(args[0], self.base)))
+                    continue
+                except UnsupportedSpec:
+                    pass
+                except Exception:
+                    # Invalid specs re-raise their scalar diagnostics.
+                    pass
+            fallback.append(index)
+        return packed, fallback

@@ -115,6 +115,19 @@ class ExecutionReport:
         raise KeyError(f"no layer named {name!r} in report")
 
 
+def row_layer_cost(row: DesignRow, layer: Layer) -> tuple:
+    """:func:`~repro.perf.layer_cost.layer_cost` of one design row on one
+    layer with scalar ops, memoized on ``(row, layer shape)`` — equal
+    rows are interchangeable whichever design (or relaxation of one, see
+    :func:`repro.sweep.bounds.relaxed_rows`) they came from."""
+    key = (row, shape_key(layer))
+    costs = _LAYER_MEMO.get(key)
+    if costs is MISSING:
+        costs = layer_cost(scalar_ops, row, layer_row(layer))
+        _LAYER_MEMO.put(key, costs)
+    return costs
+
+
 class AcceleratorSimulator:
     """Executes DNN workloads on an :class:`AcceleratorDesign`.
 
@@ -186,20 +199,13 @@ class AcceleratorSimulator:
         across sweep points) is computed once and re-attached to each
         requesting layer.
         """
-        key = (self.row, shape_key(layer))
-        memoized = _LAYER_MEMO.get(key)
-        if memoized is not MISSING:
-            with _span("simulator.run_layer") as sp:
-                if sp:
-                    sp.set(layer=layer.name, memo="hit")
-            used_cs, compute, writeback, cycles, dynamic, leakage = memoized
-        else:
-            with _span("simulator.run_layer") as sp:
-                if sp:
-                    sp.set(layer=layer.name, memo="miss")
-                memoized = layer_cost(scalar_ops, self.row, layer_row(layer))
-            _LAYER_MEMO.put(key, memoized)
-            used_cs, compute, writeback, cycles, dynamic, leakage = memoized
+        with _span("simulator.run_layer") as sp:
+            hits = _LAYER_MEMO.hits
+            used_cs, compute, writeback, cycles, dynamic, leakage = \
+                row_layer_cost(self.row, layer)
+            if sp:
+                sp.set(layer=layer.name,
+                       memo="hit" if _LAYER_MEMO.hits > hits else "miss")
         return LayerExecution(
             layer=layer,
             used_cs=used_cs,

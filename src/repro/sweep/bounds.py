@@ -9,59 +9,67 @@ EDP benefit, so the streaming executor can discard a grid point that a
 frontier member already dominates — without ever simulating its M3D
 design.
 
-The bound prices exactly the simulator's *mandatory* work:
+The bound is the simulator's own cost model,
+:func:`repro.perf.layer_cost.layer_cost`, run on *relaxed* copies of
+the design rows:
 
-* the 2D baseline simulates **exactly** (its per-layer results memoize on
-  the design fingerprint, and under the ``reoptimized`` policy the
-  baseline does not change along the ``tier_pairs`` axis, so this cost
-  amortizes across the axis the sweep scales);
-* the M3D side is **lower-bounded** per layer by terms that are
-  independent of the CS count: input streaming with every weight slab
-  stream-bound (``per_slab >= stream``) and perfect output-channel
-  partitioning (``ceil(k_tiles / used_cs) >= 1``), pooling at its full
-  channel-tile parallelism (``used_cs <= channel_tiles``), the exact
-  serial writeback, and the dynamic energy with the output fan-out at its
-  ``n_cs = 1`` minimum and leakage at its ``>= 0`` minimum.
+* the 2D baseline evaluates **exactly** (its unrelaxed row);
+* the M3D runtime is lower-bounded by the *timing* row
+  (:func:`relaxed_rows`): an unbounded CS count, so every layer
+  partitions perfectly (``ceil(k_tiles / used_cs) == 1``, pooling at its
+  full channel-tile parallelism), and no weight-load time, so every slab
+  is stream-bound (``per_slab == stream``) — the exact serial writeback
+  stays;
+* the M3D energy is lower-bounded by the dynamic energy of the *energy*
+  row: one CS, so the output fan-out ``1 + n_cs`` is at its minimum, and
+  no leakage.
 
-Each mandatory term reproduces the corresponding expression of the
-simulator's cost model, :func:`repro.perf.layer_cost.layer_cost` (same
-arithmetic, same order), so where the bound is mathematically tight it
-is bit-tight too;
+Each relaxation takes the best case of every term that depends on the
+CS count, so one relaxed pair bounds — and is shared by — every
+``tier_pairs`` / ``n_cs`` sibling of a grid point.  There is no
+second copy of the per-layer formula: the scalar :func:`spec_bounds`
+relaxes the simulator's row and runs ``layer_cost`` on it with scalar
+ops (:func:`~repro.perf.simulator.row_layer_cost`, through the
+simulator's layer memo), and the batch kernel's
+:meth:`~repro.batch.kernel.BatchKernel.bound_calls` runs the same
+relaxed rows through its vectorized delta evaluation — together with
+the baseline rows, which survivors then reuse.
 :data:`repro.mapper.cost.BOUND_MARGIN` keeps the benefit ratio on the
-admissible side of any remaining float reassociation.  Admissibility —
+admissible side of float reassociation.  Admissibility —
 ``spec_bounds(spec).edp_benefit_ub >= evaluate_spec(spec).edp_benefit``
 and exact footprints — is what makes frontier pruning provably exact;
 ``tests/test_streaming_sweep.py`` checks the inequality across the joint
-grid and ``tests/test_pareto_properties.py`` covers the frontier side.
+grid, ``tests/test_batched_bounds.py`` the batched path's parity with
+the scalar one, and ``tests/test_pareto_properties.py`` the frontier
+side.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.arch.accelerator import AcceleratorDesign
 from repro.errors import require
 from repro.mapper.cost import BOUND_MARGIN
-from repro.perf.layer_cost import WRITEBACK_WIRE_LENGTH
-from repro.perf.simulator import simulate
-from repro.runtime.cache import MISSING
-from repro.runtime.memo import memo_table
+from repro.perf.layer_cost import DesignRow
+from repro.perf.simulator import AcceleratorSimulator, row_layer_cost, simulate
 from repro.runtime.serialize import from_jsonable, to_jsonable
 from repro.spec.design import DesignSpec
 from repro.spec.resolve import resolve
-from repro.tech import constants
 from repro.tech.pdk import PDK
-from repro.workloads.layers import Layer, LayerKind, shape_key
 
-__all__ = ["PointBounds", "spec_bounds"]
+__all__ = [
+    "PointBounds",
+    "UNBOUNDED_CS",
+    "point_bounds",
+    "relaxed_rows",
+    "spec_bounds",
+]
 
-#: Per-layer bound memo: (n_cs-free design fingerprint, layer shape)
-#: -> (cycles_lb, dynamic_energy_lb).  Excluding the CS count is the
-#: point — every ``tier_pairs`` / ``n_cs`` sibling of a grid point shares
-#: one entry per layer shape.
-_BOUND_MEMO = memo_table("sweep.bound")
+#: The timing relaxation's CS count: more than any layer has K-tiles, and
+#: finite, so ``ceil(k_tiles / min(n_cs, k_tiles))`` stays 1 (``inf``
+#: would make it 0).
+UNBOUNDED_CS = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -95,69 +103,39 @@ class PointBounds:
         return bounds
 
 
-def _layer_lower_bounds(design: AcceleratorDesign, layer: Layer,
-                        batch: int) -> tuple[float, float]:
-    """(cycles_lb, dynamic_energy_lb) for one layer on the M3D design.
+def relaxed_rows(row: DesignRow) -> tuple[DesignRow, DesignRow]:
+    """The ``(timing, energy)`` relaxations of an M3D design row.
 
-    Mirrors :func:`repro.perf.layer_cost.layer_cost` term by term,
-    replacing every CS-count-dependent factor with its best case over
-    ``n_cs >= 1``.
+    ``layer_cost``'s ``cycles`` on the timing row and its ``dynamic`` on
+    the energy row lower-bound the design's cycles and energy for any CS
+    count.  Neither row keeps leakage (``static_power=0``).  The weight
+    bandwidth is pinned to the CS count: it only enters the weight-load
+    time, which the timing row drops (``weight_bits_per_slab=0``) and the
+    energy row does not read, so every CS-count sibling relaxes to the
+    same pair.
     """
-    array = design.cs.array
-    precision = design.precision_bits
-    if layer.kind == LayerKind.POOL:
-        lanes = design.pool_lanes
-        channel_tiles = max(1, math.ceil(layer.out_channels / lanes))
-        # used_cs = min(n_cs, channel_tiles) <= channel_tiles.
-        compute = layer.macs * batch / lanes / channel_tiles
-    else:
-        fill = array.fill_drain_cycles
-        stream = ((array.stream_cycles_per_slab(layer) - fill) * batch
-                  + fill)
-        # slabs_per_cs >= row_tiles * kernel_passes (perfect K-tile
-        # partitioning) and per_slab = max(stream, weight_load) >= stream.
-        compute = array.row_tiles(layer) * array.kernel_passes(layer) * stream
-    writeback = (layer.output_elements * batch
-                 * precision / design.writeback_bus_bits)
-    cycles = compute + writeback
-
-    mac_energy = design.cs.array.pe.mac_energy
-    compute_e = layer.macs * batch * mac_energy
-    read_energy = design.bank_plan.array.cell.read_energy_per_bit
-    weights = layer.weights * precision * read_energy
-    input_reads = layer.macs * batch / design.cs.array.cols
-    inputs = input_reads * precision * constants.SRAM_ENERGY_PER_BIT
-    output_bits = layer.output_elements * batch * precision
-    wire = (output_bits * constants.WIRE_ENERGY_PER_BIT_MM
-            * (WRITEBACK_WIRE_LENGTH / 1e-3))
-    # Output fan-out (1 + n_cs) bottoms out at 2; leakage bottoms at 0.
-    outputs = output_bits * constants.SRAM_ENERGY_PER_BIT * 2
-    energy = compute_e + weights + inputs + outputs + wire
-    return cycles, energy
+    timing = row._replace(n_cs=UNBOUNDED_CS, bandwidth_bits=UNBOUNDED_CS,
+                          weight_bits_per_slab=0, static_power=0.0)
+    energy = row._replace(n_cs=1, bandwidth_bits=1, static_power=0.0)
+    return timing, energy
 
 
-def _m3d_lower_bounds(design: AcceleratorDesign, layers: tuple[Layer, ...],
-                      batch: int) -> tuple[float, float]:
-    """Network-total (runtime_lb, energy_lb) for the M3D design."""
-    fingerprint = (
-        design.cs.array,
-        design.precision_bits,
-        design.writeback_bus_bits,
-        design.pool_lanes,
-        design.bank_plan.array.cell.read_energy_per_bit,
-        batch,
+def point_bounds(spec: DesignSpec, footprint: float,
+                 baseline_runtime: float, baseline_energy: float,
+                 runtime_lb: float, energy_lb: float) -> PointBounds:
+    """The certified benefit bounds from the exact baseline totals and the
+    M3D lower bounds (shared by the scalar and the batched path)."""
+    require(runtime_lb > 0.0 and energy_lb > 0.0,
+            "M3D lower bounds must be positive")
+    t_ratio = baseline_runtime / runtime_lb
+    e_ratio = baseline_energy / energy_lb
+    return PointBounds(
+        spec=spec,
+        footprint=footprint,
+        speedup_ub=t_ratio / BOUND_MARGIN,
+        energy_benefit_ub=e_ratio / BOUND_MARGIN,
+        edp_benefit_ub=t_ratio * e_ratio / BOUND_MARGIN,
     )
-    cycles = 0.0
-    energy = 0.0
-    for layer in layers:
-        key = (fingerprint, shape_key(layer))
-        bound = _BOUND_MEMO.get(key)
-        if bound is MISSING:
-            bound = _layer_lower_bounds(design, layer, batch)
-            _BOUND_MEMO.put(key, bound)
-        cycles += bound[0]
-        energy += bound[1]
-    return cycles * design.cycle_time, energy
 
 
 def spec_bounds(spec: DesignSpec, pdk: PDK | None = None) -> PointBounds:
@@ -166,22 +144,19 @@ def spec_bounds(spec: DesignSpec, pdk: PDK | None = None) -> PointBounds:
     A pure function of its arguments (like
     :func:`repro.spec.evaluate.evaluate_spec`), so the evaluation engine
     can content-hash, deduplicate, and pool-dispatch it; the streaming
-    executor maps it as its own ``sweep.bounds`` stage.
+    executor maps it as its own ``sweep.bounds`` stage (through
+    :meth:`~repro.batch.kernel.BatchKernel.bound_calls` when batched).
     """
     point = resolve(spec, pdk)
     batch = spec.workload.batch
     baseline = simulate(point.baseline, point.network, point.pdk,
                         batch=batch)
-    runtime_lb, energy_lb = _m3d_lower_bounds(
-        point.m3d, point.network.layers, batch)
-    require(runtime_lb > 0.0 and energy_lb > 0.0,
-            "M3D lower bounds must be positive")
-    t_ratio = baseline.runtime / runtime_lb
-    e_ratio = baseline.energy / energy_lb
-    return PointBounds(
-        spec=spec,
-        footprint=point.footprint,
-        speedup_ub=t_ratio / BOUND_MARGIN,
-        energy_benefit_ub=e_ratio / BOUND_MARGIN,
-        edp_benefit_ub=t_ratio * e_ratio / BOUND_MARGIN,
-    )
+    timing, energy = relaxed_rows(
+        AcceleratorSimulator(point.m3d, point.pdk, batch=batch).row)
+    cycles_lb = energy_lb = 0.0
+    for layer in point.network.layers:
+        cycles_lb += row_layer_cost(timing, layer)[3]
+        energy_lb += row_layer_cost(energy, layer)[4]
+    return point_bounds(spec, point.footprint, baseline.runtime,
+                        baseline.energy, cycles_lb * timing.cycle_time,
+                        energy_lb)

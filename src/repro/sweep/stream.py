@@ -11,9 +11,11 @@ grid is walked as a *stream*:
 2. each chunk dispatches through the evaluation engine (content-hash
    cache, dedup, persistent worker pool) as the ``sweep.evaluate`` stage;
 3. with ``prune=True`` a cheaper ``sweep.bounds`` stage runs first
-   (:func:`~repro.sweep.bounds.spec_bounds`) and every point whose bounds
-   a frontier member *certifiably* dominates is skipped — provably
-   without changing the final frontier (see DESIGN.md Sec. 10);
+   (:func:`~repro.sweep.bounds.spec_bounds`, or the batch kernel's
+   :meth:`~repro.batch.kernel.BatchKernel.bound_calls` with
+   ``batch=True``) and every point whose bounds a frontier member
+   *certifiably* dominates is skipped — provably without changing the
+   final frontier (see DESIGN.md Sec. 10);
 4. completed chunks persist as atomic checkpoint records
    (:mod:`repro.sweep.checkpoint`); re-running the same sweep replays
    them instead of re-evaluating, so a SIGKILLed sweep resumes exactly
@@ -175,11 +177,12 @@ def stream_sweep(
     against the frontier as of the *previous* chunks, which is exactly
     what replay reproduces — resumed runs prune identically.
 
-    ``batch=True`` evaluates each chunk's survivors as one vectorized
-    kernel call (:class:`repro.batch.kernel.BatchKernel`, shared across
-    chunks so delta-evaluation spans the whole sweep) instead of
-    per-point scalar dispatch; points the kernel cannot express fall
-    back to scalar evaluation inside the batch.  Cache keys and
+    ``batch=True`` evaluates each chunk's survivors — and, with
+    ``prune``, bounds the whole chunk first — as one vectorized kernel
+    call (:class:`repro.batch.kernel.BatchKernel`, shared across chunks
+    so delta-evaluation spans the whole sweep) instead of per-point
+    scalar dispatch; points the kernel cannot express fall back to
+    scalar evaluation inside the batch.  Cache keys and
     checkpoint records match the scalar path, and results agree with it
     within 1e-9.
 
@@ -200,7 +203,9 @@ def stream_sweep(
     exactly the failed points and nothing else — and raises
     :class:`~repro.errors.PermanentError` only once the budget is
     exceeded (the breaching chunk's record is flushed first, so no
-    completed work is lost); a negative value means unlimited.
+    completed work is lost); a negative value means unlimited.  With
+    ``prune``, a point whose bound fails is kept rather than pruned, so
+    it is recorded exactly as an unpruned sweep records it.
     """
     require(checkpoint_every >= 1, "checkpoint_every must be >= 1")
     engine = engine if engine is not None else default_engine()
@@ -294,14 +299,27 @@ def stream_sweep(
                     survivors = chunk
                     pruned = 0
                     if prune and len(frontier):
-                        bounds = engine.map(
-                            spec_bounds, spec_calls(chunk, pdk),
-                            stage="sweep.bounds", jobs=jobs)
+                        if kernel is not None:
+                            bounds = engine.map_batched(
+                                spec_bounds, spec_calls(chunk, pdk),
+                                batch_fn=kernel.bound_calls,
+                                stage="sweep.bounds", key_fn=key_fn,
+                                on_error=on_error)
+                        else:
+                            bounds = engine.map(
+                                spec_bounds, spec_calls(chunk, pdk),
+                                stage="sweep.bounds", jobs=jobs,
+                                on_error=on_error)
                         kept = []
                         for spec, bound in zip(chunk, bounds):
-                            if frontier.certified_dominator(
-                                    bound.footprint,
-                                    bound.edp_benefit_ub) is None:
+                            # A point whose bound failed (partial-results
+                            # mode) has no certificate: it survives, and
+                            # sweep.evaluate records it as unpruned
+                            # sweeps do.
+                            if isinstance(bound, EvaluationFailure) or \
+                                    frontier.certified_dominator(
+                                        bound.footprint,
+                                        bound.edp_benefit_ub) is None:
                                 kept.append(spec)
                             else:
                                 pruned += 1
