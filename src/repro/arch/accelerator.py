@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.errors import require
 from repro.tech import constants
@@ -135,6 +136,18 @@ def peripheral_area(pdk: PDK) -> float:
     return pdk.silicon_library.area_for_gates(PERIPHERAL_GATES)
 
 
+def peripheral_leakage(pdk: PDK) -> float:
+    """Static power of the memory peripherals in watts.
+
+    RRAM cells are non-volatile and contribute no retention power; the
+    CNFET access-FET tier leaks only marginally (off-state), folded into
+    this term.
+    """
+    library = pdk.silicon_library
+    return library.leakage_for_gates(
+        peripheral_area(pdk) / library.gate_equivalent.area)
+
+
 @dataclass(frozen=True)
 class AreaBreakdown:
     """Si-tier area accounting for one design (the paper's Fig. 6 symbols).
@@ -214,6 +227,105 @@ def derive_parallel_cs_count(
     return 1 + max(0, math.floor(freed / cs_area))
 
 
+class TechCSStage(NamedTuple):
+    """What one (tech-adjusted PDK, CS preset, delta) fixes for a design pair.
+
+    The first stage of design construction: everything the CS-count stage
+    (:func:`design_counts`) and the row stage
+    (:func:`repro.perf.simulator.design_row`) read that capacity, tier
+    pairs and the baseline policy cannot change.
+
+    Attributes:
+        pdk: The tech-adjusted PDK.
+        cs: The CS preset.
+        cell_area_2d: 2D bit-cell area, m^2.
+        cell_area_m3d: M3D bit-cell area at delta, m^2.
+        cs_area: Single-CS silicon area A_C, m^2.
+        cs_leakage: Single-CS static power, W.
+        peripheral: Memory-peripheral silicon area, m^2.
+        peripheral_leakage: Memory-peripheral static power, W.
+    """
+
+    pdk: PDK
+    cs: ComputingSubsystem
+    cell_area_2d: float
+    cell_area_m3d: float
+    cs_area: float
+    cs_leakage: float
+    peripheral: float
+    peripheral_leakage: float
+
+
+def tech_cs_stage(pdk: PDK, cs: ComputingSubsystem,
+                  access_width_factor: float) -> TechCSStage:
+    """The tech x CS stage of ``cs`` on ``pdk`` at delta
+    ``access_width_factor``."""
+    return TechCSStage(
+        pdk=pdk,
+        cs=cs,
+        cell_area_2d=pdk.rram_cell.area(None),
+        cell_area_m3d=pdk.m3d_rram_cell(access_width_factor).area(pdk.ilv),
+        cs_area=cs.silicon_area(pdk),
+        cs_leakage=cs.leakage(pdk),
+        peripheral=peripheral_area(pdk),
+        peripheral_leakage=peripheral_leakage(pdk),
+    )
+
+
+class DesignCounts(NamedTuple):
+    """CS counts and footprints of one 2D baseline / M3D design pair.
+
+    Attributes:
+        n_2d: CS count of the 2D baseline.
+        n_m3d: CS count of the M3D design.
+        footprint_2d: Footprint of the 2D baseline, m^2.
+        footprint_m3d: Footprint of the M3D design, m^2 — the original
+            2D footprint, grown when the M3D cell arrays outgrow it.
+    """
+
+    n_2d: int
+    n_m3d: int
+    footprint_2d: float
+    footprint_m3d: float
+
+
+def design_counts(
+    stage: TechCSStage,
+    capacity_bits: int,
+    tier_pairs: int = 1,
+    n_cs: int | None = None,
+    baseline: str = "iso",
+) -> DesignCounts:
+    """Eqs. 2 and 9: the CS counts and footprints of a design pair.
+
+    The M3D design hosts Eq. 2's CS count (refined by the peripheral
+    blockage) times ``tier_pairs``, unless ``n_cs`` pins it.  Under the
+    ``reoptimized`` baseline policy the 2D baseline grows to the M3D
+    footprint and refills the extra silicon per Eq. 9; under ``iso`` it
+    keeps its single CS and original footprint.
+    """
+    cells_2d = capacity_bits * stage.cell_area_2d
+    original = _footprint_2d(cells_2d, stage.peripheral, stage.cs_area)
+    grown = max(original, capacity_bits * stage.cell_area_m3d)
+    if n_cs is None:
+        # The freed area is computed from the *2D* cell geometry: that is
+        # the silicon the access FETs vacate (a relaxed M3D cell is larger,
+        # but only in the BEOL tiers).
+        n_cs = derive_parallel_cs_count(
+            cells_2d, stage.peripheral, stage.cs_area, grown - original,
+        ) * tier_pairs
+    if baseline == "reoptimized":
+        n_2d = reoptimized_2d_cs_count(grown, original, stage.cs_area)
+        return DesignCounts(n_2d, n_cs, grown, grown)
+    return DesignCounts(1, n_cs, original, grown)
+
+
+def _footprint_2d(cells_area: float, peripherals_area: float,
+                  compute_area: float) -> float:
+    """2D footprint: cell arrays, peripherals and CSs side by side in Si."""
+    return cells_area + peripherals_area + compute_area + SYSTEM_BUS_IO_AREA
+
+
 @dataclass(frozen=True)
 class AcceleratorDesign:
     """A complete accelerator chip design point.
@@ -288,38 +400,41 @@ class AcceleratorDesign:
         )
 
 
-def _build_area(
+def _design(
     pdk: PDK,
     cs: ComputingSubsystem,
-    capacity_bits: int,
+    array: RRAMArray,
     n_cs: int,
-    is_m3d: bool,
-    access_width_factor: float,
+    frequency_hz: float,
     footprint: float | None,
-) -> AreaBreakdown:
+    is_m3d: bool,
+) -> AcceleratorDesign:
+    """A design over ``array``: M3D designs give each CS its own bank; the
+    2D baseline keeps one channel and, by default, the Si footprint of
+    cells, peripherals and CSs side by side."""
     cs_area = cs.silicon_area(pdk)
-    if is_m3d:
-        cell = pdk.m3d_rram_cell(access_width_factor)
-        cells_area = RRAMArray(cell=cell, capacity_bits=capacity_bits,
-                               ilv=pdk.ilv).area
-    else:
-        cells_area = RRAMArray(cell=pdk.rram_cell, capacity_bits=capacity_bits,
-                               ilv=None).area
     perif = peripheral_area(pdk)
     if footprint is None:
-        if is_m3d:
-            si_needs = n_cs * cs_area + perif + SYSTEM_BUS_IO_AREA
-            footprint = max(si_needs, cells_area)
-        else:
-            footprint = cells_area + perif + n_cs * cs_area + SYSTEM_BUS_IO_AREA
-    return AreaBreakdown(
-        cells=cells_area,
-        peripherals=perif,
-        compute=n_cs * cs_area,
-        cs_unit=cs_area,
-        bus_io=SYSTEM_BUS_IO_AREA,
-        footprint=footprint,
-        cells_overlap_compute=is_m3d,
+        footprint = _footprint_2d(array.area, perif, n_cs * cs_area)
+    return AcceleratorDesign(
+        name=f"m3d_{n_cs}cs" if is_m3d else f"2d_baseline_{n_cs}cs",
+        cs=cs,
+        n_cs=n_cs,
+        bank_plan=RRAMBankPlan(array=array, banks=n_cs if is_m3d else 1,
+                               bank_width_bits=DEFAULT_BANK_WIDTH_BITS),
+        writeback_bus_bits=DEFAULT_WRITEBACK_BUS_BITS,
+        pool_lanes=DEFAULT_POOL_LANES,
+        frequency_hz=frequency_hz,
+        area=AreaBreakdown(
+            cells=array.area,
+            peripherals=perif,
+            compute=n_cs * cs_area,
+            cs_unit=cs_area,
+            bus_io=SYSTEM_BUS_IO_AREA,
+            footprint=footprint,
+            cells_overlap_compute=is_m3d,
+        ),
+        is_m3d=is_m3d,
     )
 
 
@@ -341,20 +456,8 @@ def baseline_2d_design(
     # only local contacts, not inter-layer vias, so its footprint is
     # independent of the ILV pitch (Case 2 sweeps leave the baseline alone).
     array = RRAMArray(cell=pdk.rram_cell, capacity_bits=capacity_bits, ilv=None)
-    plan = RRAMBankPlan(array=array, banks=1, bank_width_bits=DEFAULT_BANK_WIDTH_BITS)
-    area = _build_area(pdk, cs, capacity_bits, n_cs, is_m3d=False,
-                       access_width_factor=1.0, footprint=footprint)
-    return AcceleratorDesign(
-        name=f"2d_baseline_{n_cs}cs",
-        cs=cs,
-        n_cs=n_cs,
-        bank_plan=plan,
-        writeback_bus_bits=DEFAULT_WRITEBACK_BUS_BITS,
-        pool_lanes=DEFAULT_POOL_LANES,
-        frequency_hz=frequency_hz,
-        area=area,
-        is_m3d=False,
-    )
+    return _design(pdk, cs, array, n_cs, frequency_hz, footprint,
+                   is_m3d=False)
 
 
 def m3d_design(
@@ -368,43 +471,18 @@ def m3d_design(
 ) -> AcceleratorDesign:
     """The iso-footprint, iso-capacity M3D design (Fig. 2c-d).
 
-    The CS count defaults to Eq. 2 refined by the peripheral blockage, plus
-    any Si gained when a relaxed access FET (``access_width_factor`` > 1,
-    Case 1) or a coarse ILV pitch (via the PDK, Case 2) grows the footprint
-    beyond the 2D baseline's.
+    The CS count and footprint default to :func:`design_counts`: Eq. 2
+    refined by the peripheral blockage, plus any Si gained when a relaxed
+    access FET (``access_width_factor`` > 1, Case 1) or a coarse ILV pitch
+    (via the PDK, Case 2) grows the footprint beyond the 2D baseline's.
     """
     cs = cs if cs is not None else case_study_cs()
-    cs_area = cs.silicon_area(pdk)
-    baseline = baseline_2d_design(pdk, capacity_bits, cs, frequency_hz=frequency_hz)
-    m3d_cell = pdk.m3d_rram_cell(access_width_factor)
-    m3d_cells_area = RRAMArray(cell=m3d_cell, capacity_bits=capacity_bits,
-                               ilv=pdk.ilv).area
-    grown_footprint = max(baseline.area.footprint, m3d_cells_area)
-    extra_si = grown_footprint - baseline.area.footprint
-    if n_cs is None:
-        # The freed area is computed from the *2D* cell geometry: that is
-        # the silicon the access FETs vacate (a relaxed M3D cell is larger,
-        # but only in the BEOL tiers).
-        n_cs = derive_parallel_cs_count(
-            cells_area=baseline.area.cells,
-            peripherals_area=baseline.area.peripherals,
-            cs_area=cs_area,
-            extra_si_area=extra_si,
-        )
-    array = RRAMArray(cell=m3d_cell, capacity_bits=capacity_bits, ilv=pdk.ilv)
-    plan = RRAMBankPlan(array=array, banks=n_cs,
-                        bank_width_bits=DEFAULT_BANK_WIDTH_BITS)
-    area = _build_area(pdk, cs, capacity_bits, n_cs, is_m3d=True,
-                       access_width_factor=access_width_factor,
-                       footprint=footprint if footprint is not None else grown_footprint)
-    return AcceleratorDesign(
-        name=f"m3d_{n_cs}cs",
-        cs=cs,
-        n_cs=n_cs,
-        bank_plan=plan,
-        writeback_bus_bits=DEFAULT_WRITEBACK_BUS_BITS,
-        pool_lanes=DEFAULT_POOL_LANES,
-        frequency_hz=frequency_hz,
-        area=area,
-        is_m3d=True,
-    )
+    if n_cs is None or footprint is None:
+        counts = design_counts(
+            tech_cs_stage(pdk, cs, access_width_factor), capacity_bits)
+        n_cs = counts.n_m3d if n_cs is None else n_cs
+        footprint = counts.footprint_m3d if footprint is None else footprint
+    array = RRAMArray(cell=pdk.m3d_rram_cell(access_width_factor),
+                      capacity_bits=capacity_bits, ilv=pdk.ilv)
+    return _design(pdk, cs, array, n_cs, frequency_hz, footprint,
+                   is_m3d=True)

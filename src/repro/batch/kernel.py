@@ -4,10 +4,10 @@
 
 1. **Pack** (python, per point): each spec lowers to two
    :class:`~repro.perf.layer_cost.DesignRow` parameter rows through the
-   delta-evaluation stage tables (:mod:`repro.batch.pack`), mirroring
-   the scalar resolver's float arithmetic exactly.  Specs the row
-   schema cannot express fall back to scalar ``evaluate_spec``
-   (counted as ``batch.fallback_scalar``).
+   delta-evaluation stage tables (:mod:`repro.batch.pack`), built by the
+   same staged design construction the scalar resolver and simulator
+   use.  Specs the row schema cannot express fall back to scalar
+   ``evaluate_spec`` (counted as ``batch.fallback_scalar``).
 2. **Evaluate** (arrays): the distinct ``(design row, workload)`` pairs
    that no earlier point — in this batch or a previous one — already
    evaluated run through :func:`~repro.perf.layer_cost.layer_cost`, the

@@ -11,13 +11,20 @@ design rows (one row per design, one column per parameter) against the
 layer features (one column per layer) is what lets the kernel evaluate a
 whole batch as array operations.
 
-Delta-evaluation lives in the stage tables here: a spec's sections
-identify which intermediate stages its neighbors already computed.
+:func:`pack_point` builds the rows from the same staged design
+construction :func:`~repro.spec.resolve.resolve` and the simulator use,
+skipping only the design objects: the memoized tech x CS stage
+(:func:`~repro.spec.resolve.design_stage`), Eqs. 2 and 9's CS counts and
+footprints (:func:`~repro.arch.accelerator.design_counts`) and the row
+stage (:func:`~repro.perf.simulator.design_row`).  The rows therefore
+equal the simulator's rows of the resolved designs by construction.
 
-* ``batch.design`` — keyed on the *tech x CS* section values (delta,
-  beta, memory preset, CS preset, precision) plus the base PDK's
-  identity: cell areas, CS area/leakage, peripheral area/leakage, array
-  geometry.  Points that only vary arch/workload axes reuse it.
+Delta-evaluation lives in the stage tables: a spec's sections identify
+which intermediate stages its neighbors already computed.
+
+* ``spec.design_stage`` — keyed on the *tech x CS* section values
+  (delta, beta, memory preset, CS preset, precision) plus the base PDK's
+  identity.  Points that only vary arch/workload axes reuse it.
 * ``batch.workload`` — keyed on (network, layer): per-layer feature rows
   and weight totals.  Points that only vary tech/arch axes reuse it.
 * ``batch.rows`` — keyed on (DesignRow, workload key): the evaluated
@@ -30,34 +37,23 @@ identify which intermediate stages its neighbors already computed.
 
 All three honor :func:`repro.runtime.memo.set_memoization` and show up
 in :class:`~repro.runtime.engine.RunReport` memo stats.
-
-The arithmetic mirrors :mod:`repro.spec.resolve` /
-:mod:`repro.arch.accelerator` float-for-float (same operations, same
-order), which is what lets the kernel meet its 1e-9 agreement bound —
-see DESIGN.md's "Batch kernel" section for the invariants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
-    DEFAULT_FREQUENCY_HZ,
-    DEFAULT_POOL_LANES,
     DEFAULT_WRITEBACK_BUS_BITS,
-    SYSTEM_BUS_IO_AREA,
-    ComputingSubsystem,
-    case_study_cs,
-    peripheral_area,
-    precision_scaled_cs,
+    design_counts,
 )
 from repro.perf.layer_cost import DesignRow, LayerRow, layer_row
+from repro.perf.simulator import design_row
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import call_key
 from repro.runtime.memo import memo_table
@@ -69,7 +65,7 @@ from repro.spec.design import (
     TechSpec,
     WorkloadSpec,
 )
-from repro.spec.resolve import build_workload, tech_pdk
+from repro.spec.resolve import build_workload, design_stage
 from repro.tech.pdk import PDK
 
 __all__ = [
@@ -79,7 +75,6 @@ __all__ = [
     "UnsupportedSpec",
     "WorkloadStage",
     "clear_key_caches",
-    "design_stage",
     "pack_point",
     "spec_call_key",
     "workload_stage",
@@ -94,40 +89,6 @@ class UnsupportedSpec(Exception):
     diagnostic the scalar path always raised (e.g. for weights that do
     not fit on chip) — the batch layer never invents new behavior.
     """
-
-
-class DesignStage(NamedTuple):
-    """Tech x CS intermediates shared by every spec with equal sections.
-
-    Attributes:
-        cell_area_2d: 2D RRAM bit-cell area, m^2.
-        cell_area_m3d: M3D bit-cell area at the tech's delta, m^2.
-        cs_area: Single-CS silicon area, m^2.
-        cs_leakage: Single-CS static power, W.
-        peripheral: Memory-peripheral silicon area, m^2.
-        peripheral_leakage: Memory-peripheral static power, W.
-        read_energy: RRAM read energy, J/bit.
-        mac_energy: PE MAC energy, J/op.
-        rows: Array rows.
-        cols: Array cols.
-        fill_cycles: Array fill+drain cycles.
-        weight_bits_per_slab: Weight bits per slab.
-        row_packing: Row-packing mapping enabled.
-    """
-
-    cell_area_2d: float
-    cell_area_m3d: float
-    cs_area: float
-    cs_leakage: float
-    peripheral: float
-    peripheral_leakage: float
-    read_energy: float
-    mac_energy: float
-    rows: int
-    cols: int
-    fill_cycles: int
-    weight_bits_per_slab: int
-    row_packing: bool
 
 
 class WorkloadStage:
@@ -179,63 +140,11 @@ class PackedPoint(NamedTuple):
     footprint: float
 
 
-#: Tech x CS stage: (PDK key, delta, beta, memory, CS key) -> DesignStage.
-_DESIGN_STAGE = memo_table("batch.design")
-
 #: Workload stage: (network, layer) -> WorkloadStage.
 _WORKLOAD_STAGE = memo_table("batch.workload")
 
 #: Row results: (DesignRow, workload key) -> (cycles, energy).
 ROW_RESULTS = memo_table("batch.rows")
-
-
-def _cs_preset(arch: ArchSpec) -> ComputingSubsystem:
-    if arch.cs == "case-study":
-        return case_study_cs()
-    return precision_scaled_cs(arch.precision_bits)
-
-
-def design_stage(base: PDK, tech: TechSpec, arch: ArchSpec) -> DesignStage:
-    """The tech x CS intermediates for one (tech section, CS choice).
-
-    Keyed on section *values* plus the base PDK's identity — every spec
-    of a sweep shares the base PDK object, so arch/workload-only grids
-    hit one entry.
-    """
-    cs_key = arch.cs if arch.cs == "case-study" \
-        else (arch.cs, arch.precision_bits)
-    key = (id(base), tech.delta, tech.beta, tech.memory, cs_key)
-    stage = _DESIGN_STAGE.get(key)
-    if stage is MISSING:
-        stage = _build_design_stage(base, tech, arch)
-        # Keep the keyed object alive so id(base) cannot be recycled.
-        _DESIGN_STAGE.put(key, (base, stage))
-        return stage
-    return stage[1]
-
-
-def _build_design_stage(base: PDK, tech: TechSpec,
-                        arch: ArchSpec) -> DesignStage:
-    pdk = tech_pdk(tech, base)
-    cs = _cs_preset(arch)
-    array = cs.array
-    perif = peripheral_area(pdk)
-    perif_gates = perif / pdk.silicon_library.gate_equivalent.area
-    return DesignStage(
-        cell_area_2d=pdk.rram_cell.area(None),
-        cell_area_m3d=pdk.m3d_rram_cell(tech.delta).area(pdk.ilv),
-        cs_area=cs.silicon_area(pdk),
-        cs_leakage=cs.leakage(pdk),
-        peripheral=perif,
-        peripheral_leakage=pdk.silicon_library.leakage_for_gates(perif_gates),
-        read_energy=pdk.rram_cell.read_energy_per_bit,
-        mac_energy=array.pe.mac_energy,
-        rows=array.rows,
-        cols=array.cols,
-        fill_cycles=array.fill_drain_cycles,
-        weight_bits_per_slab=array.weight_bits_per_slab(),
-        row_packing=array.enable_row_packing,
-    )
 
 
 def workload_stage(network: str, layer: str | None) -> WorkloadStage:
@@ -252,12 +161,11 @@ def workload_stage(network: str, layer: str | None) -> WorkloadStage:
 def pack_point(spec: DesignSpec, base: PDK) -> PackedPoint:
     """Lower one spec to its two design rows + workload key.
 
-    Mirrors :func:`repro.spec.resolve._resolve` +
-    :mod:`repro.arch.accelerator` operation-for-operation on the float
-    quantities (footprints, CS counts, leakage), so the derived rows
-    equal the scalar pipeline's designs bit-for-bit.  Raises
-    :class:`UnsupportedSpec` for anything the row schema cannot express
-    or that the scalar path would reject.
+    The rows come from the stages :func:`~repro.spec.resolve.resolve`
+    and :class:`~repro.perf.simulator.AcceleratorSimulator` build
+    designs and rows from, so they equal the scalar pipeline's rows.
+    Raises :class:`UnsupportedSpec` for anything the scalar path would
+    reject, so that path raises its own diagnostic.
     """
     tech, arch, workload = spec.tech, spec.arch, spec.workload
     if arch.precision_bits > DEFAULT_WRITEBACK_BUS_BITS:
@@ -269,54 +177,28 @@ def pack_point(spec: DesignSpec, base: PDK) -> PackedPoint:
     capacity = arch.capacity_bits
     if wstage.weight_bits(arch.precision_bits) > capacity:
         raise UnsupportedSpec("weights do not fit in on-chip RRAM")
-
-    # Geometry, in the exact float-op order of accelerator.py: the 2D
-    # baseline footprint, the grown M3D footprint, Eq. 2's refined CS
-    # count, and Eq. 9's re-optimized baseline refill.
-    cells_2d = capacity * stage.cell_area_2d
-    cells_m3d = capacity * stage.cell_area_m3d
-    baseline_fp = cells_2d + stage.peripheral + 1 * stage.cs_area \
-        + SYSTEM_BUS_IO_AREA
-    grown_fp = max(baseline_fp, cells_m3d)
-    extra_si = grown_fp - baseline_fp
-    freed = cells_2d - stage.peripheral + extra_si
-    n_single = 1 + max(0, math.floor(freed / stage.cs_area))
-    n_m3d = arch.n_cs if arch.n_cs is not None \
-        else n_single * arch.tier_pairs
-    if arch.baseline == "reoptimized":
-        n_2d = 1 if extra_si <= 0 else 1 + math.floor(extra_si / stage.cs_area)
-    else:
-        n_2d = 1
+    n_2d, n_m3d, _, footprint = design_counts(
+        stage, capacity, arch.tier_pairs, arch.n_cs, arch.baseline)
     if n_m3d > capacity or n_2d > capacity:
         # RRAMBankPlan rejects more banks than bits.
         raise UnsupportedSpec("more banks than capacity bits")
 
-    cycle_time = 1.0 / DEFAULT_FREQUENCY_HZ
-    # Positional DesignRow construction (field order of the NamedTuple);
-    # building through a kwargs dict costs ~30% of pack time at scale.
-    common = (arch.precision_bits, stage.read_energy, stage.mac_energy)
-    tail = (cycle_time, stage.rows, stage.cols, stage.fill_cycles,
-            stage.weight_bits_per_slab, DEFAULT_POOL_LANES,
-            DEFAULT_WRITEBACK_BUS_BITS, stage.row_packing, workload.batch)
-    row_2d = DesignRow(
-        n_2d,
-        # The (possibly enlarged) 2D baseline keeps its single channel.
-        1 * DEFAULT_BANK_WIDTH_BITS,
-        *common,
-        n_2d * stage.cs_leakage + stage.peripheral_leakage,
-        *tail)
-    row_m3d = DesignRow(
-        n_m3d,
-        n_m3d * DEFAULT_BANK_WIDTH_BITS,
-        *common,
-        n_m3d * stage.cs_leakage + stage.peripheral_leakage,
-        *tail)
+    # The 2D baseline keeps its single weight channel; the M3D design
+    # gives each CS its own bank.
+    read_energy = stage.pdk.rram_cell.read_energy_per_bit
+    array = stage.cs.array
     return PackedPoint(
         spec=spec,
         workload_key=(workload.network, workload.layer),
-        row_2d=row_2d,
-        row_m3d=row_m3d,
-        footprint=grown_fp,
+        row_2d=design_row(
+            n_2d, DEFAULT_BANK_WIDTH_BITS, arch.precision_bits, read_energy,
+            array, stage.cs_leakage, stage.peripheral_leakage,
+            workload.batch),
+        row_m3d=design_row(
+            n_m3d, n_m3d * DEFAULT_BANK_WIDTH_BITS, arch.precision_bits,
+            read_energy, array, stage.cs_leakage, stage.peripheral_leakage,
+            workload.batch),
+        footprint=footprint,
     )
 
 

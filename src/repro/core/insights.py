@@ -173,15 +173,6 @@ def resolve_capacity_point(pdk: PDK | None, capacity_bits: int) -> ResolvedPoint
     return resolve(spec, pdk)
 
 
-def plan_capacity_point(pdk: PDK, capacity_bits: int):
-    """(baseline, m3d) design pair for one Fig. 9 capacity.
-
-    Legacy shim over :func:`resolve_capacity_point`.
-    """
-    point = resolve_capacity_point(pdk, capacity_bits)
-    return point.baseline, point.m3d
-
-
 def capacity_point(
     pdk: PDK,
     network: Network,

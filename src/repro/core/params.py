@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.errors import require
 from repro.tech import constants
 from repro.tech.pdk import PDK, foundry_m3d_pdk
-from repro.arch.accelerator import AcceleratorDesign, peripheral_area
+from repro.arch.accelerator import AcceleratorDesign, peripheral_leakage
 from repro.core.framework import DesignPoint
 
 
@@ -61,8 +61,7 @@ def _cs_idle_energy_per_cycle(design: AcceleratorDesign, pdk: PDK) -> float:
 def _memory_idle_energy_per_cycle(design: AcceleratorDesign, pdk: PDK) -> float:
     """E_M^idle: memory peripheral static energy per clock cycle (the RRAM
     cells themselves are non-volatile and draw no retention power)."""
-    perif_gates = peripheral_area(pdk) / pdk.silicon_library.gate_equivalent.area
-    return pdk.silicon_library.leakage_for_gates(perif_gates) * design.cycle_time
+    return peripheral_leakage(pdk) * design.cycle_time
 
 
 def design_point(design: AcceleratorDesign, pdk: PDK | None = None) -> DesignPoint:

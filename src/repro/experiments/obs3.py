@@ -9,11 +9,10 @@ make the reported M3D benefits conservative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.tech.pdk import PDK
-from repro.arch.accelerator import peripheral_area
+from repro.arch.accelerator import derive_parallel_cs_count, peripheral_area
 from repro.experiments.registry import (
     ExperimentContext,
     experiment,
@@ -102,8 +101,8 @@ def obs3_experiment(
     counts: list[int] = []
     specs = [(baseline, network, pdk)]
     for ratio in density_ratios:
-        freed = baseline.area.cells * ratio - perif
-        n_cs = 1 + max(0, math.floor(freed / cs_area))
+        n_cs = derive_parallel_cs_count(baseline.area.cells * ratio, perif,
+                                        cs_area)
         counts.append(n_cs)
         m3d = resolve(spec.updated({"arch.n_cs": n_cs}), ctx.pdk).m3d
         specs.append((m3d, network, pdk))

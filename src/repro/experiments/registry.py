@@ -75,7 +75,7 @@ class ExperimentContext:
         pdk: The process-design kit every design derives from.  The CLI
             builds **one** context per invocation, so every experiment of
             a run shares one PDK object (and with it the identity-keyed
-            memo entries, see :class:`repro.runtime.memo.IdentityKey`).
+            tech x CS stages, see :func:`repro.spec.resolve.design_stage`).
         engine: The evaluation engine sweeps route through.
         jobs: Worker-count override threaded into ``engine.map`` calls
             (``None`` = the engine's own count).

@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 from repro.errors import require
 from repro.obs.trace import span as _span
 from repro.tech.pdk import PDK, foundry_m3d_pdk
-from repro.arch.accelerator import AcceleratorDesign, peripheral_area
+from repro.arch.accelerator import (
+    DEFAULT_FREQUENCY_HZ,
+    DEFAULT_POOL_LANES,
+    DEFAULT_WRITEBACK_BUS_BITS,
+    AcceleratorDesign,
+    peripheral_leakage,
+)
+from repro.arch.systolic import SystolicArrayConfig
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
 from repro.perf.layer_cost import DesignRow, layer_cost, layer_row, scalar_ops
@@ -115,6 +122,36 @@ class ExecutionReport:
         raise KeyError(f"no layer named {name!r} in report")
 
 
+def design_row(
+    n_cs: int,
+    bandwidth_bits: int,
+    precision_bits: int,
+    read_energy: float,
+    array: SystolicArrayConfig,
+    cs_leakage: float,
+    peripheral_leakage: float,
+    batch: int,
+    cycle_time: float = 1.0 / DEFAULT_FREQUENCY_HZ,
+    pool_lanes: int = DEFAULT_POOL_LANES,
+    bus_bits: int = DEFAULT_WRITEBACK_BUS_BITS,
+) -> DesignRow:
+    """The :class:`~repro.perf.layer_cost.DesignRow` of one design.
+
+    The row stage of design construction, shared by
+    :class:`AcceleratorSimulator` and the batch packer.  Chip static
+    power is every CS's leakage plus the memory peripherals'
+    (``cs_leakage`` is one CS's).
+    """
+    # Positional construction (field order of the NamedTuple): a kwargs
+    # call costs ~30% of batch pack time at scale.
+    return DesignRow(
+        n_cs, bandwidth_bits, precision_bits, read_energy,
+        array.pe.mac_energy, n_cs * cs_leakage + peripheral_leakage,
+        cycle_time, array.rows, array.cols, array.fill_drain_cycles,
+        array.weight_bits_per_slab(), pool_lanes, bus_bits,
+        array.enable_row_packing, batch)
+
+
 def row_layer_cost(row: DesignRow, layer: Layer) -> tuple:
     """:func:`~repro.perf.layer_cost.layer_cost` of one design row on one
     layer with scalar ops, memoized on ``(row, layer shape)`` — equal
@@ -146,46 +183,21 @@ class AcceleratorSimulator:
         self.design = design
         self.pdk = pdk if pdk is not None else foundry_m3d_pdk()
         self.batch = batch
-        self._static_power = self._compute_static_power()
-        array = design.cs.array
         # Equal rows make layer results interchangeable — including
         # across *different* designs (e.g. 2D baselines that differ only
         # in footprint).  Documented in DESIGN.md ("Layer memoization").
-        self.row = DesignRow(
-            n_cs=design.n_cs,
-            bandwidth_bits=design.total_weight_bandwidth,
-            precision_bits=design.precision_bits,
-            read_energy=design.bank_plan.array.cell.read_energy_per_bit,
-            mac_energy=array.pe.mac_energy,
-            static_power=self._static_power,
-            cycle_time=design.cycle_time,
-            rows=array.rows,
-            cols=array.cols,
-            fill_cycles=array.fill_drain_cycles,
-            weight_bits_per_slab=array.weight_bits_per_slab(),
-            pool_lanes=design.pool_lanes,
-            bus_bits=design.writeback_bus_bits,
-            row_packing=array.enable_row_packing,
-            batch=batch,
-        )
-
-    def _compute_static_power(self) -> float:
-        """Chip static power in watts: all CSs + memory peripherals.
-
-        RRAM cells are non-volatile and contribute no retention power; the
-        CNFET access-FET tier leaks only marginally (off-state), folded into
-        the peripheral term.
-        """
-        design = self.design
-        cs_leak = design.n_cs * design.cs.leakage(self.pdk)
-        perif_gates = peripheral_area(self.pdk) / self.pdk.silicon_library.gate_equivalent.area
-        perif_leak = self.pdk.silicon_library.leakage_for_gates(perif_gates)
-        return cs_leak + perif_leak
+        self.row = design_row(
+            design.n_cs, design.total_weight_bandwidth,
+            design.precision_bits,
+            design.bank_plan.array.cell.read_energy_per_bit,
+            design.cs.array, design.cs.leakage(self.pdk),
+            peripheral_leakage(self.pdk), batch, design.cycle_time,
+            design.pool_lanes, design.writeback_bus_bits)
 
     @property
     def static_power(self) -> float:
-        """Chip static power in watts."""
-        return self._static_power
+        """Chip static power in watts: all CSs + memory peripherals."""
+        return self.row.static_power
 
     # --- execution -----------------------------------------------------------
 

@@ -36,7 +36,6 @@ from repro.runtime.engine import (
 from repro.runtime.keys import call_key, stable_key
 from repro.runtime.memo import (
     CounterStats,
-    IdentityKey,
     MemoStats,
     MemoTable,
     add_counts,
@@ -82,7 +81,6 @@ __all__ = [
     "call_key",
     "stable_key",
     "CounterStats",
-    "IdentityKey",
     "MemoStats",
     "MemoTable",
     "add_counts",

@@ -21,11 +21,6 @@ All tables honour one global switch (:func:`set_memoization`), so the
 pre-memoization behaviour remains available for benchmarking
 (``benchmarks/perf_report.py``) and for differential tests.
 
-:class:`IdentityKey` supports keys that include unhashable-but-immutable
-objects (a PDK holds a dict): it hashes on object *identity* while
-holding a strong reference, so the id cannot be recycled while any table
-entry still embeds the wrapper.
-
 Named counters (:func:`add_counts` / :func:`counter_stats`) record
 non-cache search statistics — e.g. how many tilings the branch-and-bound
 mapper pruned versus evaluated.
@@ -43,30 +38,6 @@ from repro.runtime.cache import MISSING
 DEFAULT_MAX_ENTRIES = 8192
 
 _enabled: bool = True
-
-
-class IdentityKey:
-    """Hashable identity token for an (immutable) unhashable object.
-
-    Equality and hash follow the wrapped object's *identity*.  The wrapper
-    keeps a strong reference, so as long as the key is reachable (e.g. as
-    part of a memo-table entry) the wrapped object cannot be collected and
-    its ``id`` cannot be reused by a different object.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Any) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return hash(id(self.obj))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IdentityKey) and self.obj is other.obj
-
-    def __repr__(self) -> str:
-        return f"IdentityKey({type(self.obj).__name__}@{id(self.obj):#x})"
 
 
 @dataclass(frozen=True)

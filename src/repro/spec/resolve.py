@@ -7,10 +7,15 @@ path.  The pipeline:
 1. **Tech** — apply the memory-technology preset, then scale the ILV
    pitch by ``beta`` (``scaled_pdk``, the helper that deduplicates the
    former ``core/dse.py`` / ``core/via_pitch.py`` copies).
-2. **Arch** — pick the CS preset; build the original 2D baseline and the
-   M3D design at ``delta``; multiply the M3D CS count by ``tier_pairs``
-   (or pin it to ``n_cs``); under the ``reoptimized`` baseline policy,
-   enlarge the 2D baseline to the M3D footprint and refill it per Eq. 9.
+2. **Arch** — the staged design construction the batch packer shares:
+   the memoized tech x CS stage (:func:`design_stage`: cell, CS and
+   peripheral areas and leakages of the CS preset at ``delta``); the CS
+   counts and footprints (:func:`~repro.arch.accelerator.design_counts`:
+   Eq. 2's M3D count times ``tier_pairs``, or ``n_cs``; under the
+   ``reoptimized`` policy the 2D baseline enlarged to the M3D footprint
+   and refilled per Eq. 9); then each design, built once with its
+   explicit count and footprint.  The last stage, the cost model's
+   row, is :func:`repro.perf.simulator.design_row`.
 3. **Workload** — build the named network, optionally restricted to one
    layer (:func:`build_workload`).
 
@@ -18,7 +23,8 @@ Resolution is deterministic and simulation-free, and memoizes on the
 spec's content fingerprint plus the base PDK's content hash — *not* on
 object identity — so equal specs share work no matter where they came
 from, and the key scheme matches what the evaluation engine writes to
-disk.
+disk.  Only the tech x CS stage below it keys on the base PDK's
+identity, so a sweep's shared PDK object skips content hashing there.
 """
 
 from __future__ import annotations
@@ -27,23 +33,26 @@ from dataclasses import dataclass, replace
 
 from repro.arch.accelerator import (
     AcceleratorDesign,
+    TechCSStage,
     baseline_2d_design,
+    case_study_cs,
+    design_counts,
     m3d_design,
     precision_scaled_cs,
-    reoptimized_2d_cs_count,
+    tech_cs_stage,
 )
 from repro.errors import ConfigurationError
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import stable_key
 from repro.runtime.memo import memo_table
-from repro.spec.design import DesignSpec, TechSpec, WorkloadSpec
+from repro.spec.design import ArchSpec, DesignSpec, TechSpec, WorkloadSpec
 from repro.tech.memories import memory_technology
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.workloads.models import Network, available_networks, build_network
 from repro.workloads.transformer import base_encoder, tiny_encoder
 
-__all__ = ["ResolvedPoint", "build_workload", "resolve", "scaled_pdk",
-           "tech_pdk"]
+__all__ = ["ResolvedPoint", "build_workload", "design_stage", "resolve",
+           "scaled_pdk", "tech_pdk"]
 
 #: Resolution memo: (spec fingerprint, PDK content hash) -> ResolvedPoint.
 _RESOLVE_MEMO = memo_table("spec.resolve")
@@ -53,6 +62,10 @@ _SCALED_PDK_MEMO = memo_table("spec.scaled_pdk")
 
 #: Tech-section memo: (memory, beta, base PDK content) -> adjusted PDK.
 _TECH_PDK_MEMO = memo_table("spec.tech_pdk")
+
+#: Tech x CS stage memo: (id(base PDK), delta, beta, memory, CS key) ->
+#: (base PDK, TechCSStage); the entry pins the base so its id stays unique.
+_DESIGN_STAGE_MEMO = memo_table("spec.design_stage")
 
 #: Transformer-encoder presets addressable by workload.network (the CNN
 #: zoo resolves through repro.workloads.models.build_network).
@@ -104,6 +117,26 @@ def tech_pdk(tech: TechSpec, base: PDK) -> PDK:
         pdk = scaled_pdk(pdk, tech.beta)
         _TECH_PDK_MEMO.put(key, pdk)
     return pdk
+
+
+def design_stage(base: PDK, tech: TechSpec, arch: ArchSpec) -> TechCSStage:
+    """The tech x CS stage a (tech section, CS choice) denotes on ``base``.
+
+    Keyed on the section *values* plus the base PDK's identity — every
+    spec of a sweep shares the base PDK object, so grids that only vary
+    capacity, tier, baseline or workload axes build it once, with no
+    content hashing on a hit.
+    """
+    cs_key = arch.cs if arch.cs == "case-study" \
+        else (arch.cs, arch.precision_bits)
+    key = (id(base), tech.delta, tech.beta, tech.memory, cs_key)
+    entry = _DESIGN_STAGE_MEMO.get(key)
+    if entry is MISSING:
+        cs = case_study_cs() if arch.cs == "case-study" \
+            else precision_scaled_cs(arch.precision_bits)
+        entry = (base, tech_cs_stage(tech_pdk(tech, base), cs, tech.delta))
+        _DESIGN_STAGE_MEMO.put(key, entry)
+    return entry[1]
 
 
 def build_workload(workload: WorkloadSpec) -> Network:
@@ -185,32 +218,16 @@ def resolve(spec: DesignSpec, pdk: PDK | None = None) -> ResolvedPoint:
 
 def _resolve(spec: DesignSpec, base: PDK) -> ResolvedPoint:
     tech, arch = spec.tech, spec.arch
-    pdk = tech_pdk(tech, base)
-
-    cs = None if arch.cs == "case-study" \
-        else precision_scaled_cs(arch.precision_bits)
-    original = baseline_2d_design(pdk, arch.capacity_bits, cs=cs)
-    single = m3d_design(pdk, arch.capacity_bits, cs=cs,
-                        access_width_factor=tech.delta)
-    n_cs_m3d = arch.n_cs if arch.n_cs is not None \
-        else single.n_cs * arch.tier_pairs
-    if n_cs_m3d == single.n_cs:
-        m3d = single
-    else:
-        m3d = m3d_design(pdk, arch.capacity_bits, cs=cs,
-                         access_width_factor=tech.delta, n_cs=n_cs_m3d)
-
-    if arch.baseline == "reoptimized":
-        n_cs_2d = reoptimized_2d_cs_count(
-            grown_footprint=single.area.footprint,
-            original_footprint=original.area.footprint,
-            cs_area=original.area.cs_unit,
-        )
-        baseline = baseline_2d_design(
-            pdk, arch.capacity_bits, cs=cs, n_cs=n_cs_2d,
-            footprint=single.area.footprint)
-    else:
-        baseline = original
+    stage = design_stage(base, tech, arch)
+    counts = design_counts(stage, arch.capacity_bits, arch.tier_pairs,
+                           arch.n_cs, arch.baseline)
+    baseline = baseline_2d_design(
+        stage.pdk, arch.capacity_bits, cs=stage.cs, n_cs=counts.n_2d,
+        footprint=counts.footprint_2d)
+    m3d = m3d_design(
+        stage.pdk, arch.capacity_bits, cs=stage.cs,
+        access_width_factor=tech.delta, n_cs=counts.n_m3d,
+        footprint=counts.footprint_m3d)
 
     if arch.precision_bits != baseline.precision_bits:
         baseline = replace(baseline, precision_bits=arch.precision_bits)
@@ -219,7 +236,7 @@ def _resolve(spec: DesignSpec, base: PDK) -> ResolvedPoint:
 
     return ResolvedPoint(
         spec=spec,
-        pdk=pdk,
+        pdk=stage.pdk,
         baseline=baseline,
         m3d=m3d,
         network=build_workload(spec.workload),

@@ -37,7 +37,6 @@ from repro.core.insights import (
 from repro.runtime import (
     MISSING,
     EvaluationEngine,
-    IdentityKey,
     MemoTable,
     ResultCache,
     call_key,
@@ -419,12 +418,6 @@ class TestMemoTables:
         assert table.get("a") is MISSING
         assert table.get("b") == 2
         assert table.get("c") == 3
-
-    def test_identity_key_semantics(self):
-        first, second = {"x": 1}, {"x": 1}  # equal but distinct, unhashable
-        assert IdentityKey(first) == IdentityKey(first)
-        assert hash(IdentityKey(first)) == hash(IdentityKey(first))
-        assert IdentityKey(first) != IdentityKey(second)
 
     def test_simulator_layer_memo_is_bit_identical(self, pdk):
         from repro.arch.accelerator import m3d_design
