@@ -22,8 +22,8 @@ tables it replaced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError, require
 from repro.units import MEGABYTE
@@ -86,6 +86,14 @@ def _checked_bool(name: str, value: Any) -> bool:
     if not isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
     return value
+
+
+def capacity_bits_of(megabytes: Any) -> int:
+    """The ``arch.capacity_bits`` an ``arch.capacity_mb`` value denotes."""
+    if isinstance(megabytes, bool) or not isinstance(megabytes, (int, float)):
+        raise ConfigurationError(
+            f"arch.capacity_mb must be a number, got {megabytes!r}")
+    return int(megabytes * MEGABYTE)
 
 
 def _checked_str(name: str, value: Any, choices: tuple[str, ...] | None = None,
@@ -197,12 +205,7 @@ class ArchSpec:
                 raise ConfigurationError(
                     "give either arch.capacity_bits or arch.capacity_mb, "
                     "not both")
-            megabytes = kwargs.pop("capacity_mb")
-            if isinstance(megabytes, bool) or not isinstance(
-                    megabytes, (int, float)):
-                raise ConfigurationError(
-                    f"arch.capacity_mb must be a number, got {megabytes!r}")
-            kwargs["capacity_bits"] = int(megabytes * MEGABYTE)
+            kwargs["capacity_bits"] = capacity_bits_of(kwargs.pop("capacity_mb"))
         return cls(**kwargs)
 
 
@@ -349,13 +352,77 @@ _SECTIONS: tuple[tuple[str, type], ...] = (
     ("flow", FlowSpec),
 )
 
+#: Each section class's field names, in declaration order.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for _, cls in _SECTIONS}
+
 
 def field_paths() -> tuple[str, ...]:
     """Every valid dotted override path (``"tech.delta"``, ...)."""
     paths: list[str] = []
     for section, cls in _SECTIONS:
-        paths.extend(f"{section}.{f.name}" for f in fields(cls))
+        paths.extend(f"{section}.{name}" for name in _FIELD_NAMES[cls])
     return tuple(paths)
+
+
+def section_field(path: Any) -> tuple[int, str]:
+    """``(section index, field name)`` of a dotted override path.
+
+    The index is the section's position in :class:`DesignSpec` (tech,
+    arch, workload, flow).  ``"arch.capacity_mb"`` keeps its name —
+    :func:`build_section` converts it — and sets the same field as
+    ``"arch.capacity_bits"``.  An unknown path raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    section, _, name = str(path).partition(".")
+    for index, (candidate, cls) in enumerate(_SECTIONS):
+        if candidate == section:
+            if name in _FIELD_NAMES[cls] or (
+                    cls is ArchSpec and name == "capacity_mb"):
+                return index, name
+            break
+    raise ConfigurationError(
+        f"unknown spec path {path!r}; valid paths: "
+        f"{', '.join(field_paths())}")
+
+
+def build_section(section: Any, changes: Iterable[tuple[str, Any]]) -> Any:
+    """``section`` with ``(field name, value)`` changes applied.
+
+    The one way overrides become a spec section: the section's own
+    constructor validates the result once, however many fields changed,
+    and ``capacity_mb`` converts through :func:`capacity_bits_of` as in
+    :meth:`ArchSpec.from_jsonable`.  Sections validate field by field, so
+    whether a change is valid never depends on the section's other
+    fields.
+    """
+    cls = type(section)
+    kwargs = {name: getattr(section, name) for name in _FIELD_NAMES[cls]}
+    for name, value in changes:
+        if name == "capacity_mb":
+            name, value = "capacity_bits", capacity_bits_of(value)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def first_invalid_change(spec: "DesignSpec",
+                         changes: Iterable[tuple[Any, Any]],
+                         ) -> Exception | None:
+    """The error of the first invalid ``(path, value)`` change, if any.
+
+    Each change is tried alone over ``spec``, in order.  Because sections
+    validate field by field, this is the error applying the changes one
+    after another would raise, so a failed multi-field build reports the
+    same error whatever order it built its sections in.
+    """
+    for path, value in changes:
+        try:
+            index, name = section_field(path)
+            build_section(getattr(spec, _SECTIONS[index][0]),
+                          ((name, value),))
+        except Exception as error:        # noqa: BLE001 — reported as is
+            return error
+    return None
 
 
 @dataclass(frozen=True)
@@ -431,32 +498,35 @@ class DesignSpec:
 
         ``spec.updated({"tech.delta": 1.6, "arch.capacity_mb": 32})``
         returns a new validated spec; an unknown path raises
-        :class:`~repro.errors.ConfigurationError`.  This is the primitive
-        sweep axes expand through.
+        :class:`~repro.errors.ConfigurationError`, and so does setting
+        ``arch.capacity_mb`` and ``arch.capacity_bits`` together.  Each
+        changed section is built once by :func:`build_section`, the same
+        builder sweep expansion uses; unchanged sections are shared.  An
+        invalid override raises the error of the first invalid path in
+        ``changes`` order.
         """
         if not changes:
             return self
-        spec = self
-        sections = dict(_SECTIONS)
-        for path, value in changes.items():
-            section, _, name = str(path).partition(".")
-            if section not in sections or not name:
-                raise ConfigurationError(
-                    f"unknown spec path {path!r}; valid paths: "
-                    f"{', '.join(field_paths())}")
-            sub = getattr(spec, section)
-            if name == "capacity_mb" and section == "arch":
-                jsonable = sub.to_jsonable()
-                del jsonable["capacity_bits"]
-                jsonable["capacity_mb"] = value
-                spec = replace(spec, arch=ArchSpec.from_jsonable(jsonable))
-                continue
-            if name not in {f.name for f in fields(sub)}:
-                raise ConfigurationError(
-                    f"unknown spec path {path!r}; valid paths: "
-                    f"{', '.join(field_paths())}")
-            spec = replace(spec, **{section: replace(sub, **{name: value})})
-        return spec
+        items = tuple(changes.items())
+        sections = [self.tech, self.arch, self.workload, self.flow]
+        try:
+            grouped: dict[int, dict[str, tuple[str, Any]]] = {}
+            for path, value in items:
+                index, name = section_field(path)
+                section_changes = grouped.setdefault(index, {})
+                target = "capacity_bits" if name == "capacity_mb" else name
+                if target in section_changes:
+                    raise ConfigurationError(
+                        "give either arch.capacity_bits or "
+                        "arch.capacity_mb, not both")
+                section_changes[target] = (name, value)
+            for index, section_changes in grouped.items():
+                sections[index] = build_section(sections[index],
+                                                section_changes.values())
+        except Exception as error:
+            first = first_invalid_change(self, items)
+            raise (error if first is None else first) from None
+        return DesignSpec(*sections)
 
     def with_capacity(self, capacity_bits: int) -> "DesignSpec":
         """A copy at a different RRAM capacity."""

@@ -5,7 +5,9 @@ full-factorially (the joint-DSE shape), ``zip`` axes advance in lockstep
 (paired knobs, e.g. a delta matched to each capacity), and ``points``
 appends an explicit list of extra specs.  Axes name spec fields by dotted
 path (``"tech.delta"``, ``"arch.capacity_mb"``) — an unknown path fails at
-construction, not halfway through a sweep.
+construction, not halfway through a sweep, and so do two axes that set one
+field (``"arch.capacity_mb"`` sets ``"arch.capacity_bits"``), whether both
+are grid axes, both zip axes, or one of each.
 
 Like the design spec itself, a sweep is frozen, validated, and round-trips
 through plain JSON::
@@ -19,7 +21,9 @@ through plain JSON::
 
 Expansion order is deterministic: zip combinations outermost, then the
 grid axes in declaration order (itertools.product semantics), then the
-explicit points.
+explicit points.  Expansion builds each spec section once per combination
+of its own axis values and shares it between points, with memory bounded
+by the axes, not by the points walked (see :meth:`SweepSpec.iter_specs`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.errors import ConfigurationError, require
-from repro.spec.design import DesignSpec, field_paths
+from repro.spec.design import (
+    DesignSpec,
+    build_section,
+    field_paths,
+    first_invalid_change,
+    section_field,
+)
 
 __all__ = ["SweepSpec", "load_sweep_spec"]
 
@@ -107,6 +117,22 @@ def _normalized_axes(kind: str, axes: Any) -> Axes:
     return tuple(normalized)
 
 
+def _require_one_axis_per_field(grid: Axes, zipped: Axes) -> None:
+    """Reject two axes that set one field (``capacity_mb`` is
+    ``capacity_bits``), within one axis kind or across kinds: one of them
+    would silently override the other and every point would repeat."""
+    named: dict[str, str] = {}
+    for kind, axes in (("grid", grid), ("zip", zipped)):
+        for path, _ in axes:
+            target = ("arch.capacity_bits" if path == "arch.capacity_mb"
+                      else path)
+            if target in named:
+                raise ConfigurationError(
+                    f"{named[target]} and {kind} axis {path!r} both set "
+                    f"{target}; give each field one axis")
+            named[target] = f"{kind} axis {path!r}"
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A base design spec plus grid / zip / explicit-point axes.
@@ -117,6 +143,10 @@ class SweepSpec:
             a ``{path: values}`` mapping at construction.
         zipped: Lockstep axes (all the same length); JSON key ``"zip"``.
         points: Extra fully-formed specs appended after the expansion.
+
+    Each spec field takes at most one axis, counting grid and zip axes
+    together; a second axis on the same field raises
+    :class:`~repro.errors.ConfigurationError` naming both paths.
     """
 
     base: DesignSpec = field(default_factory=DesignSpec)
@@ -128,6 +158,7 @@ class SweepSpec:
         object.__setattr__(self, "grid", _normalized_axes("grid", self.grid))
         object.__setattr__(self, "zipped",
                            _normalized_axes("zip", self.zipped))
+        _require_one_axis_per_field(self.grid, self.zipped)
         lengths = {len(values) for _, values in self.zipped}
         require(len(lengths) <= 1,
                 "zip axes must all have the same length, got lengths "
@@ -147,16 +178,25 @@ class SweepSpec:
         streaming executor (:mod:`repro.sweep.stream`) can walk grids far
         too large to materialize.  The order is identical to
         :meth:`expand`.
+
+        Each section (tech, arch, workload, flow) is built only when one
+        of its own axes moves, by the same validated
+        :func:`~repro.spec.design.build_section` that
+        :meth:`DesignSpec.updated` uses, and points share their sections.
+        Memory stays bounded by the axes, never by the points walked: a
+        section whose axes lead the product order keeps only its current
+        value, and a section that cycles under an outer axis of another
+        section keeps one entry per value of its innermost axis (keyed by
+        position, so ``1``, ``1.0`` and ``True`` never share an entry),
+        dropped whenever another of its own axes moves.  An invalid value
+        raises where the old one-override-at-a-time expansion raised:
+        after the same prefix, with the error of the point's first
+        invalid path in zip-then-grid order.
         """
-        zip_count = len(self.zipped[0][1]) if self.zipped else 1
-        grid_paths = [path for path, _ in self.grid]
-        for index in range(zip_count):
-            lockstep = {path: values[index] for path, values in self.zipped}
-            for combo in itertools.product(
-                    *(values for _, values in self.grid)):
-                changes = dict(lockstep)
-                changes.update(zip(grid_paths, combo))
-                yield self.base.updated(changes)
+        if not (self.grid or self.zipped):
+            yield self.base
+        else:
+            yield from _expand(self.base, self.zipped, self.grid)
         yield from self.points
 
     def chunks(self, size: int) -> Iterator[tuple[DesignSpec, ...]]:
@@ -240,6 +280,80 @@ class SweepSpec:
         from repro.runtime.keys import stable_key
 
         return stable_key("repro.spec.SweepSpec", self.to_jsonable())
+
+
+def _expand(base: DesignSpec, zipped: Axes, grid: Axes,
+            ) -> Iterator[DesignSpec]:
+    """The grid and zip points of a sweep, in order (see ``iter_specs``).
+
+    Product order has one *level* for the whole zip block, then one per
+    grid axis.  A level sets the fields its axes name, and a section is
+    built at its innermost level: the last level that sets one of its
+    fields.
+    """
+    levels: list[Axes] = ([zipped] if zipped else []) + [
+        (axis,) for axis in grid]
+    sets = [[(*section_field(path), values) for path, values in axes]
+            for axes in levels]
+    owned: dict[int, list[int]] = {}
+    for depth, level_sets in enumerate(sets):
+        for index, _, _ in level_sets:
+            depths = owned.setdefault(index, [])
+            if depth not in depths:
+                depths.append(depth)
+    # Per level: the memos it clears and the sections it builds, each
+    # with its memo (None for a leading section, which keeps no memo).
+    clears: list[list[dict]] = [[] for _ in levels]
+    builds: list[list[tuple[int, dict | None]]] = [[] for _ in levels]
+    for index, depths in owned.items():
+        innermost = depths[-1]
+        # A foreign level outside the innermost one makes it cycle.
+        memo: dict | None = {} if len(depths) <= innermost else None
+        builds[innermost].append((index, memo))
+        if memo is not None:
+            for depth in depths[:-1]:
+                clears[depth].append(memo)
+
+    base_sections = (base.tech, base.arch, base.workload, base.flow)
+    sections = list(base_sections)
+    current: list[dict[str, Any]] = [{} for _ in sections]
+    positions = [0] * len(levels)
+    last = len(levels) - 1
+
+    def build(index: int, depth: int) -> Any:
+        try:
+            return build_section(base_sections[index],
+                                 current[index].items())
+        except Exception as error:
+            # Levels past ``depth`` name later paths, so they never
+            # hold the point's first invalid change.
+            changes = [(path, values[positions[level]])
+                       for level in range(depth + 1)
+                       for path, values in levels[level]]
+            first = first_invalid_change(base, changes)
+            raise (error if first is None else first) from None
+
+    def walk(depth: int) -> Iterator[DesignSpec]:
+        for position in range(len(levels[depth][0][1])):
+            positions[depth] = position
+            for index, name, values in sets[depth]:
+                current[index][name] = values[position]
+            for memo in clears[depth]:
+                memo.clear()
+            for index, memo in builds[depth]:
+                if memo is None:
+                    sections[index] = build(index, depth)
+                else:
+                    section = memo.get(position)
+                    if section is None:
+                        section = memo[position] = build(index, depth)
+                    sections[index] = section
+            if depth == last:
+                yield DesignSpec(*sections)
+            else:
+                yield from walk(depth + 1)
+
+    yield from walk(0)
 
 
 def _merge(base: dict[str, Any], overlay: Mapping[str, Any]) -> dict[str, Any]:
