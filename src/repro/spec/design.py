@@ -386,6 +386,12 @@ def section_field(path: Any) -> tuple[int, str]:
         f"{', '.join(field_paths())}")
 
 
+def field_key(path: str) -> str:
+    """The field a dotted path sets: ``arch.capacity_mb`` sets
+    ``arch.capacity_bits``, every other path its own field."""
+    return "arch.capacity_bits" if path == "arch.capacity_mb" else path
+
+
 def build_section(section: Any, changes: Iterable[tuple[str, Any]]) -> Any:
     """``section`` with ``(field name, value)`` changes applied.
 
@@ -405,6 +411,11 @@ def build_section(section: Any, changes: Iterable[tuple[str, Any]]) -> Any:
     return cls(**kwargs)
 
 
+#: What building a section from override values can raise: a validation
+#: error, or ``int()`` of an infinite or NaN ``capacity_mb``.
+SECTION_ERRORS = (ConfigurationError, OverflowError, ValueError)
+
+
 def first_invalid_change(spec: "DesignSpec",
                          changes: Iterable[tuple[Any, Any]],
                          ) -> Exception | None:
@@ -420,7 +431,7 @@ def first_invalid_change(spec: "DesignSpec",
             index, name = section_field(path)
             build_section(getattr(spec, _SECTIONS[index][0]),
                           ((name, value),))
-        except Exception as error:        # noqa: BLE001 — reported as is
+        except SECTION_ERRORS as error:
             return error
     return None
 
@@ -514,16 +525,16 @@ class DesignSpec:
             for path, value in items:
                 index, name = section_field(path)
                 section_changes = grouped.setdefault(index, {})
-                target = "capacity_bits" if name == "capacity_mb" else name
-                if target in section_changes:
+                key = field_key(str(path))
+                if key in section_changes:
                     raise ConfigurationError(
                         "give either arch.capacity_bits or "
                         "arch.capacity_mb, not both")
-                section_changes[target] = (name, value)
+                section_changes[key] = (name, value)
             for index, section_changes in grouped.items():
                 sections[index] = build_section(sections[index],
                                                 section_changes.values())
-        except Exception as error:
+        except SECTION_ERRORS as error:
             first = first_invalid_change(self, items)
             raise (error if first is None else first) from None
         return DesignSpec(*sections)

@@ -36,8 +36,10 @@ from typing import Any, Iterator, Mapping
 
 from repro.errors import ConfigurationError, require
 from repro.spec.design import (
+    SECTION_ERRORS,
     DesignSpec,
     build_section,
+    field_key,
     field_paths,
     first_invalid_change,
     section_field,
@@ -124,8 +126,7 @@ def _require_one_axis_per_field(grid: Axes, zipped: Axes) -> None:
     named: dict[str, str] = {}
     for kind, axes in (("grid", grid), ("zip", zipped)):
         for path, _ in axes:
-            target = ("arch.capacity_bits" if path == "arch.capacity_mb"
-                      else path)
+            target = field_key(path)
             if target in named:
                 raise ConfigurationError(
                     f"{named[target]} and {kind} axis {path!r} both set "
@@ -189,9 +190,9 @@ class SweepSpec:
         section keeps one entry per value of its innermost axis (keyed by
         position, so ``1``, ``1.0`` and ``True`` never share an entry),
         dropped whenever another of its own axes moves.  An invalid value
-        raises where the old one-override-at-a-time expansion raised:
-        after the same prefix, with the error of the point's first
-        invalid path in zip-then-grid order.
+        raises at the first point that holds it, with the error of that
+        point's first invalid path in zip-then-grid order, as if the
+        point's overrides were applied one at a time.
         """
         if not (self.grid or self.zipped):
             yield self.base
@@ -307,7 +308,8 @@ def _expand(base: DesignSpec, zipped: Axes, grid: Axes,
     builds: list[list[tuple[int, dict | None]]] = [[] for _ in levels]
     for index, depths in owned.items():
         innermost = depths[-1]
-        # A foreign level outside the innermost one makes it cycle.
+        # Another section's level before the innermost one makes this
+        # section cycle back to earlier values.
         memo: dict | None = {} if len(depths) <= innermost else None
         builds[innermost].append((index, memo))
         if memo is not None:
@@ -324,7 +326,7 @@ def _expand(base: DesignSpec, zipped: Axes, grid: Axes,
         try:
             return build_section(base_sections[index],
                                  current[index].items())
-        except Exception as error:
+        except SECTION_ERRORS as error:
             # Levels past ``depth`` name later paths, so they never
             # hold the point's first invalid change.
             changes = [(path, values[positions[level]])

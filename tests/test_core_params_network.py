@@ -98,6 +98,33 @@ def test_analytic_within_20pct_for_bottleneck_resnets(pdk, baseline, m3d, name):
     assert analytic_edp == pytest.approx(sim.edp_benefit, rel=0.20)
 
 
+def test_analytic_agreement_envelope_over_the_joint_grid():
+    """The measured framework-vs-simulator EDP agreement across the
+    36-point joint grid (capacity x delta x beta x tier pairs, ResNet-18,
+    re-optimized baseline), recorded in EXPERIMENTS.md.
+
+    The paper's 10% claim holds on 27 of the 36 points; the other 9 miss
+    it by at most 15.0% (ResNet-18 at 64-128 MB with 1-2 tier pairs),
+    and none misses 20%.  This states the envelope as measured: a model
+    change that moves it must update this test and EXPERIMENTS.md.
+    """
+    from repro.core.dse import joint_grid_sweep
+    from repro.spec import evaluate_spec, resolve
+
+    misses = []
+    for spec in joint_grid_sweep().iter_specs():
+        point = resolve(spec, None)
+        a2 = analyze_network(point.baseline, point.network, point.pdk)
+        a3 = analyze_network(point.m3d, point.network, point.pdk)
+        analytic_edp = (a2.runtime / a3.runtime) * (a2.energy / a3.energy)
+        misses.append(abs(analytic_edp / evaluate_spec(spec).edp_benefit
+                          - 1.0))
+    assert len(misses) == 36
+    assert 0.149 < max(misses) <= 0.150
+    assert sum(miss > 0.10 for miss in misses) == 9
+    assert all(miss < 0.20 for miss in misses)
+
+
 def test_analyze_network_rejects_oversized(pdk, baseline):
     from repro.workloads.models import vgg16
     with pytest.raises(ConfigurationError):

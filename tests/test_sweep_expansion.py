@@ -30,7 +30,7 @@ from repro.spec import (
     WorkloadSpec,
     field_paths,
 )
-from repro.spec.design import _SECTIONS
+from repro.spec.design import field_key
 from repro.spec.sweep import reset_duplicate_axis_warnings
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -83,7 +83,7 @@ def test_example_sweep_expansion_is_pinned():
 
 
 def _oracle_updated(spec: DesignSpec, changes) -> DesignSpec:
-    sections = dict(_SECTIONS)
+    sections = ("tech", "arch", "workload", "flow")
     for path, value in changes.items():
         section, _, name = str(path).partition(".")
         if section not in sections or not name:
@@ -150,13 +150,9 @@ _BASES = st.sampled_from((
 ))
 
 
-def _field(path: str) -> str:
-    return "arch.capacity_bits" if path == "arch.capacity_mb" else path
-
-
 @st.composite
 def _sweeps(draw):
-    paths = draw(st.lists(st.sampled_from(_PATHS), unique_by=_field,
+    paths = draw(st.lists(st.sampled_from(_PATHS), unique_by=field_key,
                           max_size=4))
     split = draw(st.integers(0, len(paths)))
     length = draw(st.integers(1, 3))
@@ -217,7 +213,7 @@ def test_expansion_matches_one_override_at_a_time(case):
 def _changes(draw):
     paths = draw(st.lists(
         st.sampled_from(_PATHS + ("arch.bogus", "nosuch.delta", "tech")),
-        unique_by=_field, max_size=5))
+        unique_by=field_key, max_size=5))
     return {path: draw(st.sampled_from(_VALUES.get(path, (1, "x"))))
             for path in paths}
 
