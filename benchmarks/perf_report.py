@@ -37,7 +37,7 @@ from repro.core.dse import joint_grid_sweep  # noqa: E402
 from repro.core.insights import sweep_rram_capacity  # noqa: E402
 from repro.runtime.engine import EvaluationEngine  # noqa: E402
 from repro.runtime.memo import reset_memoization, set_memoization  # noqa: E402
-from repro.runtime.serialize import (  # noqa: E402
+from repro.runtime.keys import (  # noqa: E402
     clear_fingerprint_cache,
     set_fingerprint_cache,
 )

@@ -37,12 +37,14 @@ which intermediate stages its neighbors already computed.
 
 All three honor :func:`repro.runtime.memo.set_memoization` and show up
 in :class:`~repro.runtime.engine.RunReport` memo stats.
+
+Packing encodes no keys.  Batched and scalar calls share one key
+encoder, :func:`repro.runtime.keys.call_key`; ``spec_call_key`` is that
+same function under the name the batch layer has always exported.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -55,16 +57,9 @@ from repro.arch.accelerator import (
 from repro.perf.layer_cost import DesignRow, LayerRow, layer_row
 from repro.perf.simulator import design_row
 from repro.runtime.cache import MISSING
-from repro.runtime.keys import call_key
+from repro.runtime.keys import call_key as spec_call_key
 from repro.runtime.memo import memo_table
-from repro.runtime.serialize import dumps, fingerprint_cache_enabled
-from repro.spec.design import (
-    ArchSpec,
-    DesignSpec,
-    FlowSpec,
-    TechSpec,
-    WorkloadSpec,
-)
+from repro.spec.design import DesignSpec, WorkloadSpec
 from repro.spec.resolve import build_workload, design_stage
 from repro.tech.pdk import PDK
 
@@ -74,7 +69,6 @@ __all__ = [
     "PackedPoint",
     "UnsupportedSpec",
     "WorkloadStage",
-    "clear_key_caches",
     "pack_point",
     "spec_call_key",
     "workload_stage",
@@ -200,126 +194,3 @@ def pack_point(spec: DesignSpec, base: PDK) -> PackedPoint:
             workload.batch),
         footprint=footprint,
     )
-
-
-# --- fast call keys ---------------------------------------------------------
-#
-# The engine's generic call_key canonicalizes the full call tree per call
-# (~100us on a DesignSpec).  evaluate_spec calls have a fixed shape, and
-# spec *sections* repeat heavily across a sweep, so the canonical text of
-# each section is cached by its values and only the outer wrappers are
-# assembled per call — producing byte-identical hashes, self-checked
-# against call_key on first use.
-
-_SECTION_TEXTS: dict = {}
-_SECTION_TEXTS_MAX = 65536
-_PDK_TEXTS: dict[int, tuple] = {}
-_FAST_KEY_STATE = {"checked": False, "ok": True}
-_SECTION_VERIFIED: set = set()
-
-_SPEC_PREFIX = ('{"__dataclass__":"repro.spec.design:DesignSpec",'
-                '"fields":{"arch":')
-
-
-def _encode_section(section) -> str:
-    """One-shot canonical text of a plain-leaf section dataclass.
-
-    Spec sections hold only int/float/str/None leaves, so a single
-    C-encoder ``json.dumps`` over the field dict reproduces the generic
-    serializer's canonical text (~20x faster per distinct section —
-    what keeps the fast key's cost flat on sweeps where an axis makes
-    every section distinct).  The first section of each type verifies
-    against :func:`~repro.runtime.serialize.dumps`; a mismatch pins
-    that type to the generic path permanently.
-    """
-    cls = type(section)
-    text = json.dumps(
-        {"__dataclass__": f"{cls.__module__}:{cls.__qualname__}",
-         "fields": {name: getattr(section, name)
-                    for name in section.__dataclass_fields__}},
-        sort_keys=True, separators=(",", ":"))
-    if cls not in _SECTION_VERIFIED:
-        generic = dumps(section)
-        _SECTION_VERIFIED.add(cls)
-        if text != generic:  # pragma: no cover - safety net
-            _SECTION_VERIFIED.discard(cls)
-            return generic
-    return text
-
-
-def _section_text(section) -> str:
-    if isinstance(section, TechSpec):
-        key = ("tech", section.delta, section.beta, section.memory)
-    elif isinstance(section, ArchSpec):
-        key = ("arch", section.capacity_bits, section.tier_pairs,
-               section.n_cs, section.baseline, section.cs,
-               section.precision_bits)
-    elif isinstance(section, FlowSpec):
-        key = ("flow", section.activity_cs, section.activity_channel,
-               section.activity_bus, section.frequency_mhz,
-               section.aspect_ratio, section.legalize, section.clock,
-               section.congestion, section.thermal, section.thermal_grid,
-               section.max_rise_k, section.max_power_density)
-    else:
-        key = ("workload", section.network, section.layer, section.batch)
-    text = _SECTION_TEXTS.get(key)
-    if text is None:
-        text = _encode_section(section)
-        if len(_SECTION_TEXTS) >= _SECTION_TEXTS_MAX:
-            _SECTION_TEXTS.clear()
-        _SECTION_TEXTS[key] = text
-    return text
-
-
-def _spec_text(spec: DesignSpec) -> str:
-    return (_SPEC_PREFIX + _section_text(spec.arch)
-            + ',"flow":' + _section_text(spec.flow)
-            + ',"tech":' + _section_text(spec.tech)
-            + ',"workload":' + _section_text(spec.workload) + "}}")
-
-
-def _pdk_text(pdk: PDK) -> str:
-    entry = _PDK_TEXTS.get(id(pdk))
-    if entry is None or entry[0] is not pdk:
-        entry = (pdk, dumps(pdk))
-        if len(_PDK_TEXTS) >= 64:
-            _PDK_TEXTS.clear()
-        _PDK_TEXTS[id(pdk)] = entry
-    return entry[1]
-
-
-def clear_key_caches() -> None:
-    """Drop the fast-key text caches (benchmarks' cold-state reset)."""
-    _SECTION_TEXTS.clear()
-    _PDK_TEXTS.clear()
-
-
-def spec_call_key(fn, args: tuple, kwargs: dict) -> str:
-    """Engine ``key_fn`` for ``evaluate_spec`` calls.
-
-    Byte-identical to :func:`repro.runtime.keys.call_key` (verified at
-    runtime on first use; permanent fallback to the generic key on any
-    mismatch), but assembled from value-cached section texts so a sweep
-    pays canonicalization once per distinct section, not once per spec.
-    Calls outside the ``(spec[, pdk])`` shape — and runs with the
-    fingerprint cache disabled, which benchmarks use to measure uncached
-    behavior — take the generic path.
-    """
-    if (kwargs or not 1 <= len(args) <= 2
-            or not isinstance(args[0], DesignSpec)
-            or not fingerprint_cache_enabled()):
-        return call_key(fn, args, kwargs)
-    parts = [_spec_text(args[0])]
-    if len(args) == 2:
-        if not isinstance(args[1], PDK):
-            return call_key(fn, args, kwargs)
-        parts.append(_pdk_text(args[1]))
-    name = f"{fn.__module__}.{fn.__qualname__}"
-    payload = f'["{name}",[' + ",".join(parts) + "],{}]"
-    key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if not _FAST_KEY_STATE["checked"]:
-        _FAST_KEY_STATE["checked"] = True
-        _FAST_KEY_STATE["ok"] = key == call_key(fn, args, kwargs)
-    if not _FAST_KEY_STATE["ok"]:
-        return call_key(fn, args, kwargs)
-    return key

@@ -33,7 +33,13 @@ from repro.runtime.engine import (
     default_engine,
     reset_default_engine,
 )
-from repro.runtime.keys import call_key, stable_key
+from repro.runtime.keys import (
+    call_key,
+    clear_fingerprint_cache,
+    fingerprint_cache_enabled,
+    set_fingerprint_cache,
+    stable_key,
+)
 from repro.runtime.memo import (
     CounterStats,
     MemoStats,
@@ -58,15 +64,7 @@ from repro.runtime.pmap import (
     pmap_outcomes,
     shutdown_pool,
 )
-from repro.runtime.serialize import (
-    clear_fingerprint_cache,
-    dumps,
-    fingerprint_cache_enabled,
-    from_jsonable,
-    loads,
-    set_fingerprint_cache,
-    to_jsonable,
-)
+from repro.runtime.serialize import dumps, from_jsonable, loads, to_jsonable
 
 __all__ = [
     "MISSING",

@@ -245,7 +245,6 @@ class EvaluationEngine:
     def map_batched(self, fn: Callable[..., Any], calls: Iterable[Any],
                     batch_fn: Callable[[list], list],
                     stage: str | None = None, dedup: bool = True,
-                    key_fn: Callable[..., str] | None = None,
                     on_error: str = "raise") -> list:
         """Like :meth:`map`, but cache-missing calls evaluate through one
         ``batch_fn(pending_calls)`` invocation instead of per-call
@@ -261,23 +260,18 @@ class EvaluationEngine:
         Cache keys, dedup behavior, stage counters and result ordering
         are identical to :meth:`map` with the same ``fn`` — a batched
         run warms exactly the cache entries a scalar run would, and
-        vice versa.  ``key_fn(fn, args, kwargs)`` optionally replaces
-        :func:`~repro.runtime.keys.call_key` with a faster
-        *key-identical* implementation; it must raise ``TypeError``
-        exactly when ``call_key`` would.
+        vice versa.
 
         With ``on_error="record"`` a batch-kernel exception falls back
         to supervised scalar dispatch, which isolates the failing
         point(s) instead of losing the whole chunk.
         """
         return self._map(fn, calls, stage=stage, jobs=None, dedup=dedup,
-                         executor=batch_fn, key_fn=key_fn,
-                         on_error=on_error)
+                         executor=batch_fn, on_error=on_error)
 
     def _map(self, fn: Callable[..., Any], calls: Iterable[Any],
              stage: str | None, jobs: int | None, dedup: bool,
              executor: "Callable[[list], list] | None" = None,
-             key_fn: "Callable[..., str] | None" = None,
              on_error: str = "raise") -> list:
         require(on_error in ("raise", "record"),
                 f"on_error must be 'raise' or 'record', got {on_error!r}")
@@ -294,8 +288,7 @@ class EvaluationEngine:
         map_span.__enter__()
         try:
             results = self._map_body(fn, specs, tally, jobs, dedup,
-                                     executor=executor, key_fn=key_fn,
-                                     on_error=on_error)
+                                     executor=executor, on_error=on_error)
         except BaseException:
             map_span.__exit__(None, None, None)
             raise
@@ -316,17 +309,15 @@ class EvaluationEngine:
                   specs: "list[tuple[tuple, dict]]", tally: "_MutableStage",
                   jobs: int | None, dedup: bool,
                   executor: "Callable[[list], list] | None" = None,
-                  key_fn: "Callable[..., str] | None" = None,
                   on_error: str = "raise") -> list:
         """The cache/dedup/evaluate core of :meth:`map`/:meth:`map_batched`."""
-        make_key = key_fn if key_fn is not None else call_key
         keys: list[str | None] = []
         for args, kwargs in specs:
             if self.cache is None and not dedup:
                 keys.append(None)
                 continue
             try:
-                keys.append(make_key(fn, args, kwargs))
+                keys.append(call_key(fn, args, kwargs))
             except TypeError:
                 keys.append(None)
 

@@ -495,11 +495,13 @@ class DesignSpec:
 
         Stable across processes and object identities — two specs with
         equal knobs share one fingerprint however they were built, which
-        is what makes spec-keyed caches survive a restart.
+        is what makes spec-keyed caches survive a restart.  The key is
+        ``stable_key("repro.spec.DesignSpec", self.to_jsonable())``,
+        built from the key encoder's value-cached section text.
         """
-        from repro.runtime.keys import stable_key
+        from repro.runtime.keys import plain_key
 
-        return stable_key("repro.spec.DesignSpec", self.to_jsonable())
+        return plain_key("repro.spec.DesignSpec", self)
 
     # --- derivation -------------------------------------------------------
 

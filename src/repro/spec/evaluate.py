@@ -281,11 +281,10 @@ def evaluate_specs(
         return tuple(engine.map(evaluate_spec, calls, stage="spec.evaluate",
                                 jobs=jobs))
     from repro.batch.kernel import BatchKernel
-    from repro.batch.pack import spec_call_key
 
     return tuple(engine.map_batched(
         evaluate_spec, calls, batch_fn=BatchKernel(pdk).evaluate_calls,
-        stage="spec.evaluate", key_fn=spec_call_key))
+        stage="spec.evaluate"))
 
 
 def format_spec_evaluations(

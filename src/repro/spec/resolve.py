@@ -23,8 +23,13 @@ Resolution is deterministic and simulation-free, and memoizes on the
 spec's content fingerprint plus the base PDK's content hash — *not* on
 object identity — so equal specs share work no matter where they came
 from, and the key scheme matches what the evaluation engine writes to
-disk.  Only the tech x CS stage below it keys on the base PDK's
-identity, so a sweep's shared PDK object skips content hashing there.
+disk.  Both come from the one key encoder (:mod:`repro.runtime.keys`):
+the fingerprint from value-cached section text, the PDK's hash from its
+identity cache, so neither re-walks the PDK on a hit.  Only the tech x
+CS stage below it keys on the base PDK's identity.  ``pdk=None`` means
+the shared default PDK object (:func:`~repro.tech.pdk.foundry_m3d_pdk`
+builds one per argument set), so every default resolve hits the same
+stage and hash entries.
 """
 
 from __future__ import annotations
@@ -123,9 +128,9 @@ def design_stage(base: PDK, tech: TechSpec, arch: ArchSpec) -> TechCSStage:
     """The tech x CS stage a (tech section, CS choice) denotes on ``base``.
 
     Keyed on the section *values* plus the base PDK's identity — every
-    spec of a sweep shares the base PDK object, so grids that only vary
-    capacity, tier, baseline or workload axes build it once, with no
-    content hashing on a hit.
+    spec of a sweep, and every ``pdk=None`` call, shares the base PDK
+    object, so grids that only vary capacity, tier, baseline or workload
+    axes build it once, with no content hashing on a hit.
     """
     cs_key = arch.cs if arch.cs == "case-study" \
         else (arch.cs, arch.precision_bits)
@@ -201,7 +206,8 @@ class ResolvedPoint:
 
 
 def resolve(spec: DesignSpec, pdk: PDK | None = None) -> ResolvedPoint:
-    """Resolve ``spec`` against ``pdk`` (default: the foundry M3D PDK).
+    """Resolve ``spec`` against ``pdk`` (default: the shared foundry M3D
+    PDK).
 
     Memoized on ``(spec.fingerprint(), content hash of pdk)`` — equal
     specs resolve once per process however and wherever they were built.

@@ -210,13 +210,11 @@ def stream_sweep(
     require(checkpoint_every >= 1, "checkpoint_every must be >= 1")
     engine = engine if engine is not None else default_engine()
     frontier = frontier if frontier is not None else ParetoFrontier()
-    kernel = key_fn = None
+    kernel = None
     if batch and not physical:
         from repro.batch.kernel import BatchKernel
-        from repro.batch.pack import spec_call_key
 
         kernel = BatchKernel(pdk)
-        key_fn = spec_call_key
     store: SweepCheckpoint | None
     if checkpoint is None or isinstance(checkpoint, SweepCheckpoint):
         store = checkpoint
@@ -303,8 +301,7 @@ def stream_sweep(
                             bounds = engine.map_batched(
                                 spec_bounds, spec_calls(chunk, pdk),
                                 batch_fn=kernel.bound_calls,
-                                stage="sweep.bounds", key_fn=key_fn,
-                                on_error=on_error)
+                                stage="sweep.bounds", on_error=on_error)
                         else:
                             bounds = engine.map(
                                 spec_bounds, spec_calls(chunk, pdk),
@@ -331,8 +328,7 @@ def stream_sweep(
                         raw = engine.map_batched(
                             evaluate_spec, spec_calls(survivors, pdk),
                             batch_fn=kernel.evaluate_calls,
-                            stage="sweep.evaluate", key_fn=key_fn,
-                            on_error=on_error)
+                            stage="sweep.evaluate", on_error=on_error)
                         evaluations, failures = split(survivors, raw)
                     else:
                         raw = engine.map(

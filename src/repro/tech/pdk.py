@@ -3,13 +3,15 @@
 :class:`PDK` collects everything the architecture, analytical, and physical
 design layers consume: the node, the tier stack, the two cell libraries, the
 RRAM bit-cell, the ILV model, and the SRAM macro density.  The factory
-:func:`foundry_m3d_pdk` produces our stand-in for the foundry 130 nm M3D PDK
-of [5] (see DESIGN.md for the substitution rationale).
+:func:`foundry_m3d_pdk` produces, once per argument set, our stand-in for
+the foundry 130 nm M3D PDK of [5] (see DESIGN.md for the substitution
+rationale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from repro.errors import require
 from repro.tech import constants
@@ -94,11 +96,18 @@ class PDK:
         return capacity_bits * self.sram_bitcell_area * (1.0 + overhead)
 
 
+@cache
 def foundry_m3d_pdk(
     node: TechnologyNode = NODE_130NM,
     cnfet_relative_drive: float = constants.CNFET_RELATIVE_DRIVE,
 ) -> PDK:
-    """Build the stand-in for the foundry 130 nm M3D PDK of [5]."""
+    """The stand-in for the foundry 130 nm M3D PDK of [5].
+
+    Built once per argument set: every ``pdk=None`` default shares one
+    object, so identity-keyed sharing (the key encoder's text cache, the
+    tech x CS stage memo, worker invariant shipping) holds across calls.
+    The PDK is frozen, and value objects are never mutated in place.
+    """
     return PDK(
         name=f"foundry_m3d_{node.name}",
         node=node,
