@@ -51,6 +51,7 @@ from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
 from repro.perf.layer_cost import ArrayOps, layer_cost
 from repro.runtime.cache import MISSING
+from repro.runtime.keys import stable_key
 from repro.runtime.memo import add_counts
 from repro.spec.design import DesignSpec
 from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
@@ -133,20 +134,12 @@ class BatchKernel:
     def __init__(self, pdk: PDK | None = None) -> None:
         self.pdk = pdk
         self.base = pdk if pdk is not None else foundry_m3d_pdk()
-        self._pdk_verdicts: dict[int, tuple] = {}
 
     def _accepts_pdk(self, pdk) -> bool:
-        """Whether a call's explicit PDK matches this kernel's base
-        (identity, or content equality cached per object)."""
-        if pdk is self.base or pdk is self.pdk:
-            return True
-        if not isinstance(pdk, PDK):
-            return False
-        verdict = self._pdk_verdicts.get(id(pdk))
-        if verdict is None or verdict[0] is not pdk:
-            verdict = (pdk, pdk == self.base)
-            self._pdk_verdicts[id(pdk)] = verdict
-        return verdict[1]
+        """Whether a call's explicit PDK is this kernel's base: the same
+        object, or the same content key (cached per object)."""
+        return pdk is self.base or pdk is self.pdk or (
+            isinstance(pdk, PDK) and stable_key(pdk) == stable_key(self.base))
 
     def evaluate_specs(
             self, specs: Sequence[DesignSpec]) -> "list[SpecEvaluation]":
