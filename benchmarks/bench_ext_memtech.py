@@ -2,13 +2,14 @@
 
 from _reporting import report_table
 
-from repro.experiments.ext_memtech import format_memtech, run_memtech
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.ext_memtech import format_memtech
+from repro.units import MEGABYTE
 
 
-def test_bench_ext_memory_technologies(benchmark):
-    pdk = foundry_m3d_pdk()
-    rows = benchmark(run_memtech, pdk)
+def test_bench_ext_memory_technologies(benchmark, ctx):
+    rows = benchmark(run_experiment, "ext-memtech", ctx,
+                     capacity_bits=64 * MEGABYTE)
     by_name = {row.technology.name: row for row in rows}
     # Sparser cells free more silicon -> more CSs; denser cells fewer.
     assert by_name["stt_mram"].n_cs > by_name["rram"].n_cs

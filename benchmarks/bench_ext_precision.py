@@ -2,13 +2,14 @@
 
 from _reporting import report_table
 
-from repro.experiments.ext_precision import format_precision, run_precision
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.ext_precision import format_precision
+from repro.units import MEGABYTE
 
 
-def test_bench_ext_precision(benchmark):
-    pdk = foundry_m3d_pdk()
-    rows = benchmark(run_precision, pdk)
+def test_bench_ext_precision(benchmark, ctx):
+    rows = benchmark(run_experiment, "ext-precision", ctx,
+                     capacity_bits=64 * MEGABYTE)
     by_bits = {row.precision_bits: row for row in rows}
     # 16-bit weights halve the effective capacity: fewer models fit.
     assert len(by_bits[16].models_fitting) < len(by_bits[8].models_fitting)

@@ -2,13 +2,12 @@
 
 from _reporting import report_table
 
-from repro.experiments.fig10 import format_fig10c, run_fig10c
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.fig10 import format_fig10c
 
 
-def test_bench_fig10c_fet_width(benchmark):
-    pdk = foundry_m3d_pdk()
-    results = benchmark(run_fig10c, pdk)
+def test_bench_fig10c_fet_width(benchmark, ctx):
+    results = benchmark(run_experiment, "fig10c", ctx)
     by_delta = {r.delta: r for r in results}
     assert abs(by_delta[1.6].edp_benefit - by_delta[1.0].edp_benefit) \
         < 0.05 * by_delta[1.0].edp_benefit

@@ -2,13 +2,12 @@
 
 from _reporting import report_table
 
-from repro.experiments.fig10 import format_fig10d, run_fig10d
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.fig10 import format_fig10d
 
 
-def test_bench_fig10d_tiers(benchmark):
-    pdk = foundry_m3d_pdk()
-    result = benchmark(run_fig10d, pdk)
+def test_bench_fig10d_tiers(benchmark, ctx):
+    result = benchmark(run_experiment, "fig10d", ctx)
     sweep = result.network_sweep
     assert sweep[1].edp_benefit > sweep[0].edp_benefit  # Y=2 beats Y=1
     assert result.parallel_layer_sweep[-1].edp_benefit > 15.0

@@ -2,12 +2,11 @@
 
 from _reporting import report_table
 
-from repro.experiments.fig7 import format_fig7, run_fig7
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.fig7 import format_fig7
 
 
-def test_bench_fig7_architectures(benchmark):
-    pdk = foundry_m3d_pdk()
-    rows = benchmark(run_fig7, pdk)
+def test_bench_fig7_architectures(benchmark, ctx):
+    rows = benchmark(run_experiment, "fig7", ctx)
     assert all(row.edp_disagreement < 0.10 for row in rows)
     report_table("fig7", format_fig7(rows))

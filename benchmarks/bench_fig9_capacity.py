@@ -2,13 +2,12 @@
 
 from _reporting import report_table
 
-from repro.experiments.fig9 import format_fig9, run_fig9
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.fig9 import format_fig9
 
 
-def test_bench_fig9_capacity(benchmark):
-    pdk = foundry_m3d_pdk()
-    points = benchmark(run_fig9, pdk)
+def test_bench_fig9_capacity(benchmark, ctx):
+    points = benchmark(run_experiment, "fig9", ctx)
     assert points[0].n_cs == 1
     assert points[-1].edp_benefit > 6.0
     report_table("fig9", format_fig9(points))

@@ -2,13 +2,14 @@
 
 from _reporting import report_table
 
-from repro.experiments.folding import format_folding, run_folding
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.folding import format_folding
+from repro.units import MEGABYTE
 
 
-def test_bench_folding_vs_architecture(benchmark):
-    pdk = foundry_m3d_pdk()
-    result = benchmark(run_folding, pdk)
+def test_bench_folding_vs_architecture(benchmark, ctx):
+    result = benchmark(run_experiment, "folding", ctx,
+                       capacity_bits=64 * MEGABYTE)
     # Folding alone lands in the prior-work band ([3-4]: ~1.1-1.4x)...
     assert 1.05 < result.folded_edp_benefit < 1.5
     # ...while the architectural design points deliver the paper's 5.7x.

@@ -2,13 +2,12 @@
 
 from _reporting import report_table
 
-from repro.experiments.fig10 import format_obs8, run_obs8
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import run_experiment
+from repro.experiments.fig10 import format_obs8
 
 
-def test_bench_obs8_via_pitch(benchmark):
-    pdk = foundry_m3d_pdk()
-    results = benchmark(run_obs8, pdk)
+def test_bench_obs8_via_pitch(benchmark, ctx):
+    results = benchmark(run_experiment, "obs8", ctx)
     by_beta = {r.beta: r for r in results}
     assert abs(by_beta[1.3].edp_benefit - by_beta[1.0].edp_benefit) \
         < 0.05 * by_beta[1.0].edp_benefit

@@ -15,6 +15,8 @@ import pytest
 
 from _reporting import TABLES
 
+from repro.experiments import ExperimentContext
+
 if importlib.util.find_spec("pytest_benchmark") is None:
     @pytest.fixture
     def benchmark():
@@ -27,6 +29,12 @@ if importlib.util.find_spec("pytest_benchmark") is None:
         def run(fn, *args, **kwargs):
             return fn(*args, **kwargs)
         return run
+
+
+@pytest.fixture(scope="session")
+def ctx():
+    """One experiment context (PDK, engine) shared by every benchmark."""
+    return ExperimentContext.create()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

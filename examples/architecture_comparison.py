@@ -6,14 +6,15 @@ ZigZag-style mapping DSE and (b) the analytical framework, printing both
 sets of benefits and their agreement (the paper reports <10%).
 """
 
-from repro.experiments.fig7 import arch_cs_area, arch_n_cs, format_fig7, run_fig7
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.fig7 import arch_cs_area, arch_n_cs, format_fig7
 from repro.arch.table2 import table_ii_architectures
-from repro.tech import foundry_m3d_pdk
 from repro.units import to_mm2
 
 
 def main() -> None:
-    pdk = foundry_m3d_pdk()
+    ctx = ExperimentContext.create()
+    pdk = ctx.pdk
 
     print("Table II architectures (all 1024 PEs, 256 MB RRAM):")
     for arch in table_ii_architectures():
@@ -23,7 +24,7 @@ def main() -> None:
               f"CS area {to_mm2(arch_cs_area(arch, pdk)):.1f} mm^2, "
               f"M3D N = {arch_n_cs(arch, pdk)}")
     print()
-    print(format_fig7(run_fig7(pdk)))
+    print(format_fig7(run_experiment("fig7", ctx)))
 
 
 if __name__ == "__main__":

@@ -11,30 +11,24 @@ Reproduces the four framework studies:
 plus the Fig. 8 bandwidth-vs-parallelism grids (Obs. 5).
 """
 
-from repro.experiments.fig8 import format_fig8, run_fig8
-from repro.experiments.fig9 import format_fig9, run_fig9
-from repro.experiments.fig10 import (
-    format_fig10c,
-    format_fig10d,
-    format_obs8,
-    run_fig10c,
-    run_fig10d,
-    run_obs8,
-)
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.fig8 import format_fig8
+from repro.experiments.fig9 import format_fig9
+from repro.experiments.fig10 import format_fig10c, format_fig10d, format_obs8
 
 
 def main() -> None:
-    pdk = foundry_m3d_pdk()
-    print(format_fig9(run_fig9(pdk)))
+    # One context for all five studies: they share its PDK and engine.
+    ctx = ExperimentContext.create()
+    print(format_fig9(run_experiment("fig9", ctx)))
     print()
-    print(format_fig10c(run_fig10c(pdk)))
+    print(format_fig10c(run_experiment("fig10c", ctx)))
     print()
-    print(format_obs8(run_obs8(pdk)))
+    print(format_obs8(run_experiment("obs8", ctx)))
     print()
-    print(format_fig10d(run_fig10d(pdk)))
+    print(format_fig10d(run_experiment("fig10d", ctx)))
     print()
-    print(format_fig8(run_fig8()))
+    print(format_fig8(run_experiment("fig8", ctx)))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ rediscovers the paper's rule of thumb.
 from repro.core.allocate import optimize_freed_silicon
 from repro.core.framework import Workload
 from repro.core.insights import reference_design_point
-from repro.experiments.ext_batching import format_batching, run_batching
-from repro.tech import foundry_m3d_pdk
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.ext_batching import format_batching
+from repro.units import MEGABYTE
 from repro.workloads import resnet18
 from repro.workloads.transformer import tiny_encoder
 
@@ -45,7 +46,9 @@ def main() -> None:
               f"wins)")
 
     print("\nAnd batching moves the encoder across the regimes:")
-    print(format_batching(run_batching(foundry_m3d_pdk())))
+    ctx = ExperimentContext.create()
+    print(format_batching(run_experiment("ext-batching", ctx,
+                                         capacity_bits=64 * MEGABYTE)))
 
 
 if __name__ == "__main__":

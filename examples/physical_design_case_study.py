@@ -8,15 +8,15 @@ iso footprint, 1 vs 8 computing sub-systems, achieved frequency at the
 in the upper tiers, ~+1% peak power density).
 """
 
-from repro.experiments.casestudy import format_case_study, run_case_study
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.casestudy import format_case_study
 from repro.experiments.reporting import percent
-from repro.tech import foundry_m3d_pdk
-from repro.units import to_mm2
+from repro.units import MEGABYTE, to_mm2
 
 
 def main() -> None:
-    pdk = foundry_m3d_pdk()
-    result = run_case_study(pdk)
+    ctx = ExperimentContext.create()
+    result = run_experiment("casestudy", ctx, capacity_bits=64 * MEGABYTE)
     print(format_case_study(result))
 
     m3d = result.m3d

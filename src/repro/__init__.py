@@ -100,7 +100,7 @@ from repro.spec import (
 from repro.sweep import run_streaming_sweep, stream_sweep
 from repro.serve import ReproServer, ServeClient, ServeError, ServerConfig
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ReproError",

@@ -1,11 +1,11 @@
 """Experiment drivers: one module per table/figure of the paper.
 
 Each driver registers its experiments with :mod:`repro.experiments.registry`
-(uniform ``run(ctx: ExperimentContext)`` entry points) and keeps thin
-``run_*`` shims for the legacy call signatures.  A ``format_*`` function
-renders the same rows/series the paper reports.  The CLI, the benchmark
-harness (``benchmarks/``) and the examples all resolve experiments through
-the registry.
+(uniform ``run(ctx: ExperimentContext)`` entry points, run by name through
+:func:`run_experiment`).  A ``format_*`` function renders the same
+rows/series the paper reports.  The CLI, the benchmark harness
+(``benchmarks/``), the examples and the tests all resolve experiments
+through the registry.
 
 | Paper artifact | Driver |
 |---|---|
@@ -32,29 +32,25 @@ from repro.experiments.registry import (
     registry_markdown,
     run_experiment,
 )
-from repro.experiments.casestudy import CaseStudyResult, format_case_study, run_case_study
-from repro.experiments.fig5 import Fig5Row, format_fig5, run_fig5
-from repro.experiments.table1 import Table1Row, format_table1, run_table1
-from repro.experiments.fig7 import Fig7Row, format_fig7, run_fig7
-from repro.experiments.fig8 import format_fig8, run_fig8
-from repro.experiments.fig9 import format_fig9, run_fig9
+from repro.experiments.casestudy import CaseStudyResult, format_case_study
+from repro.experiments.fig5 import Fig5Row, format_fig5
+from repro.experiments.table1 import Table1Row, format_table1
+from repro.experiments.fig7 import Fig7Row, format_fig7
+from repro.experiments.fig8 import format_fig8
+from repro.experiments.fig9 import format_fig9
 from repro.experiments.fig10 import (
     format_fig10c,
     format_fig10d,
     format_obs8,
     format_obs10,
-    run_fig10c,
-    run_fig10d,
-    run_obs8,
-    run_obs10,
 )
-from repro.experiments.obs3 import format_obs3, run_obs3
-from repro.experiments.ext_dse import format_dse, run_dse
-from repro.experiments.ext_memtech import format_memtech, run_memtech
-from repro.experiments.ext_beol_logic import format_beol_logic, run_beol_logic
-from repro.experiments.ext_precision import format_precision, run_precision
-from repro.experiments.ext_batching import format_batching, run_batching
-from repro.experiments.folding import format_folding, run_folding
+from repro.experiments.obs3 import format_obs3
+from repro.experiments.ext_dse import format_dse
+from repro.experiments.ext_memtech import format_memtech
+from repro.experiments.ext_beol_logic import format_beol_logic
+from repro.experiments.ext_precision import format_precision
+from repro.experiments.ext_batching import format_batching
+from repro.experiments.folding import format_folding
 from repro.experiments.reporting import format_run_report, format_table
 
 __all__ = [
@@ -67,42 +63,25 @@ __all__ = [
     "registry_markdown",
     "run_experiment",
     "CaseStudyResult",
-    "run_case_study",
     "format_case_study",
     "Fig5Row",
-    "run_fig5",
     "format_fig5",
     "Table1Row",
-    "run_table1",
     "format_table1",
     "Fig7Row",
-    "run_fig7",
     "format_fig7",
-    "run_fig8",
     "format_fig8",
-    "run_fig9",
     "format_fig9",
-    "run_fig10c",
     "format_fig10c",
-    "run_fig10d",
     "format_fig10d",
-    "run_obs8",
     "format_obs8",
-    "run_obs10",
     "format_obs10",
-    "run_obs3",
     "format_obs3",
-    "run_dse",
     "format_dse",
-    "run_memtech",
     "format_memtech",
-    "run_beol_logic",
     "format_beol_logic",
-    "run_precision",
     "format_precision",
-    "run_batching",
     "format_batching",
-    "run_folding",
     "format_folding",
     "format_run_report",
     "format_table",

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
 from repro.physical.flow import FlowResult, run_staged_flows
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
 from repro.units import MEGABYTE, to_mm2, to_mw
 
@@ -62,19 +56,6 @@ class CaseStudyResult:
     def upper_tier_fraction(self) -> float:
         """Fraction of M3D power in the BEOL tiers (Obs. 2: <1%)."""
         return self.m3d.power.upper_tier_fraction
-
-
-def run_case_study(
-    pdk: PDK | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> CaseStudyResult:
-    """Deprecated shim: builds a context for :func:`casestudy_experiment`."""
-    warn_deprecated_shim("run_case_study", "casestudy")
-    return casestudy_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        capacity_bits=capacity_bits)
 
 
 def format_case_study(result: CaseStudyResult) -> str:

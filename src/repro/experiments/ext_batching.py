@@ -18,18 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.design import ArchSpec, DesignSpec
 from repro.spec.resolve import build_workload, resolve
-from repro.units import MEGABYTE
 from repro.workloads.models import Network
 
 
@@ -77,21 +71,6 @@ def batching_row(
         energy_benefit=benefit.energy_benefit,
         edp_benefit=benefit.edp_benefit,
     )
-
-
-def run_batching(
-    pdk: PDK | None = None,
-    batches: tuple[int, ...] = (1, 4, 16, 64, 256),
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[BatchingRow, ...]:
-    """Deprecated shim: builds a context for :func:`batching_experiment`."""
-    warn_deprecated_shim("run_batching", "ext-batching")
-    return batching_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        batches=batches, network=network, capacity_bits=capacity_bits)
 
 
 @experiment("ext-batching", "Extension: transformer token batching",

@@ -22,17 +22,11 @@ from dataclasses import dataclass
 from repro.tech.pdk import PDK
 from repro.arch.accelerator import baseline_2d_design
 from repro.core.thermal import ThermalStack, temperature_rise
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE
 from repro.workloads.models import Network
 
 
@@ -89,21 +83,6 @@ class BEOLLogicResult:
     upper_tier_power_fraction: float
     temperature_rise: float
     thermal_ok: bool
-
-
-def run_beol_logic(
-    pdk: PDK | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    network: Network | None = None,
-    stack: ThermalStack | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> BEOLLogicResult:
-    """Deprecated shim: builds a context for :func:`beol_logic_experiment`."""
-    warn_deprecated_shim("run_beol_logic", "ext-beol-logic")
-    return beol_logic_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        capacity_bits=capacity_bits, network=network, stack=stack)
 
 
 @experiment("ext-beol-logic", "Extension: CSs in the BEOL CNFET tier",

@@ -13,27 +13,12 @@ result cache outright (see ``repro dse --profile``).
 from __future__ import annotations
 
 from repro.core.dse import joint_grid_sweep
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.evaluate import SpecEvaluation
 from repro.sweep.pareto import ParetoFrontier
 from repro.sweep.stream import run_streaming_sweep
-from repro.tech.pdk import PDK
 from repro.units import MEGABYTE, to_mm2
-
-
-def run_dse(pdk: PDK | None = None,
-            engine: EvaluationEngine | None = None,
-            jobs: int | None = None) -> tuple[SpecEvaluation, ...]:
-    """Deprecated shim: builds a context for :func:`dse_experiment`."""
-    warn_deprecated_shim("run_dse", "dse")
-    return dse_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs))
 
 
 def format_dse(evaluations: tuple[SpecEvaluation, ...]) -> str:

@@ -24,18 +24,13 @@ from dataclasses import dataclass
 
 from repro.tech.memories import MemoryTechnology, beol_technologies
 from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.design import ArchSpec, DesignSpec, TechSpec
 from repro.spec.resolve import build_workload, resolve
-from repro.units import MEGABYTE, to_mm2
+from repro.units import to_mm2
 from repro.workloads.models import Network
 
 
@@ -85,20 +80,6 @@ def memtech_row(
         energy_benefit=benefit.energy_benefit,
         edp_benefit=benefit.edp_benefit,
     )
-
-
-def run_memtech(
-    pdk: PDK | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    network: Network | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[MemTechRow, ...]:
-    """Deprecated shim: builds a context for :func:`memtech_experiment`."""
-    warn_deprecated_shim("run_memtech", "ext-memtech")
-    return memtech_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        capacity_bits=capacity_bits, network=network)
 
 
 @experiment("ext-memtech", "Extension: BEOL memory technologies",

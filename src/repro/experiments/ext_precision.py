@@ -13,18 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.design import ArchSpec, DesignSpec
 from repro.spec.resolve import build_workload, resolve
-from repro.units import MEGABYTE
 from repro.workloads.models import Network, available_networks, build_network
 
 
@@ -73,21 +67,6 @@ def precision_row(
         energy_benefit=benefit.energy_benefit,
         edp_benefit=benefit.edp_benefit,
     )
-
-
-def run_precision(
-    pdk: PDK | None = None,
-    precisions: tuple[int, ...] = (4, 8, 16),
-    capacity_bits: int = 64 * MEGABYTE,
-    network: Network | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[PrecisionRow, ...]:
-    """Deprecated shim: builds a context for :func:`precision_experiment`."""
-    warn_deprecated_shim("run_precision", "ext-precision")
-    return precision_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        precisions=precisions, capacity_bits=capacity_bits, network=network)
 
 
 @experiment("ext-precision", "Extension: operand precision sweep",

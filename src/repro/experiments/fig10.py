@@ -1,13 +1,13 @@
 """Fig. 10 and Obs. 7-10: FET-width, via-pitch, tier-count, thermal studies.
 
-* :func:`run_fig10c` — Case 1 (Obs. 7): EDP benefit vs BEOL access-FET
+* :func:`fig10c_experiment` — Case 1 (Obs. 7): EDP benefit vs BEOL access-FET
   width relaxation delta (paper: flat to 1.6x, small benefits to 2.5x).
-* :func:`run_obs8` — Case 2 (Obs. 8): EDP benefit vs ILV pitch beta
+* :func:`obs8_experiment` — Case 2 (Obs. 8): EDP benefit vs ILV pitch beta
   (paper: unchanged to 1.3x, limited-to-none at 1.6x+).
-* :func:`run_fig10d` — Case 3 (Obs. 9): EDP benefit vs interleaved tier
+* :func:`fig10d_experiment` — Case 3 (Obs. 9): EDP benefit vs interleaved tier
   pairs (paper: 5.7 -> 6.9 -> plateau ~7.1 for ResNet-18; a highly
   parallel single layer approaches ~23x).
-* :func:`run_obs10` — Eq. 17 (Obs. 10): maximum tier pairs inside a 60 K
+* :func:`obs10_experiment` — Eq. 17 (Obs. 10): maximum tier pairs inside a 60 K
   budget for representative per-tier powers.
 """
 
@@ -19,25 +19,9 @@ from repro.core.multitier import MultiTierResult, sweep_tiers
 from repro.core.relaxed_fet import RelaxedFETResult, sweep_fet_width
 from repro.core.thermal import ThermalStack, max_tier_pairs, temperature_rise
 from repro.core.via_pitch import ViaPitchResult, sweep_via_pitch
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import build_workload
-from repro.tech.pdk import PDK
-
-
-def run_fig10c(pdk: PDK | None = None,
-               engine: EvaluationEngine | None = None,
-               jobs: int | None = None,
-               ) -> tuple[RelaxedFETResult, ...]:
-    """Deprecated shim: builds a context for :func:`fig10c_experiment`."""
-    warn_deprecated_shim("run_fig10c", "fig10c")
-    return fig10c_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs))
 
 
 def format_fig10c(results: tuple[RelaxedFETResult, ...]) -> str:
@@ -64,16 +48,6 @@ def fig10c_experiment(ctx: ExperimentContext) -> tuple[RelaxedFETResult, ...]:
                            network=build_workload(spec.workload),
                            capacity_bits=spec.arch.capacity_bits,
                            engine=ctx.engine, jobs=ctx.jobs)
-
-
-def run_obs8(pdk: PDK | None = None,
-             engine: EvaluationEngine | None = None,
-             jobs: int | None = None,
-             ) -> tuple[ViaPitchResult, ...]:
-    """Deprecated shim: builds a context for :func:`obs8_experiment`."""
-    warn_deprecated_shim("run_obs8", "obs8")
-    return obs8_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs))
 
 
 def format_obs8(results: tuple[ViaPitchResult, ...]) -> str:
@@ -112,16 +86,6 @@ class Fig10dResult:
 
     network_sweep: tuple[MultiTierResult, ...]
     parallel_layer_sweep: tuple[MultiTierResult, ...]
-
-
-def run_fig10d(pdk: PDK | None = None, max_pairs: int = 6,
-               engine: EvaluationEngine | None = None,
-               jobs: int | None = None) -> Fig10dResult:
-    """Deprecated shim: builds a context for :func:`fig10d_experiment`."""
-    warn_deprecated_shim("run_fig10d", "fig10d")
-    return fig10d_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        max_pairs=max_pairs)
 
 
 def format_fig10d(result: Fig10dResult) -> str:
@@ -181,30 +145,6 @@ class Obs10Row:
     rise_at_max: float
 
 
-def run_obs10(
-    powers: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
-    stack: ThermalStack | None = None,
-) -> tuple[Obs10Row, ...]:
-    """Deprecated shim for :func:`obs10_experiment`."""
-    warn_deprecated_shim("run_obs10", "obs10")
-    return _obs10_rows(powers, stack)
-
-
-def _obs10_rows(
-    powers: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
-    stack: ThermalStack | None = None,
-) -> tuple[Obs10Row, ...]:
-    """Obs. 10: tier ceiling vs per-tier power at HPC-class dissipation."""
-    stack = stack if stack is not None else ThermalStack()
-    rows: list[Obs10Row] = []
-    for power in powers:
-        pairs = max_tier_pairs(power, stack)
-        rise = temperature_rise([power] * pairs, stack) if pairs else float("inf")
-        rows.append(Obs10Row(power_per_pair=power, max_pairs=pairs,
-                             rise_at_max=rise))
-    return tuple(rows)
-
-
 def format_obs10(rows: tuple[Obs10Row, ...]) -> str:
     """Render the Obs. 10 ceiling table."""
     table_rows = [
@@ -221,6 +161,20 @@ def format_obs10(rows: tuple[Obs10Row, ...]) -> str:
 
 
 @experiment("obs10", "Obs. 10: thermal tier ceiling", formatter=format_obs10)
-def obs10_experiment(ctx: ExperimentContext) -> tuple[Obs10Row, ...]:
-    """Obs. 10 is analytical (Eq. 17 only) — the context is unused."""
-    return _obs10_rows()
+def obs10_experiment(
+    ctx: ExperimentContext,
+    powers: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
+    stack: ThermalStack | None = None,
+) -> tuple[Obs10Row, ...]:
+    """Obs. 10: tier ceiling vs per-tier power at HPC-class dissipation.
+
+    Obs. 10 is analytical (Eq. 17 only) — the context is unused.
+    """
+    stack = stack if stack is not None else ThermalStack()
+    rows: list[Obs10Row] = []
+    for power in powers:
+        pairs = max_tier_pairs(power, stack)
+        rise = temperature_rise([power] * pairs, stack) if pairs else float("inf")
+        rows.append(Obs10Row(power_per_pair=power, max_pairs=pairs,
+                             rise_at_max=rise))
+    return tuple(rows)

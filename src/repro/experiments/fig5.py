@@ -11,18 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE
 from repro.workloads.models import build_network
 
 #: The Fig. 5 model set (vgg16c substitutes VGG-16; see module docstring).
@@ -46,20 +39,6 @@ class Fig5Row:
     speedup: float
     energy_benefit: float
     edp_benefit: float
-
-
-def run_fig5(
-    pdk: PDK | None = None,
-    networks: tuple[str, ...] = FIG5_NETWORKS,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[Fig5Row, ...]:
-    """Deprecated shim: builds a context for :func:`fig5_experiment`."""
-    warn_deprecated_shim("run_fig5", "fig5")
-    return fig5_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        networks=networks, capacity_bits=capacity_bits)
 
 
 def format_fig5(rows: tuple[Fig5Row, ...]) -> str:

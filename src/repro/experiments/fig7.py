@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.tech import constants
-from repro.tech.pdk import PDK, foundry_m3d_pdk
+from repro.tech.pdk import PDK
 from repro.tech.rram import RRAMArray
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
@@ -31,13 +31,8 @@ from repro.arch.accelerator import (
     peripheral_area,
 )
 from repro.arch.table2 import ArchitectureSpec, table_ii_architectures
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
-from repro.runtime.engine import EvaluationEngine
 from repro.mapper.cost import CostModel
 from repro.mapper.engine import MapperEngine, arch_static_power
 from repro.mapper.loopnest import loop_nest_of
@@ -159,20 +154,6 @@ class Fig7Row:
     def edp_disagreement(self) -> float:
         """|analytic - mapper| / mapper on the EDP benefit (paper: <10%)."""
         return abs(self.analytic_edp - self.mapper_edp) / self.mapper_edp
-
-
-def run_fig7(
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[Fig7Row, ...]:
-    """Deprecated shim: builds a context for :func:`fig7_experiment`."""
-    warn_deprecated_shim("run_fig7", "fig7")
-    return fig7_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        network=network, frequency_hz=frequency_hz)
 
 
 @experiment("fig7", "Fig. 7: Table II architectures, two evaluators",

@@ -19,11 +19,7 @@ from repro.core.insights import (
     obs5_memory_bound_ratio,
     sweep_bandwidth_vs_cs,
 )
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 
 
@@ -43,22 +39,6 @@ class Fig8Result:
     memory_bound: tuple[BandwidthCSPoint, ...]
     compute_bound_doubling: float
     memory_bound_rebalance: float
-
-
-def _fig8_result() -> Fig8Result:
-    """Produce both Fig. 8 grids and the Obs. 5 ratios."""
-    return Fig8Result(
-        compute_bound=sweep_bandwidth_vs_cs(intensity_ops_per_bit=16.0),
-        memory_bound=sweep_bandwidth_vs_cs(intensity_ops_per_bit=1.0 / 16.0),
-        compute_bound_doubling=obs5_compute_bound_ratio(),
-        memory_bound_rebalance=obs5_memory_bound_ratio(),
-    )
-
-
-def run_fig8() -> Fig8Result:
-    """Deprecated shim for :func:`fig8_experiment`."""
-    warn_deprecated_shim("run_fig8", "fig8")
-    return _fig8_result()
 
 
 def _grid_table(title: str, grid: tuple[BandwidthCSPoint, ...]) -> str:
@@ -93,5 +73,13 @@ def format_fig8(result: Fig8Result) -> str:
 @experiment("fig8", "Fig. 8 / Obs. 5: bandwidth vs CS count",
             formatter=format_fig8)
 def fig8_experiment(ctx: ExperimentContext) -> Fig8Result:
-    """Fig. 8 is analytical (abstract workloads) — the context is unused."""
-    return _fig8_result()
+    """Both Fig. 8 grids and the Obs. 5 ratios.
+
+    Fig. 8 is analytical (abstract workloads) — the context is unused.
+    """
+    return Fig8Result(
+        compute_bound=sweep_bandwidth_vs_cs(intensity_ops_per_bit=16.0),
+        memory_bound=sweep_bandwidth_vs_cs(intensity_ops_per_bit=1.0 / 16.0),
+        compute_bound_doubling=obs5_compute_bound_ratio(),
+        memory_bound_rebalance=obs5_memory_bound_ratio(),
+    )

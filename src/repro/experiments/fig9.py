@@ -9,15 +9,9 @@ paper reports 1x at 12 MB rising to 6.8x at 128 MB.
 from __future__ import annotations
 
 from repro.core.insights import CapacityPoint, sweep_rram_capacity
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import build_workload
-from repro.tech.pdk import PDK
 
 
 def format_fig9(points: tuple[CapacityPoint, ...]) -> str:
@@ -45,10 +39,3 @@ def fig9_experiment(ctx: ExperimentContext) -> tuple[CapacityPoint, ...]:
                                engine=ctx.engine, jobs=ctx.jobs)
 
 
-def run_fig9(pdk: PDK | None = None,
-             engine: EvaluationEngine | None = None,
-             jobs: int | None = None) -> tuple[CapacityPoint, ...]:
-    """Deprecated shim: builds a context for :func:`fig9_experiment`."""
-    warn_deprecated_shim("run_fig9", "fig9")
-    return fig9_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs))

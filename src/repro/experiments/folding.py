@@ -21,19 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
 from repro.physical.flow import run_staged_flow
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE, to_mm2
+from repro.units import to_mm2
 from repro.workloads.models import Network
 
 #: Fraction of chip dynamic energy in interconnect at this node class.
@@ -73,20 +67,6 @@ class FoldingResult:
     def architectural_advantage(self) -> float:
         """How much the new design points add over folding alone."""
         return self.architectural_edp_benefit / self.folded_edp_benefit
-
-
-def run_folding(
-    pdk: PDK | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    network: Network | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> FoldingResult:
-    """Deprecated shim: builds a context for :func:`folding_experiment`."""
-    warn_deprecated_shim("run_folding", "folding")
-    return folding_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        capacity_bits=capacity_bits, network=network)
 
 
 @experiment("folding", "Prior-work contrast: folding-only M3D",

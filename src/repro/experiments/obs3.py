@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
 from repro.arch.accelerator import derive_parallel_cs_count, peripheral_area
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE
 from repro.workloads.models import Network
 
 
@@ -43,22 +36,6 @@ class Obs3Row:
     n_cs: int
     speedup: float
     edp_benefit: float
-
-
-def run_obs3(
-    pdk: PDK | None = None,
-    density_ratios: tuple[float, ...] = (1.0, 1.5, 2.0),
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[Obs3Row, ...]:
-    """Deprecated shim: builds a context for :func:`obs3_experiment`."""
-    warn_deprecated_shim("run_obs3", "obs3")
-    return obs3_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        density_ratios=density_ratios, network=network,
-        capacity_bits=capacity_bits)
 
 
 def format_obs3(rows: tuple[Obs3Row, ...]) -> str:

@@ -12,11 +12,10 @@ The registered function is the *uniform* entry point: it takes an
 :class:`ExperimentContext` carrying the shared PDK, evaluation engine,
 worker count, and (optionally) the active tracer, plus whatever
 experiment-specific knobs the module defines as keyword defaults.  The
-CLI dispatches through :func:`run_experiment`; the historical
-``run_<name>(pdk, ...)`` functions survive as thin shims that build a
-context and delegate (see each experiment module) — they are
-**deprecated** (each emits :func:`warn_deprecated_shim`'s
-``DeprecationWarning``) and will be removed in v2.0 (DESIGN.md Sec. 12).
+CLI, the benchmarks, the examples and the tests all run experiments
+through :func:`run_experiment`.  The per-module ``run_<name>(pdk, ...)``
+shims that predated the registry were removed in v2.0 (DESIGN.md
+Sec. 12).
 
 Importing :mod:`repro.experiments` populates the registry — the package
 ``__init__`` imports every experiment module, so registration order (and
@@ -25,33 +24,11 @@ hence CLI listing order) is the package's import order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.obs.trace import Tracer, current_tracer, span as _span
 from repro.runtime.engine import EvaluationEngine, default_engine
-
-
-def warn_deprecated_shim(shim: str, name: str) -> None:
-    """Emit the removal warning for a legacy ``run_*`` convenience shim.
-
-    The shims predate the registry and build a throwaway context per
-    call, so nothing — result cache, memo tables, tracer — is shared
-    across experiments.  They are slated for removal in v2.0 (DESIGN.md
-    Sec. 12); ``run_experiment(name, ctx)`` or the registered
-    ``*_experiment(ctx, ...)`` driver with one shared
-    :class:`ExperimentContext` is the supported path.
-
-    ``stacklevel=3`` attributes the warning to the shim's caller
-    (helper -> shim -> caller), so the deprecation points at the code
-    that needs migrating.
-    """
-    warnings.warn(
-        f"{shim}() is deprecated and will be removed in v2.0; use "
-        f"run_experiment({name!r}, ctx) or the registry driver for "
-        f"{name!r} with a shared ExperimentContext",
-        DeprecationWarning, stacklevel=3)
 from repro.spec.design import DesignSpec
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
@@ -105,8 +82,7 @@ class ExperimentContext:
 
         ``pdk`` defaults to :func:`repro.tech.pdk.foundry_m3d_pdk`,
         ``engine`` to the process-wide default engine, and ``tracer`` to
-        the context-locally active one.  This is what the legacy
-        ``run_*`` shims call with their historical arguments.
+        the context-locally active one.
         """
         return cls(
             pdk=pdk if pdk is not None else foundry_m3d_pdk(),
@@ -192,11 +168,6 @@ def all_experiments() -> tuple[Experiment, ...]:
 def experiment_names() -> tuple[str, ...]:
     """Registered names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def iter_experiments() -> Iterator[Experiment]:
-    """Iterate registered experiments in registration order."""
-    return iter(_REGISTRY.values())
 
 
 def run_experiment(name: str, ctx: ExperimentContext | None = None,

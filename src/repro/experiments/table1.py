@@ -9,18 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
-from repro.experiments.registry import (
-    ExperimentContext,
-    experiment,
-    warn_deprecated_shim,
-)
+from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE
 from repro.workloads.layers import LayerKind
 
 #: Paper Table I values (speedup, energy, EDP) for cross-reference.
@@ -66,19 +59,6 @@ class Table1Row:
     energy_benefit: float
     edp_benefit: float
     paper_speedup: float | None
-
-
-def run_table1(
-    pdk: PDK | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[Table1Row, ...]:
-    """Deprecated shim: builds a context for :func:`table1_experiment`."""
-    warn_deprecated_shim("run_table1", "table1")
-    return table1_experiment(
-        ExperimentContext.create(pdk=pdk, engine=engine, jobs=jobs),
-        capacity_bits=capacity_bits)
 
 
 @experiment("table1", "Table I: per-layer ResNet-18 benefits",
@@ -136,12 +116,6 @@ def table1_experiment(
         sum(b.baseline.energy for b in conv_pool),
         sum(b.m3d.energy for b in conv_pool))
     return tuple(rows)
-
-
-def run_table1_total(pdk: PDK | None = None) -> Table1Row:
-    """Deprecated shim: just the Table I total row (5.64x / 0.99x / 5.66x)."""
-    warn_deprecated_shim("run_table1_total", "table1")
-    return table1_experiment(ExperimentContext.create(pdk=pdk))[-1]
 
 
 def format_table1(rows: tuple[Table1Row, ...]) -> str:

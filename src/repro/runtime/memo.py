@@ -18,8 +18,9 @@ golden-value suite holds memoized runs to the same 1e-9 tolerance as the
 seed implementation.  DESIGN.md documents each fingerprint.
 
 All tables honour one global switch (:func:`set_memoization`), so the
-pre-memoization behaviour remains available for benchmarking
-(``benchmarks/perf_report.py``) and for differential tests.
+pre-memoization behaviour remains available for benchmarking (the
+legacy arm of ``benchmarks/bench_speedup_floors.py``) and for
+differential tests.
 
 Named counters (:func:`add_counts` / :func:`counter_stats`) record
 non-cache search statistics — e.g. how many tilings the branch-and-bound

@@ -2,15 +2,15 @@
 
 The server speaks plain HTTP/1.1, so any client works — ``curl`` is the
 documented interface (README "Serving").  This module exists so the
-*bundled* consumers (the load generator in ``benchmarks/bench_serve.py``
-and the failure-mode tests) exercise the real wire protocol through one
-shared, dependency-free implementation instead of three ad-hoc socket
-parsers.
+*bundled* consumers (perfbench's ``serve-eval`` load generator, the
+burst tests and the failure-mode tests) exercise the real wire protocol
+through one shared, dependency-free implementation instead of three
+ad-hoc socket parsers.
 
 :class:`ServeClient` opens one connection per call — deliberately, since
-measuring the server under thousands of independent clients is the
-benchmark's whole point.  Errors surface as :class:`ServeError`, carrying
-the HTTP status and the decoded error envelope.
+a burst of many independent clients is what the load and burst tests put
+on the server.  Errors surface as :class:`ServeError`, carrying the HTTP
+status and the decoded error envelope.
 """
 
 from __future__ import annotations

@@ -414,8 +414,8 @@ def run_streaming_sweep(
 
     ``collect=False`` drops per-point results as chunks complete —
     memory then holds one chunk plus the frontier, which is what lets a
-    100k-point sweep run in bounded RSS
-    (``benchmarks/bench_streaming_sweep.py`` measures exactly this).
+    100k-point sweep run in bounded RSS (perfbench's ``peak_rss_mb``
+    tracks it on the ``sweep-batch`` workload).
     ``batch=True`` evaluates each chunk through the vectorized kernel.
     ``physical=True`` adds the staged physical flow per point and keeps
     infeasible points out of the frontier (they stay in the results,

@@ -2,7 +2,9 @@
 
 Session-scoped where construction is pure and reused heavily (the PDK and
 the case-study design pair) — everything exposed here is immutable
-(frozen dataclasses), so sharing across tests is safe.
+(frozen dataclasses), so sharing across tests is safe.  The one exception
+is the experiment context: its engine is the process-wide default engine,
+which every experiment run shares anyway.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import pytest
 
 from repro.tech import foundry_m3d_pdk
 from repro.arch import baseline_2d_design, m3d_design
+from repro.experiments import ExperimentContext
 from repro.perf import compare_designs, simulate
 from repro.workloads import resnet18
 
@@ -19,6 +22,12 @@ from repro.workloads import resnet18
 def pdk():
     """The foundry M3D PDK stand-in."""
     return foundry_m3d_pdk()
+
+
+@pytest.fixture(scope="session")
+def ctx(pdk):
+    """One experiment context (PDK, engine) shared by every experiment run."""
+    return ExperimentContext.create(pdk=pdk)
 
 
 @pytest.fixture(scope="session")

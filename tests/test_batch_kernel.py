@@ -69,6 +69,27 @@ def _grid_specs() -> list[DesignSpec]:
     ]
 
 
+def _scaled_grid_specs() -> list[DesignSpec]:
+    """The joint grid at 1,008 points: the grid whose cold batch speedup
+    ``benchmarks/bench_speedup_floors.py`` holds to 50x."""
+    return [
+        DesignSpec(
+            tech=TechSpec(delta=delta, beta=beta),
+            arch=ArchSpec(capacity_bits=int((12 + 4.0 * i) * MEGABYTE),
+                          tier_pairs=pairs),
+        )
+        for i in range(28)
+        for delta in (1.0, 1.6, 2.0)
+        for beta in (1.0, 1.15, 1.3)
+        for pairs in (1, 2, 3, 4)
+    ]
+
+
+def _batch_counter(name: str) -> int:
+    stats = next((c for c in counter_stats() if c.name == "batch"), None)
+    return dict(stats.values).get(name, 0) if stats is not None else 0
+
+
 EDGE_SPECS = [
     DesignSpec(),
     DesignSpec(tech=TechSpec(memory="stt_mram")),
@@ -113,13 +134,22 @@ def test_scalar_path_is_bit_identical_to_direct_pipeline():
 
 
 def test_dse_grid_parity():
-    specs = _grid_specs()
-    scalar = evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
-    batched = evaluate_specs(specs, engine=EvaluationEngine(jobs=1),
-                             batch=True)
-    assert len(batched) == len(scalar) == len(specs)
-    for b, s in zip(batched, scalar):
-        _assert_close(b, s)
+    """On the joint grid and the 1,008-point scaled grid the batch path
+    agrees with the scalar path within 1e-9, falls back to scalar for no
+    point, and a warm batch re-run evaluates nothing."""
+    for specs in (_grid_specs(), _scaled_grid_specs()):
+        scalar = evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
+        engine = EvaluationEngine(jobs=1)
+        fallbacks = _batch_counter("fallback_scalar")
+        batched = evaluate_specs(specs, engine=engine, batch=True)
+        assert _batch_counter("fallback_scalar") == fallbacks
+        assert len(batched) == len(scalar) == len(specs)
+        for b, s in zip(batched, scalar):
+            _assert_close(b, s)
+        assert evaluate_specs(specs, engine=engine, batch=True) == batched
+        stage = engine.report().stage("spec.evaluate")
+        assert stage.evaluated == len(specs)
+        assert stage.cache_hits == len(specs)
 
 
 def test_edge_spec_parity():

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.core.allocate import Allocation, optimize_freed_silicon
 from repro.core.framework import Workload
 from repro.core.insights import reference_design_point
-from repro.experiments.ext_batching import run_batching
+from repro.experiments import run_experiment
 from repro.perf.simulator import AcceleratorSimulator, simulate
 from repro.units import MEGABYTE
 from repro.workloads.layers import FCLayer
@@ -99,8 +99,9 @@ def test_invalid_batch_rejected(pdk, m3d):
         AcceleratorSimulator(m3d, pdk, batch=0)
 
 
-def test_batching_study_rows(pdk):
-    rows = run_batching(pdk, batches=(1, 16))
+def test_batching_study_rows(ctx):
+    rows = run_experiment("ext-batching", ctx, batches=(1, 16),
+                          capacity_bits=64 * MEGABYTE)
     assert rows[0].utilization_2d < 0.1
     assert rows[1].utilization_2d > 2 * rows[0].utilization_2d
     assert all(row.speedup > 6.0 for row in rows)

@@ -13,18 +13,10 @@ from repro.experiments import (
     format_obs8,
     format_obs10,
     format_table1,
-    run_case_study,
-    run_fig5,
-    run_fig8,
-    run_fig9,
-    run_fig10c,
-    run_fig10d,
-    run_obs3,
-    run_obs8,
-    run_obs10,
-    run_table1,
+    run_experiment,
 )
 from repro.experiments.reporting import format_table, percent, times
+from repro.units import MEGABYTE
 
 
 # --- reporting helpers ---------------------------------------------------------
@@ -55,8 +47,8 @@ def test_percent_formatting():
 # --- drivers -----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def case_study(pdk):
-    return run_case_study(pdk)
+def case_study(ctx):
+    return run_experiment("casestudy", ctx, capacity_bits=64 * MEGABYTE)
 
 
 def test_case_study_headlines(case_study):
@@ -73,15 +65,15 @@ def test_case_study_format(case_study):
     assert "iso-footprint: True" in text
 
 
-def test_fig5_rows(pdk):
-    rows = run_fig5(pdk)
+def test_fig5_rows(ctx):
+    rows = run_experiment("fig5", ctx, capacity_bits=64 * MEGABYTE)
     assert len(rows) == 6
     text = format_fig5(rows)
     assert "resnet18" in text and "EDP benefit range" in text
 
 
-def test_table1_rows_and_total(pdk):
-    rows = run_table1(pdk)
+def test_table1_rows_and_total(ctx):
+    rows = run_experiment("table1", ctx, capacity_bits=64 * MEGABYTE)
     assert rows[0].name == "CONV1+POOL"
     assert rows[-1].name == "Total"
     assert len(rows) == 21  # merged stem + 19 conv/DS rows + total
@@ -89,49 +81,49 @@ def test_table1_rows_and_total(pdk):
     assert "paper speedup" in text
 
 
-def test_table1_total_matches_paper(pdk):
-    total = run_table1(pdk)[-1]
+def test_table1_total_matches_paper(ctx):
+    total = run_experiment("table1", ctx, capacity_bits=64 * MEGABYTE)[-1]
     assert total.speedup == pytest.approx(5.64, rel=0.05)
     assert total.edp_benefit == pytest.approx(5.66, rel=0.05)
 
 
-def test_fig8_result(pdk):
-    result = run_fig8()
+def test_fig8_result(ctx):
+    result = run_experiment("fig8", ctx)
     assert result.compute_bound_doubling == pytest.approx(2.1, rel=0.1)
     assert result.memory_bound_rebalance == pytest.approx(2.1, rel=0.1)
     text = format_fig8(result)
     assert "Fig. 8a" in text and "Fig. 8b" in text
 
 
-def test_fig9_series(pdk):
-    points = run_fig9(pdk)
+def test_fig9_series(ctx):
+    points = run_experiment("fig9", ctx)
     text = format_fig9(points)
     assert "12 MB" in text and "128 MB" in text
 
 
-def test_fig10c_series(pdk):
-    results = run_fig10c(pdk)
+def test_fig10c_series(ctx):
+    results = run_experiment("fig10c", ctx)
     assert results[0].delta == 1.0
     text = format_fig10c(results)
     assert "delta" in text
 
 
-def test_obs8_series(pdk):
-    results = run_obs8(pdk)
+def test_obs8_series(ctx):
+    results = run_experiment("obs8", ctx)
     text = format_obs8(results)
     assert "beta" in text
 
 
-def test_fig10d_result(pdk):
-    result = run_fig10d(pdk, max_pairs=3)
+def test_fig10d_result(ctx):
+    result = run_experiment("fig10d", ctx, max_pairs=3)
     assert len(result.network_sweep) == 3
     assert len(result.parallel_layer_sweep) == 3
     text = format_fig10d(result)
     assert "pairs Y" in text
 
 
-def test_obs3_rows(pdk):
-    rows = run_obs3(pdk)
+def test_obs3_rows(ctx):
+    rows = run_experiment("obs3", ctx, capacity_bits=64 * MEGABYTE)
     by_ratio = {row.density_ratio: row for row in rows}
     assert by_ratio[1.0].n_cs == 8
     assert by_ratio[2.0].n_cs == 16
@@ -140,8 +132,8 @@ def test_obs3_rows(pdk):
     assert "16" in text
 
 
-def test_obs10_rows():
-    rows = run_obs10()
+def test_obs10_rows(ctx):
+    rows = run_experiment("obs10", ctx)
     assert all(row.max_pairs >= 0 for row in rows)
     pair_counts = [row.max_pairs for row in rows]
     assert pair_counts == sorted(pair_counts, reverse=True)

@@ -2,18 +2,18 @@
 
 import pytest
 
+from repro.experiments import run_experiment
 from repro.experiments.fig7 import (
     arch_cs_area,
     arch_n_cs,
     format_fig7,
-    run_fig7,
 )
 from repro.arch.table2 import table_ii_architectures
 
 
 @pytest.fixture(scope="module")
-def rows(pdk):
-    return run_fig7(pdk)
+def rows(ctx):
+    return run_experiment("fig7", ctx)
 
 
 def test_all_six_architectures_evaluated(rows):

@@ -2,31 +2,31 @@
 
 import pytest
 
+from repro.experiments import run_experiment
 from repro.experiments.ext_beol_logic import (
     cnfet_cs_fmax,
     cnfet_tier_free_area,
     extra_cnfet_cs_count,
     format_beol_logic,
-    run_beol_logic,
 )
-from repro.experiments.ext_memtech import format_memtech, run_memtech
-from repro.experiments.ext_precision import format_precision, run_precision
+from repro.experiments.ext_memtech import format_memtech
+from repro.experiments.ext_precision import format_precision
 from repro.units import MEGABYTE
 
 
 @pytest.fixture(scope="module")
-def memtech_rows(pdk):
-    return run_memtech(pdk)
+def memtech_rows(ctx):
+    return run_experiment("ext-memtech", ctx, capacity_bits=64 * MEGABYTE)
 
 
 @pytest.fixture(scope="module")
-def beol_result(pdk):
-    return run_beol_logic(pdk)
+def beol_result(ctx):
+    return run_experiment("ext-beol-logic", ctx, capacity_bits=64 * MEGABYTE)
 
 
 @pytest.fixture(scope="module")
-def precision_rows(pdk):
-    return run_precision(pdk)
+def precision_rows(ctx):
+    return run_experiment("ext-precision", ctx, capacity_bits=64 * MEGABYTE)
 
 
 # --- memory technologies ---------------------------------------------------------

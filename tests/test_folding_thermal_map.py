@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.thermal import ThermalStack, vertical_conductance
-from repro.experiments.folding import format_folding, run_folding
+from repro.experiments import run_experiment
+from repro.experiments.folding import format_folding
 from repro.physical.floorplan import Floorplan, PlacedBlock, Rect
 from repro.physical.flow import run_flow
 from repro.physical.netlist import BlockKind
@@ -20,11 +21,12 @@ from repro.physical.thermal_map import (
     solve_grid,
     solve_thermal_map,
 )
+from repro.units import MEGABYTE
 
 
 @pytest.fixture(scope="module")
-def folding(pdk):
-    return run_folding(pdk)
+def folding(ctx):
+    return run_experiment("folding", ctx, capacity_bits=64 * MEGABYTE)
 
 
 @pytest.fixture(scope="module")

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.casestudy import run_case_study
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import run_fig10c, run_fig10d, run_obs8
-from repro.experiments.table1 import run_table1
+from repro.experiments import run_experiment
+from repro.units import MEGABYTE
 
 #: Relative tolerance for frozen floats (pure arithmetic, no solver noise).
 REL = 1e-9
@@ -56,13 +54,13 @@ GOLDEN_TABLE1: dict[str, tuple[float, float, float]] = {
 
 
 @pytest.fixture(scope="module")
-def case_study(pdk):
-    return run_case_study(pdk)
+def case_study(ctx):
+    return run_experiment("casestudy", ctx, capacity_bits=64 * MEGABYTE)
 
 
 @pytest.fixture(scope="module")
-def table1_rows(pdk):
-    return run_table1(pdk)
+def table1_rows(ctx):
+    return run_experiment("table1", ctx, capacity_bits=64 * MEGABYTE)
 
 
 class TestFig2CaseStudy:
@@ -115,8 +113,8 @@ class TestTable1:
 
 
 class TestFig9Endpoints:
-    def test_sweep(self, pdk):
-        points = run_fig9(pdk)
+    def test_sweep(self, ctx):
+        points = run_experiment("fig9", ctx)
         first, last = points[0], points[-1]
         assert (first.capacity_bits, first.n_cs) == (100663296, 1)
         assert first.speedup == pytest.approx(1.0, rel=REL)
@@ -130,8 +128,8 @@ class TestFig9Endpoints:
 
 
 class TestFig10Endpoints:
-    def test_fig10c_fet_width(self, pdk):
-        results = run_fig10c(pdk)
+    def test_fig10c_fet_width(self, ctx):
+        results = run_experiment("fig10c", ctx)
         first, last = results[0], results[-1]
         assert (first.delta, first.n_cs_2d, first.n_cs_m3d) == (1.0, 1, 8)
         assert first.speedup == pytest.approx(5.630007688198693, rel=REL)
@@ -139,8 +137,8 @@ class TestFig10Endpoints:
         assert (last.delta, last.n_cs_2d, last.n_cs_m3d) == (3.0, 12, 20)
         assert last.edp_benefit == pytest.approx(1.1859212568861623, rel=REL)
 
-    def test_obs8_via_pitch(self, pdk):
-        results = run_obs8(pdk)
+    def test_obs8_via_pitch(self, ctx):
+        results = run_experiment("obs8", ctx)
         first, last = results[0], results[-1]
         assert (first.beta, first.n_cs_2d, first.n_cs_m3d) == (1.0, 1, 8)
         assert first.edp_benefit == pytest.approx(5.685221320948279, rel=REL)
@@ -150,8 +148,8 @@ class TestFig10Endpoints:
         assert (last.n_cs_2d, last.n_cs_m3d) == (18, 26)
         assert last.edp_benefit == pytest.approx(1.0987762235678598, rel=REL)
 
-    def test_fig10d_tier_pairs(self, pdk):
-        result = run_fig10d(pdk)
+    def test_fig10d_tier_pairs(self, ctx):
+        result = run_experiment("fig10d", ctx)
         net_first = result.network_sweep[0]
         net_last = result.network_sweep[-1]
         assert (net_first.pairs, net_first.n_cs) == (1, 8)

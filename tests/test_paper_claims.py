@@ -10,29 +10,28 @@ import pytest
 from repro.arch import baseline_2d_design, m3d_design
 from repro.core import sweep_fet_width, sweep_tiers, sweep_via_pitch
 from repro.core.insights import sweep_rram_capacity
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.casestudy import run_case_study
+from repro.experiments import run_experiment
 from repro.perf import compare_designs, simulate
+from repro.units import MEGABYTE
 from repro.workloads import build_network
 
 
 @pytest.fixture(scope="module")
-def case_study(pdk):
-    return run_case_study(pdk)
+def case_study(ctx):
+    return run_experiment("casestudy", ctx, capacity_bits=64 * MEGABYTE)
 
 
 class TestHeadline:
     """Abstract: 5.3x-11.5x analytical range; 5.7x-7.5x case study."""
 
-    def test_case_study_edp_range(self, pdk):
-        rows = run_fig5(pdk)
+    def test_case_study_edp_range(self, ctx):
+        rows = run_experiment("fig5", ctx, capacity_bits=64 * MEGABYTE)
         benefits = [row.edp_benefit for row in rows]
         assert min(benefits) == pytest.approx(5.7, rel=0.05)
         assert max(benefits) == pytest.approx(7.5, rel=0.10)
 
-    def test_architectural_range_5p3_to_11p5(self, pdk):
-        rows = run_fig7(pdk)
+    def test_architectural_range_5p3_to_11p5(self, ctx):
+        rows = run_experiment("fig7", ctx)
         benefits = [row.analytic_edp for row in rows]
         assert min(benefits) == pytest.approx(5.3, rel=0.20)
         assert max(benefits) == pytest.approx(11.5, rel=0.15)
@@ -99,8 +98,8 @@ class TestSectionIII:
         assert max(r.edp_benefit for r in results) == pytest.approx(
             7.1, rel=0.05)
 
-    def test_obs4_model_agreement(self, pdk):
-        rows = run_fig7(pdk)
+    def test_obs4_model_agreement(self, ctx):
+        rows = run_experiment("fig7", ctx)
         assert all(row.edp_disagreement < 0.10 for row in rows)
 
 

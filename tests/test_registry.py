@@ -2,7 +2,8 @@
 
 * every experiment module registers at least one experiment, so the CLI
   can never silently lose an artifact;
-* registered drivers and the legacy ``run_*`` shims agree;
+* ``run_experiment`` is the only ``run_*`` entry point the experiment
+  modules define (the v1 shims stay gone);
 * duplicate names are a hard error at import time;
 * the markdown listing covers the whole registry (README is generated
   from it).
@@ -10,6 +11,7 @@
 
 from __future__ import annotations
 
+import importlib
 import pkgutil
 
 import pytest
@@ -64,6 +66,24 @@ class TestCompleteness:
             assert callable(exp.run), exp.name
             assert callable(exp.formatter), exp.name
 
+    def test_no_run_function_besides_run_experiment(self):
+        """The removed ``run_<name>(pdk, ...)`` shims do not come back: no
+        experiment module defines a ``run_*`` function of its own, so
+        ``run_experiment`` stays the one way to run an experiment."""
+        import inspect
+
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(
+                f"repro.experiments.{info.name}")
+            defined = {
+                name for name, fn in vars(module).items()
+                if name.startswith("run_") and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+            }
+            allowed = {"run_experiment"} if info.name == "registry" else set()
+            assert defined == allowed, (
+                f"{module.__name__} defines {sorted(defined - allowed)}")
+
     def test_duplicate_registration_is_an_error(self):
         with pytest.raises(ValueError, match="already registered"):
             @experiment("fig8", "dup", formatter=str)
@@ -87,30 +107,17 @@ class TestContext:
         assert ctx.jobs == 3
 
 
-class TestParityWithLegacyShims:
-    """The registered drivers and the historical run_* signatures agree."""
-
-    def test_obs10(self):
-        from repro.experiments import run_obs10
-        assert run_experiment("obs10") == run_obs10()
-
-    def test_fig8(self):
-        from repro.experiments import run_fig8
-        assert run_experiment("fig8") == run_fig8()
-
-    def test_fig9(self):
-        from repro.experiments.fig9 import run_fig9
-        ctx = ExperimentContext.create()
-        assert get_experiment("fig9").run(ctx) == run_fig9(ctx.pdk)
-
-    def test_table1(self):
-        from repro.experiments import run_table1
-        ctx = ExperimentContext.create()
-        assert get_experiment("table1").run(ctx) == run_table1(ctx.pdk)
-
+class TestRun:
     def test_run_formatted_matches_formatter(self):
         exp = get_experiment("obs10")
         assert exp.run_formatted() == exp.formatter(run_experiment("obs10"))
+
+    def test_registry_driver_does_not_warn(self):
+        import warnings as _warnings
+
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error", DeprecationWarning)
+            run_experiment("obs10")
 
 
 class TestMarkdown:
@@ -123,48 +130,3 @@ class TestMarkdown:
 
     def test_module_column_strips_package_prefix(self):
         assert "repro.experiments." not in registry_markdown()
-
-
-class TestShimDeprecation:
-    """The legacy ``run_*`` shims warn; the registry drivers do not."""
-
-    def test_run_shim_emits_deprecation_warning(self):
-        from repro.experiments.fig10 import run_obs10
-        with pytest.warns(DeprecationWarning,
-                          match=r"run_obs10\(\) is deprecated.*v2\.0.*"
-                                r"run_experiment\('obs10', ctx\)"):
-            run_obs10(powers=(1.0,))
-
-    def test_context_building_shim_warns(self):
-        from repro.experiments.fig8 import run_fig8
-        with pytest.warns(DeprecationWarning, match="run_fig8"):
-            run_fig8()
-
-    def test_registry_driver_does_not_warn(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            run_experiment("obs10")
-
-    def test_every_shim_is_marked_deprecated(self):
-        """No ``run_*`` shim without the warning call (or a docstring
-        saying so) sneaks back in."""
-        import inspect
-        import repro.experiments as experiments_pkg
-
-        import pkgutil
-        for info in pkgutil.iter_modules(experiments_pkg.__path__):
-            module = __import__(f"repro.experiments.{info.name}",
-                                fromlist=["_"])
-            for name, fn in vars(module).items():
-                if not name.startswith("run_") or not callable(fn):
-                    continue
-                if getattr(fn, "__module__", None) != module.__name__:
-                    continue           # re-export (e.g. run_flow), not a shim
-                if name in ("run_experiment", "run_validation"):
-                    continue
-                source = inspect.getsource(fn)
-                assert "warn_deprecated_shim(" in source, (
-                    f"{module.__name__}.{name} is a legacy shim without a "
-                    f"DeprecationWarning")

@@ -176,6 +176,7 @@ def test_concurrent_identical_specs_evaluate_exactly_once():
         # are cache hits, never re-evaluations.
         assert stage.evaluated == 1
         coalesced = sum(1 for r in results if r["coalesced"])
+        assert coalesced > 0
         assert coalesced == server.stats.coalesced
         assert coalesced + stage.calls == 24
         fingerprints = {r["result"]["fingerprint"] for r in results}
@@ -194,6 +195,22 @@ def test_distinct_specs_do_not_coalesce():
         assert engine.report().stage("serve.eval").evaluated == 3
 
     serve_test(check, engine=engine)
+
+
+def test_warm_burst_holds_half_its_requests_in_flight():
+    """200 concurrent requests over 24 cached specs: the server holds at
+    least half of them open at once instead of serializing its clients."""
+    specs = [dict(SPEC, tech={"delta": 1.0 + 0.005 * i}) for i in range(24)]
+    burst = [specs[i % len(specs)] for i in range(200)]
+
+    async def check(server, client):
+        await asyncio.gather(*(client.evaluate(s) for s in specs))
+        results = await asyncio.gather(*(client.evaluate(s) for s in burst))
+        assert all(r["cached"] for r in results)
+        assert server.stats.peak_inflight >= len(burst) // 2
+
+    # max_pending above the burst: this measures concurrency, not 429s.
+    serve_test(check, config=ServerConfig(port=0, max_pending=8192))
 
 
 # --- sweep streaming ------------------------------------------------------

@@ -178,9 +178,13 @@ def test_cold_run_evaluates_every_stage(pdk, m3d, tmp_path):
 
 
 def test_identical_rerun_hits_every_stage(pdk, m3d, tmp_path):
-    _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
-    counters = _run_with_knobs(pdk, m3d, tmp_path, FlowSpec())
+    cold_engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
+    cold = run_staged_flows((m3d,), pdk, flow=FlowSpec(), engine=cold_engine)
+    engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
+    warm = run_staged_flows((m3d,), pdk, flow=FlowSpec(), engine=engine)
+    counters = _flow_counters(engine)
     assert all(counts == (1, 0) for counts in counters.values()), counters
+    assert warm == cold
 
 
 def test_floorplan_knob_invalidates_exactly_downstream(pdk, m3d, tmp_path):
