@@ -10,10 +10,11 @@ from repro.units import MEGABYTE
 def test_bench_ext_memory_technologies(benchmark, ctx):
     rows = benchmark(run_experiment, "ext-memtech", ctx,
                      capacity_bits=64 * MEGABYTE)
-    by_name = {row.technology.name: row for row in rows}
+    by_name = {row.evaluation.spec.tech.memory: row.evaluation
+               for row in rows}
     # Sparser cells free more silicon -> more CSs; denser cells fewer.
-    assert by_name["stt_mram"].n_cs > by_name["rram"].n_cs
-    assert by_name["pcm"].n_cs < by_name["rram"].n_cs
+    assert by_name["stt_mram"].n_cs_m3d > by_name["rram"].n_cs_m3d
+    assert by_name["pcm"].n_cs_m3d < by_name["rram"].n_cs_m3d
     # Every BEOL technology still shows a multi-x benefit.
-    assert all(row.edp_benefit > 3.0 for row in rows)
+    assert all(row.evaluation.edp_benefit > 3.0 for row in rows)
     report_table("ext_memtech", format_memtech(rows))

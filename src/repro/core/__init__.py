@@ -6,11 +6,14 @@
   (gamma ratios, bandwidths, energies) from concrete designs.
 * :mod:`repro.core.network_model` — per-layer analytical evaluation of a DNN
   on a 2D/M3D design pair (the model validated within 10% of the simulator).
-* :mod:`repro.core.relaxed_fet` — Case 1: BEOL access-FET width relaxation.
-* :mod:`repro.core.via_pitch` — Case 2: ILV pitch scaling.
-* :mod:`repro.core.multitier` — Case 3: interleaved compute/memory tiers.
+* :mod:`repro.core.via_pitch` — Case 2: cell growth under ILV pitch scaling.
+* :mod:`repro.core.multitier` — Case 3: Eq. 17 rise of interleaved tiers.
 * :mod:`repro.core.thermal` — Eq. 17 thermal stack model.
-* :mod:`repro.core.insights` — Obs. 5/6 design-space sweeps.
+* :mod:`repro.core.insights` — Obs. 5 design-space sweeps.
+
+Cases 1-3 and the Fig. 9 capacity study each vary one knob of a
+:class:`~repro.spec.design.DesignSpec`; their benefits come from
+:func:`repro.spec.evaluate.evaluate_specs` like any other design point.
 """
 
 from repro.core.framework import (
@@ -27,19 +30,14 @@ from repro.core.network_model import (
     AnalyticalNetworkResult,
     analyze_network,
 )
-from repro.core.relaxed_fet import RelaxedFETResult, relaxed_fet_study, sweep_fet_width
-from repro.core.via_pitch import ViaPitchResult, sweep_via_pitch, via_pitch_study
-from repro.core.multitier import MultiTierResult, multitier_study, sweep_tiers
+from repro.core.via_pitch import effective_cell_growth
+from repro.core.multitier import stack_temperature_rise
 from repro.core.thermal import (
     ThermalStack,
     max_tier_pairs,
     temperature_rise,
 )
-from repro.core.insights import (
-    BandwidthCSPoint,
-    sweep_bandwidth_vs_cs,
-    sweep_rram_capacity,
-)
+from repro.core.insights import BandwidthCSPoint, sweep_bandwidth_vs_cs
 from repro.core.allocate import Allocation, AllocationResult, optimize_freed_silicon
 from repro.core.dse import design_point_spec
 from repro.core.roofline import RooflineModel, RooflinePoint, roofline
@@ -62,21 +60,13 @@ __all__ = [
     "AnalyticalLayerResult",
     "AnalyticalNetworkResult",
     "analyze_network",
-    "RelaxedFETResult",
-    "relaxed_fet_study",
-    "sweep_fet_width",
-    "ViaPitchResult",
-    "via_pitch_study",
-    "sweep_via_pitch",
-    "MultiTierResult",
-    "multitier_study",
-    "sweep_tiers",
+    "effective_cell_growth",
+    "stack_temperature_rise",
     "ThermalStack",
     "temperature_rise",
     "max_tier_pairs",
     "BandwidthCSPoint",
     "sweep_bandwidth_vs_cs",
-    "sweep_rram_capacity",
     "Allocation",
     "AllocationResult",
     "optimize_freed_silicon",

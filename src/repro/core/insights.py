@@ -1,31 +1,22 @@
-"""Design-space sweeps behind Obs. 5 and Obs. 6 (Figs. 8 and 9).
+"""Design-space sweeps behind Obs. 5 (Fig. 8).
 
 * :func:`sweep_bandwidth_vs_cs` — Fig. 8: EDP benefit over a grid of
   (per-design bandwidth, parallel CS count) for an abstract workload of a
   given arithmetic intensity.  Reproduces the Obs. 5 rules of thumb:
   compute-bound workloads want CSs, memory-bound workloads want bandwidth.
-* :func:`sweep_rram_capacity` — Fig. 9: EDP benefit of the case-study M3D
-  design as the baseline RRAM capacity scales from 12 MB to 128 MB with the
-  DNN compute held fixed (ResNet-18).
+
+Fig. 9 (Obs. 6) varies one spec knob, ``arch.capacity_bits``, and is
+evaluated like any other design point by the ``fig9`` experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import require
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import baseline_2d_design
 from repro.core.framework import DesignPoint, Workload, edp_benefit
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.runtime.serialize import from_jsonable, to_jsonable
-from repro.spec.design import ArchSpec, DesignSpec
-from repro.spec.resolve import ResolvedPoint, resolve
-from repro.units import MEGABYTE
-from repro.workloads.models import Network
 
 
 @dataclass(frozen=True)
@@ -127,109 +118,3 @@ def obs5_memory_bound_ratio(
     rebalanced = m3d_point(base, n_cs // 2, 2.0)
     return (edp_benefit(workload, base, rebalanced)
             / edp_benefit(workload, base, reference))
-
-
-@dataclass(frozen=True)
-class CapacityPoint:
-    """One Fig. 9 sweep point.
-
-    Attributes:
-        capacity_bits: Baseline on-chip RRAM capacity.
-        n_cs: Parallel CSs the M3D design derives at this capacity (Eq. 2).
-        speedup: Network speedup at this capacity.
-        edp_benefit: Network EDP benefit at this capacity.
-    """
-
-    capacity_bits: int
-    n_cs: int
-    speedup: float
-    edp_benefit: float
-
-    @property
-    def capacity_megabytes(self) -> float:
-        """Capacity in MB for display."""
-        return self.capacity_bits / MEGABYTE
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (used by the disk result cache)."""
-        return to_jsonable(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CapacityPoint":
-        """Inverse of :meth:`to_dict`."""
-        point = from_jsonable(data)
-        require(isinstance(point, cls),
-                f"expected a serialized {cls.__name__}")
-        return point
-
-
-def resolve_capacity_point(pdk: PDK | None, capacity_bits: int) -> ResolvedPoint:
-    """The design pair for one Fig. 9 capacity (no simulation).
-
-    A thin wrapper over :func:`repro.spec.resolve.resolve`, which memoizes
-    on the spec's content fingerprint.
-    """
-    spec = DesignSpec(arch=ArchSpec(capacity_bits=capacity_bits))
-    return resolve(spec, pdk)
-
-
-def capacity_point(
-    pdk: PDK,
-    network: Network,
-    capacity_bits: int,
-) -> CapacityPoint:
-    """Evaluate one Fig. 9 capacity point with the simulator pipeline."""
-    point = resolve_capacity_point(pdk, capacity_bits)
-    benefit = compare_designs(
-        simulate(point.baseline, network, point.pdk),
-        simulate(point.m3d, network, point.pdk),
-    )
-    return CapacityPoint(
-        capacity_bits=capacity_bits,
-        n_cs=point.n_cs_m3d,
-        speedup=benefit.speedup,
-        edp_benefit=benefit.edp_benefit,
-    )
-
-
-def sweep_rram_capacity(
-    capacities_bits: tuple[int, ...] = tuple(
-        mb * MEGABYTE for mb in (12, 16, 24, 32, 48, 64, 96, 128)),
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[CapacityPoint, ...]:
-    """Fig. 9: benefit vs baseline RRAM capacity at fixed DNN compute.
-
-    Larger baseline memories free more silicon under the arrays in M3D,
-    admitting more parallel CSs (Obs. 6); the workload must fit at the
-    smallest capacity (ResNet-18's ~12 M parameters at 12 MB).  The sweep
-    is resolved up front through the spec layer and the resulting
-    ``simulate`` calls dispatch through ``engine`` (default: the
-    process-wide engine) in one deduplicated batch; ``jobs`` applies to
-    this sweep only.
-    """
-    engine = engine if engine is not None else default_engine()
-    points_resolved = [resolve_capacity_point(pdk, capacity)
-                       for capacity in capacities_bits]
-    sim_calls = []
-    for point in points_resolved:
-        workload = network if network is not None else point.network
-        sim_calls.append({"design": point.baseline, "network": workload,
-                          "pdk": point.pdk})
-        sim_calls.append({"design": point.m3d, "network": workload,
-                          "pdk": point.pdk})
-    reports = engine.map(simulate, sim_calls, stage="insights.simulate",
-                         jobs=jobs)
-    points = []
-    for index, (capacity, point) in enumerate(
-            zip(capacities_bits, points_resolved)):
-        benefit = compare_designs(reports[2 * index], reports[2 * index + 1])
-        points.append(CapacityPoint(
-            capacity_bits=capacity,
-            n_cs=point.n_cs_m3d,
-            speedup=benefit.speedup,
-            edp_benefit=benefit.edp_benefit,
-        ))
-    return tuple(points)

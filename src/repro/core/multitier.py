@@ -5,103 +5,32 @@ count (each pair brings its own memory banks, peripherals and therefore its
 own bandwidth): N(Y) = Y * N(1).  Benefits grow with Y but plateau once the
 total CS count exceeds the workload's parallelizable partitions (Fig. 10d),
 and Eq. 17's thermal stack puts a hard ceiling on Y (Obs. 10).
+
+The benefit is the ``arch.tier_pairs`` knob of a design spec, evaluated
+like any other point (the ``fig10d`` experiment); this module holds the
+Eq. 17 side, which needs the M3D chip's average power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import require
 from repro.tech.pdk import PDK
-from repro.perf.compare import BenefitReport, compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.spec.design import ArchSpec, DesignSpec
+from repro.spec.design import DesignSpec
 from repro.spec.resolve import resolve
-from repro.units import MEGABYTE
-from repro.workloads.models import Network
 from repro.core.thermal import ThermalStack, temperature_rise
 
 
-@dataclass(frozen=True)
-class MultiTierResult:
-    """Outcome of the Case 3 analysis at one tier-pair count.
+def stack_temperature_rise(spec: DesignSpec, pdk: PDK | None = None) -> float:
+    """Eq. 17 rise, K, of the spec's M3D chip with its average power split
+    uniformly across its ``arch.tier_pairs`` pairs.
 
-    Attributes:
-        pairs: Y — interleaved compute+memory tier pairs (1 = case study).
-        n_cs: Total parallel CSs, Y * N(1).
-        benefit: Benefit comparison against the single-tier 2D baseline.
-        temperature_rise: Eq. 17 stack temperature rise, K.
-        thermal_ok: True when the rise fits the budget (Obs. 10).
+    Simulates the M3D design once; the simulator memoizes per layer, so
+    after ``evaluate_spec`` of the same spec in this process every layer
+    is a memo hit.
     """
-
-    pairs: int
-    n_cs: int
-    benefit: BenefitReport
-    temperature_rise: float
-    thermal_ok: bool
-
-    @property
-    def speedup(self) -> float:
-        """Speedup over the 2D baseline."""
-        return self.benefit.speedup
-
-    @property
-    def energy_benefit(self) -> float:
-        """Energy benefit over the 2D baseline."""
-        return self.benefit.energy_benefit
-
-    @property
-    def edp_benefit(self) -> float:
-        """EDP benefit over the 2D baseline."""
-        return self.benefit.edp_benefit
-
-
-def multitier_study(
-    pairs: int,
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    stack: ThermalStack | None = None,
-) -> MultiTierResult:
-    """Evaluate the benefit of an M3D chip with ``pairs`` tier pairs."""
-    require(pairs >= 1, "need at least one tier pair")
-    stack = stack if stack is not None else ThermalStack()
-    spec = DesignSpec(
-        arch=ArchSpec(capacity_bits=capacity_bits, tier_pairs=pairs))
     point = resolve(spec, pdk)
-    network = network if network is not None else point.network
-    baseline_report = simulate(point.baseline, network, point.pdk)
-    m3d_report = simulate(point.m3d, network, point.pdk)
-    benefit = compare_designs(baseline_report, m3d_report)
-    # Average chip power split uniformly across the pairs for Eq. 17.
-    per_pair_power = m3d_report.average_power / pairs
-    rise = temperature_rise([per_pair_power] * pairs, stack)
-    return MultiTierResult(
-        pairs=pairs,
-        n_cs=point.n_cs_m3d,
-        benefit=benefit,
-        temperature_rise=rise,
-        thermal_ok=rise <= stack.max_rise,
-    )
-
-
-def sweep_tiers(
-    max_pairs: int = 8,
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    stack: ThermalStack | None = None,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[MultiTierResult, ...]:
-    """The Fig. 10d sweep: EDP benefit vs tier-pair count.
-
-    ``jobs`` overrides the engine's worker count for this sweep only.
-    """
-    require(max_pairs >= 1, "max_pairs must be >= 1")
-    engine = engine if engine is not None else default_engine()
-    calls = [(pairs, pdk, network, capacity_bits, stack)
-             for pairs in range(1, max_pairs + 1)]
-    return tuple(engine.map(multitier_study, calls,
-                            stage="multitier.sweep_tiers", jobs=jobs))
+    report = simulate(point.m3d, point.network, point.pdk,
+                      batch=spec.workload.batch)
+    pairs = spec.arch.tier_pairs
+    return temperature_rise([report.average_power / pairs] * pairs,
+                            ThermalStack())

@@ -3,57 +3,21 @@
 Every M3D memory cell needs ``m`` ILVs to reach its access FET in the upper
 tier, so when the via pitch beta grows, the cell becomes via-pitch limited:
 A_cells = m * k * beta^2 (k bits, m vias per bit).  The area consequence is
-the same as a width relaxation of delta_eff = A_cell(beta) / A_cell(2D), so
-the study reuses the Case 1 machinery with the PDK's ILV scaled.
+the same as a width relaxation of delta_eff = A_cell(beta) / A_cell(2D);
+the resolver scales the PDK's ILV by ``tech.beta`` and the ``obs8``
+experiment evaluates that knob like any other design point.
 
-Obs. 8 (reproduced by :func:`sweep_via_pitch`): up to ~1.3x pitch the cell
-stays FET-limited and benefits are unchanged; at ~1.6x and beyond the
-quadratic growth (delta_eff ~ 2.5) erases the benefit — ultra-dense vias
-are load-bearing for M3D architectural benefits.
+Obs. 8: up to ~1.3x pitch the cell stays FET-limited and benefits are
+unchanged; at ~1.6x and beyond the quadratic growth (delta_eff ~ 2.5)
+erases the benefit — ultra-dense vias are load-bearing for M3D
+architectural benefits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import require
-from repro.tech.pdk import PDK, foundry_m3d_pdk
-from repro.perf.compare import BenefitReport, compare_designs
-from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.spec.design import ArchSpec, DesignSpec, TechSpec
-from repro.spec.resolve import resolve, scaled_pdk
-from repro.units import MEGABYTE
-from repro.workloads.models import Network
-
-
-@dataclass(frozen=True)
-class ViaPitchResult:
-    """Outcome of the Case 2 analysis at one via-pitch factor.
-
-    Attributes:
-        beta: ILV pitch scaling factor (1.0 = the PDK's fine pitch).
-        effective_delta: Equivalent cell-area growth factor.
-        n_cs_2d: CSs in the re-optimized 2D baseline.
-        n_cs_m3d: CSs in the M3D design.
-        benefit: Full benefit comparison at this beta.
-    """
-
-    beta: float
-    effective_delta: float
-    n_cs_2d: int
-    n_cs_m3d: int
-    benefit: BenefitReport
-
-    @property
-    def speedup(self) -> float:
-        """Speedup of M3D over the (possibly enlarged) 2D baseline."""
-        return self.benefit.speedup
-
-    @property
-    def edp_benefit(self) -> float:
-        """EDP benefit at this via pitch."""
-        return self.benefit.edp_benefit
+from repro.tech.pdk import PDK
+from repro.spec.resolve import scaled_pdk
 
 
 def effective_cell_growth(pdk: PDK, beta: float) -> float:
@@ -63,53 +27,3 @@ def effective_cell_growth(pdk: PDK, beta: float) -> float:
     cell_m3d = scaled.m3d_rram_cell().area(scaled.ilv)
     cell_2d = pdk.rram_cell.area(None)
     return cell_m3d / cell_2d
-
-
-def via_pitch_study(
-    beta: float,
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-) -> ViaPitchResult:
-    """Evaluate the iso-capacity benefit at one ILV pitch factor ``beta``."""
-    pdk = pdk if pdk is not None else foundry_m3d_pdk()
-    delta_eff = effective_cell_growth(pdk, beta)
-    # The grown cell is a pure area effect, identical to Case 1 at
-    # delta_eff; the resolver scales the ILV pitch and re-optimizes the 2D
-    # baseline into the grown footprint (delta = 1: the area growth
-    # already lives in the scaled ILV).
-    spec = DesignSpec(
-        tech=TechSpec(beta=beta),
-        arch=ArchSpec(capacity_bits=capacity_bits, baseline="reoptimized"),
-    )
-    point = resolve(spec, pdk)
-    network = network if network is not None else point.network
-    benefit = compare_designs(
-        simulate(point.baseline, network, point.pdk),
-        simulate(point.m3d, network, point.pdk),
-    )
-    return ViaPitchResult(
-        beta=beta,
-        effective_delta=delta_eff,
-        n_cs_2d=point.n_cs_2d,
-        n_cs_m3d=point.n_cs_m3d,
-        benefit=benefit,
-    )
-
-
-def sweep_via_pitch(
-    betas: tuple[float, ...] = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.8, 2.0),
-    pdk: PDK | None = None,
-    network: Network | None = None,
-    capacity_bits: int = 64 * MEGABYTE,
-    engine: EvaluationEngine | None = None,
-    jobs: int | None = None,
-) -> tuple[ViaPitchResult, ...]:
-    """The Obs. 8 sweep over ILV pitch, via the evaluation engine.
-
-    ``jobs`` overrides the engine's worker count for this sweep only.
-    """
-    engine = engine if engine is not None else default_engine()
-    calls = [(beta, pdk, network, capacity_bits) for beta in betas]
-    return tuple(engine.map(via_pitch_study, calls,
-                            stage="via_pitch.sweep_via_pitch", jobs=jobs))

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.memories import MemoryTechnology, beol_technologies
-from repro.tech.pdk import PDK
+from repro.tech.memories import beol_technologies, memory_technology
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.spec.design import ArchSpec, DesignSpec, TechSpec
-from repro.spec.resolve import build_workload, resolve
+from repro.spec.evaluate import SpecEvaluation, evaluate_specs
+from repro.spec.resolve import resolve
 from repro.units import to_mm2
-from repro.workloads.models import Network
 
 
 @dataclass(frozen=True)
@@ -39,47 +35,13 @@ class MemTechRow:
     """Result for one BEOL memory technology.
 
     Attributes:
-        technology: The memory preset.
-        gamma_cells: Cell-array / CS area ratio at 64 MB.
-        n_cs: Parallel CSs the M3D design derives.
-        footprint: Chip footprint (iso between 2D and M3D), m^2.
-        speedup: ResNet-18 speedup.
-        energy_benefit: ResNet-18 energy benefit.
-        edp_benefit: ResNet-18 EDP benefit.
+        evaluation: The design point under this memory preset
+            (``tech.memory``).
+        gamma_cells: Cell-array / CS area ratio of its 2D baseline.
     """
 
-    technology: MemoryTechnology
+    evaluation: SpecEvaluation
     gamma_cells: float
-    n_cs: int
-    footprint: float
-    speedup: float
-    energy_benefit: float
-    edp_benefit: float
-
-
-def memtech_row(
-    pdk: PDK,
-    tech: MemoryTechnology,
-    capacity_bits: int,
-    network: Network,
-) -> MemTechRow:
-    """Evaluate the case study under one BEOL memory preset."""
-    spec = DesignSpec(tech=TechSpec(memory=tech.name),
-                      arch=ArchSpec(capacity_bits=capacity_bits))
-    point = resolve(spec, pdk)
-    benefit = compare_designs(
-        simulate(point.baseline, network, point.pdk),
-        simulate(point.m3d, network, point.pdk),
-    )
-    return MemTechRow(
-        technology=tech,
-        gamma_cells=point.baseline.area.gamma_cells,
-        n_cs=point.n_cs_m3d,
-        footprint=point.baseline.area.footprint,
-        speedup=benefit.speedup,
-        energy_benefit=benefit.energy_benefit,
-        edp_benefit=benefit.edp_benefit,
-    )
 
 
 @experiment("ext-memtech", "Extension: BEOL memory technologies",
@@ -87,36 +49,37 @@ def memtech_row(
 def memtech_experiment(
     ctx: ExperimentContext,
     capacity_bits: int | None = None,
-    network: Network | None = None,
 ) -> tuple[MemTechRow, ...]:
     """Evaluate the case study under every BEOL memory preset.
 
     ``capacity_bits`` (if given) overrides the context spec's capacity.
     """
-    spec = ctx.design_spec()
-    if capacity_bits is None:
-        capacity_bits = spec.arch.capacity_bits
-    network = network if network is not None \
-        else build_workload(spec.workload)
-    calls = [(ctx.pdk, tech, capacity_bits, network)
+    base = {} if capacity_bits is None \
+        else {"arch.capacity_bits": capacity_bits}
+    specs = [ctx.design_spec({**base, "tech.memory": tech.name})
              for tech in beol_technologies()]
-    return tuple(ctx.engine.map(memtech_row, calls,
-                                stage="ext_memtech.run_memtech",
-                                jobs=ctx.jobs))
+    evaluations = evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                                 jobs=ctx.jobs)
+    return tuple(
+        MemTechRow(evaluation=evaluation, gamma_cells=resolve(
+            evaluation.spec, ctx.pdk).baseline.area.gamma_cells)
+        for evaluation in evaluations)
 
 
 def format_memtech(rows: tuple[MemTechRow, ...]) -> str:
     """Render the memory-technology comparison."""
-    table_rows = [
-        [row.technology.name,
-         f"{row.technology.bitcell_area_f2:.0f} F^2",
-         f"{row.gamma_cells:.2f}",
-         row.n_cs,
-         f"{to_mm2(row.footprint):.0f}",
-         times(row.speedup),
-         times(row.edp_benefit)]
-        for row in rows
-    ]
+    table_rows = []
+    for row in rows:
+        evaluation = row.evaluation
+        technology = memory_technology(evaluation.spec.tech.memory)
+        table_rows.append(
+            [technology.name,
+             f"{technology.bitcell_area_f2:.0f} F^2",
+             f"{row.gamma_cells:.2f}",
+             evaluation.n_cs_m3d,
+             f"{to_mm2(evaluation.footprint):.0f}",
+             times(evaluation.speedup),
+             times(evaluation.edp_benefit)])
     return format_table(
         "Extension — M3D benefit across BEOL memory technologies "
         "(64 MB, ResNet-18)",

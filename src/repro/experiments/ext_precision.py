@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.spec.design import ArchSpec, DesignSpec
-from repro.spec.resolve import build_workload, resolve
-from repro.workloads.models import Network, available_networks, build_network
+from repro.spec.evaluate import SpecEvaluation, evaluate_specs
+from repro.workloads.models import available_networks, build_network
 
 
 @dataclass(frozen=True)
@@ -27,46 +23,15 @@ class PrecisionRow:
     """Result for one operand precision.
 
     Attributes:
-        precision_bits: Weight/activation precision.
-        n_cs: M3D CS count (unchanged: area model is capacity-driven).
-        models_fitting: Fig. 5-family models whose weights fit 64 MB.
-        speedup / energy_benefit / edp_benefit: ResNet-18 benefits.
+        evaluation: The design point at this precision (``arch.cs =
+            "precision-scaled"``; the CS count is unchanged, the area
+            model being capacity-driven).
+        models_fitting: Fig. 5-family models whose weights fit the
+            point's capacity at this precision.
     """
 
-    precision_bits: int
-    n_cs: int
+    evaluation: SpecEvaluation
     models_fitting: tuple[str, ...]
-    speedup: float
-    energy_benefit: float
-    edp_benefit: float
-
-
-def precision_row(
-    pdk: PDK,
-    bits: int,
-    capacity_bits: int,
-    network: Network,
-) -> PrecisionRow:
-    """Evaluate the case-study pair at one operand precision."""
-    spec = DesignSpec(arch=ArchSpec(capacity_bits=capacity_bits,
-                                    cs="precision-scaled",
-                                    precision_bits=bits))
-    point = resolve(spec, pdk)
-    fitting = tuple(
-        name for name in available_networks()
-        if build_network(name).weight_bits(bits) <= capacity_bits)
-    benefit = compare_designs(
-        simulate(point.baseline, network, point.pdk),
-        simulate(point.m3d, network, point.pdk),
-    )
-    return PrecisionRow(
-        precision_bits=bits,
-        n_cs=point.n_cs_m3d,
-        models_fitting=fitting,
-        speedup=benefit.speedup,
-        energy_benefit=benefit.energy_benefit,
-        edp_benefit=benefit.edp_benefit,
-    )
 
 
 @experiment("ext-precision", "Extension: operand precision sweep",
@@ -75,28 +40,32 @@ def precision_experiment(
     ctx: ExperimentContext,
     precisions: tuple[int, ...] = (4, 8, 16),
     capacity_bits: int | None = None,
-    network: Network | None = None,
 ) -> tuple[PrecisionRow, ...]:
     """Sweep operand precision at the context spec's capacity.
 
     ``capacity_bits`` (if given) overrides the context spec's capacity.
     """
-    spec = ctx.design_spec()
-    if capacity_bits is None:
-        capacity_bits = spec.arch.capacity_bits
-    network = network if network is not None \
-        else build_workload(spec.workload)
-    calls = [(ctx.pdk, bits, capacity_bits, network) for bits in precisions]
-    return tuple(ctx.engine.map(precision_row, calls,
-                                stage="ext_precision.run_precision",
-                                jobs=ctx.jobs))
+    base = {} if capacity_bits is None \
+        else {"arch.capacity_bits": capacity_bits}
+    specs = [ctx.design_spec({**base, "arch.cs": "precision-scaled",
+                              "arch.precision_bits": bits})
+             for bits in precisions]
+    evaluations = evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                                 jobs=ctx.jobs)
+    return tuple(
+        PrecisionRow(evaluation=evaluation, models_fitting=tuple(
+            name for name in available_networks()
+            if build_network(name).weight_bits(bits)
+            <= evaluation.spec.arch.capacity_bits))
+        for bits, evaluation in zip(precisions, evaluations))
 
 
 def format_precision(rows: tuple[PrecisionRow, ...]) -> str:
     """Render the precision study."""
     table_rows = [
-        [f"{row.precision_bits}-bit", row.n_cs, len(row.models_fitting),
-         times(row.speedup), times(row.edp_benefit)]
+        [f"{row.evaluation.spec.arch.precision_bits}-bit",
+         row.evaluation.n_cs_m3d, len(row.models_fitting),
+         times(row.evaluation.speedup), times(row.evaluation.edp_benefit)]
         for row in rows
     ]
     return format_table(

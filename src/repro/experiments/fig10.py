@@ -15,19 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.multitier import MultiTierResult, sweep_tiers
-from repro.core.relaxed_fet import RelaxedFETResult, sweep_fet_width
+from repro.errors import require
+from repro.core.multitier import stack_temperature_rise
 from repro.core.thermal import ThermalStack, max_tier_pairs, temperature_rise
-from repro.core.via_pitch import ViaPitchResult, sweep_via_pitch
+from repro.core.via_pitch import effective_cell_growth
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.spec.resolve import build_workload
+from repro.spec.evaluate import SpecEvaluation, evaluate_specs
+
+#: Case 1 access-FET width relaxations (Fig. 10b-c).
+DELTAS = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.25, 2.5, 2.75, 3.0)
+
+#: Case 2 ILV pitch factors (Obs. 8).
+BETAS = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.8, 2.0)
 
 
-def format_fig10c(results: tuple[RelaxedFETResult, ...]) -> str:
+def format_fig10c(results: tuple[SpecEvaluation, ...]) -> str:
     """Render the Fig. 10c series."""
     rows = [
-        [f"{r.delta:.2f}", r.n_cs_2d, r.n_cs_m3d, times(r.speedup),
+        [f"{r.spec.tech.delta:.2f}", r.n_cs_2d, r.n_cs_m3d, times(r.speedup),
          times(r.edp_benefit)]
         for r in results
     ]
@@ -41,38 +47,67 @@ def format_fig10c(results: tuple[RelaxedFETResult, ...]) -> str:
 
 @experiment("fig10c", "Fig. 10c / Obs. 7: access-FET width relaxation",
             formatter=format_fig10c)
-def fig10c_experiment(ctx: ExperimentContext) -> tuple[RelaxedFETResult, ...]:
-    """Case 1 sweep over the access-FET width relaxation delta."""
-    spec = ctx.design_spec()
-    return sweep_fet_width(pdk=ctx.pdk,
-                           network=build_workload(spec.workload),
-                           capacity_bits=spec.arch.capacity_bits,
-                           engine=ctx.engine, jobs=ctx.jobs)
+def fig10c_experiment(ctx: ExperimentContext) -> tuple[SpecEvaluation, ...]:
+    """Case 1 sweep over the access-FET width relaxation delta.
+
+    A BEOL access FET with weaker drive must be wider by delta, growing
+    the M3D bit cell.  Once the cells outgrow the original footprint both
+    chips grow, and the enlarged 2D baseline is re-optimized with extra
+    CSs (Eq. 9, ``arch.baseline = "reoptimized"``).
+    """
+    specs = [ctx.design_spec({"tech.delta": delta,
+                              "arch.baseline": "reoptimized"})
+             for delta in DELTAS]
+    return evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                          jobs=ctx.jobs)
 
 
-def format_obs8(results: tuple[ViaPitchResult, ...]) -> str:
+@dataclass(frozen=True)
+class ViaPitchRow:
+    """One Obs. 8 point: the evaluation plus its cell growth.
+
+    Attributes:
+        evaluation: The design point at this ILV pitch factor.
+        effective_delta: M3D cell area at this pitch over the 2D cell's
+            (the equivalent Case 1 width relaxation).
+    """
+
+    evaluation: SpecEvaluation
+    effective_delta: float
+
+
+def format_obs8(rows: tuple[ViaPitchRow, ...]) -> str:
     """Render the Obs. 8 series."""
-    rows = [
-        [f"{r.beta:.2f}", f"{r.effective_delta:.2f}", r.n_cs_2d, r.n_cs_m3d,
-         times(r.edp_benefit)]
-        for r in results
+    table_rows = [
+        [f"{row.evaluation.spec.tech.beta:.2f}", f"{row.effective_delta:.2f}",
+         row.evaluation.n_cs_2d, row.evaluation.n_cs_m3d,
+         times(row.evaluation.edp_benefit)]
+        for row in rows
     ]
     return format_table(
         "Obs. 8 — EDP benefit vs M3D via pitch "
         "(paper: unchanged to 1.3x, limited benefit at 1.6x+)",
         ["beta", "cell growth", "2D CSs", "M3D CSs", "EDP benefit"],
-        rows,
+        table_rows,
     )
 
 
 @experiment("obs8", "Obs. 8: ILV via pitch sweep", formatter=format_obs8)
-def obs8_experiment(ctx: ExperimentContext) -> tuple[ViaPitchResult, ...]:
-    """Case 2 sweep over the ILV pitch beta."""
-    spec = ctx.design_spec()
-    return sweep_via_pitch(pdk=ctx.pdk,
-                           network=build_workload(spec.workload),
-                           capacity_bits=spec.arch.capacity_bits,
-                           engine=ctx.engine, jobs=ctx.jobs)
+def obs8_experiment(ctx: ExperimentContext) -> tuple[ViaPitchRow, ...]:
+    """Case 2 sweep over the ILV pitch beta.
+
+    The resolver scales the ILV pitch and re-optimizes the 2D baseline
+    into the grown footprint, exactly as Case 1 does at delta_eff.
+    """
+    specs = [ctx.design_spec({"tech.beta": beta,
+                              "arch.baseline": "reoptimized"})
+             for beta in BETAS]
+    evaluations = evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                                 jobs=ctx.jobs)
+    return tuple(
+        ViaPitchRow(evaluation=evaluation,
+                    effective_delta=effective_cell_growth(ctx.pdk, beta))
+        for beta, evaluation in zip(BETAS, evaluations))
 
 
 @dataclass(frozen=True)
@@ -80,24 +115,27 @@ class Fig10dResult:
     """Tier sweep plus the highly parallel single-layer headline.
 
     Attributes:
-        network_sweep: Whole-network (ResNet-18) results per tier pair.
-        parallel_layer_sweep: Single-layer (L4.1 CONV2) results.
+        network_sweep: Whole-network (ResNet-18) evaluations per tier pair.
+        parallel_layer_sweep: Single-layer (L4.1 CONV2) evaluations.
+        temperature_rises: Eq. 17 rise of each ``network_sweep`` chip, K.
     """
 
-    network_sweep: tuple[MultiTierResult, ...]
-    parallel_layer_sweep: tuple[MultiTierResult, ...]
+    network_sweep: tuple[SpecEvaluation, ...]
+    parallel_layer_sweep: tuple[SpecEvaluation, ...]
+    temperature_rises: tuple[float, ...]
 
 
 def format_fig10d(result: Fig10dResult) -> str:
     """Render the Fig. 10d series."""
     rows = []
-    for net_point, layer_point in zip(result.network_sweep,
-                                      result.parallel_layer_sweep):
+    for net_point, layer_point, rise in zip(result.network_sweep,
+                                            result.parallel_layer_sweep,
+                                            result.temperature_rises):
         rows.append([
-            net_point.pairs, net_point.n_cs,
+            net_point.spec.arch.tier_pairs, net_point.n_cs_m3d,
             times(net_point.edp_benefit),
             times(layer_point.edp_benefit),
-            f"{net_point.temperature_rise:.2f} K",
+            f"{rise:.2f} K",
         ])
     return format_table(
         "Fig. 10d — EDP benefit vs interleaved compute+memory tier pairs "
@@ -113,20 +151,19 @@ def format_fig10d(result: Fig10dResult) -> str:
 def fig10d_experiment(ctx: ExperimentContext,
                       max_pairs: int = 6) -> Fig10dResult:
     """Case 3 sweep for the spec's network and its most parallel layer."""
-    spec = ctx.design_spec()
-    network = build_workload(spec.workload)
-    single = build_workload(
-        spec.updated({"workload.layer": "L4.1 CONV2"}).workload)
-    capacity = spec.arch.capacity_bits
+    require(max_pairs >= 1, "max_pairs must be >= 1")
+    pairs = range(1, max_pairs + 1)
+    network_specs = [ctx.design_spec({"arch.tier_pairs": y}) for y in pairs]
+    layer_specs = [ctx.design_spec({"arch.tier_pairs": y,
+                                    "workload.layer": "L4.1 CONV2"})
+                   for y in pairs]
+    evaluations = evaluate_specs(network_specs + layer_specs, pdk=ctx.pdk,
+                                 engine=ctx.engine, jobs=ctx.jobs)
     return Fig10dResult(
-        network_sweep=sweep_tiers(max_pairs, pdk=ctx.pdk, network=network,
-                                  capacity_bits=capacity,
-                                  engine=ctx.engine, jobs=ctx.jobs),
-        parallel_layer_sweep=sweep_tiers(max_pairs, pdk=ctx.pdk,
-                                         network=single,
-                                         capacity_bits=capacity,
-                                         engine=ctx.engine,
-                                         jobs=ctx.jobs),
+        network_sweep=evaluations[:max_pairs],
+        parallel_layer_sweep=evaluations[max_pairs:],
+        temperature_rises=tuple(stack_temperature_rise(spec, ctx.pdk)
+                                for spec in network_specs),
     )
 
 

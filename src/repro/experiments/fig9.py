@@ -8,17 +8,21 @@ paper reports 1x at 12 MB rising to 6.8x at 128 MB.
 
 from __future__ import annotations
 
-from repro.core.insights import CapacityPoint, sweep_rram_capacity
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.spec.resolve import build_workload
+from repro.spec.evaluate import SpecEvaluation, evaluate_specs
+from repro.units import MEGABYTE
+
+#: Baseline RRAM capacities of the sweep, MB.  The workload must fit at
+#: the smallest (ResNet-18's ~12 M parameters at 12 MB).
+CAPACITIES_MB = (12, 16, 24, 32, 48, 64, 96, 128)
 
 
-def format_fig9(points: tuple[CapacityPoint, ...]) -> str:
+def format_fig9(points: tuple[SpecEvaluation, ...]) -> str:
     """Render the Fig. 9 series."""
     rows = [
-        [f"{p.capacity_megabytes:.0f} MB", p.n_cs, times(p.speedup),
-         times(p.edp_benefit)]
+        [f"{p.spec.arch.capacity_bits / MEGABYTE:.0f} MB", p.n_cs_m3d,
+         times(p.speedup), times(p.edp_benefit)]
         for p in points
     ]
     table = format_table(
@@ -32,10 +36,9 @@ def format_fig9(points: tuple[CapacityPoint, ...]) -> str:
 
 @experiment("fig9", "Fig. 9 / Obs. 6: RRAM capacity sweep",
             formatter=format_fig9)
-def fig9_experiment(ctx: ExperimentContext) -> tuple[CapacityPoint, ...]:
-    """Run the capacity sweep (12-128 MB) on the spec's workload."""
-    network = build_workload(ctx.design_spec().workload)
-    return sweep_rram_capacity(pdk=ctx.pdk, network=network,
-                               engine=ctx.engine, jobs=ctx.jobs)
-
-
+def fig9_experiment(ctx: ExperimentContext) -> tuple[SpecEvaluation, ...]:
+    """The context spec at each capacity of :data:`CAPACITIES_MB`."""
+    specs = [ctx.design_spec({"arch.capacity_bits": mb * MEGABYTE})
+             for mb in CAPACITIES_MB]
+    return evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                          jobs=ctx.jobs)

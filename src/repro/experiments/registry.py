@@ -4,9 +4,11 @@ Every experiment module registers its driver once, at import time::
 
     @experiment("fig9", "Fig. 9 / Obs. 6: RRAM capacity sweep",
                 formatter=format_fig9)
-    def fig9_experiment(ctx: ExperimentContext) -> tuple[CapacityPoint, ...]:
-        return sweep_rram_capacity(pdk=ctx.pdk, engine=ctx.engine,
-                                   jobs=ctx.jobs)
+    def fig9_experiment(ctx: ExperimentContext) -> tuple[SpecEvaluation, ...]:
+        specs = [ctx.design_spec({"arch.capacity_bits": mb * MEGABYTE})
+                 for mb in CAPACITIES_MB]
+        return evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                              jobs=ctx.jobs)
 
 The registered function is the *uniform* entry point: it takes an
 :class:`ExperimentContext` carrying the shared PDK, evaluation engine,

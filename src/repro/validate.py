@@ -83,25 +83,32 @@ def run_validation(pdk: PDK | None = None) -> tuple[Check, ...]:
         _within(lo7, 5.3, 0.20) and _within(hi7, 11.5, 0.15))
 
     # Fig. 9 endpoints.
-    from repro.core.insights import sweep_rram_capacity
-    points = {round(p.capacity_megabytes): p for p in sweep_rram_capacity(pdk=pdk)}
+    from repro.experiments.fig9 import fig9_experiment
+    from repro.units import MEGABYTE
+    points = {round(p.spec.arch.capacity_bits / MEGABYTE): p
+              for p in fig9_experiment(ctx)}
     add("Fig. 9 @ 12 MB", "1.0x", f"{points[12].edp_benefit:.2f}x",
         _within(points[12].edp_benefit, 1.0, 0.02))
     add("Fig. 9 @ 128 MB", "6.8x", f"{points[128].edp_benefit:.2f}x",
         _within(points[128].edp_benefit, 6.8, 0.05))
 
-    # Obs. 7 / Obs. 8 thresholds.
-    from repro.core.relaxed_fet import relaxed_fet_study
-    from repro.core.via_pitch import via_pitch_study
-    flat = relaxed_fet_study(1.6, pdk).edp_benefit
-    nominal = relaxed_fet_study(1.0, pdk).edp_benefit
-    retained = relaxed_fet_study(2.5, pdk).edp_benefit
+    # Obs. 7 / Obs. 8 thresholds and the Obs. 9 second pair: single-knob
+    # points of the case study.
+    from repro.spec.evaluate import evaluate_specs
+    reoptimized = {"arch.baseline": "reoptimized"}
+    nominal, flat, retained, beta_ok, beta_dead, y2 = (
+        evaluation.edp_benefit for evaluation in evaluate_specs([
+            ctx.design_spec({**reoptimized, "tech.delta": 1.0}),
+            ctx.design_spec({**reoptimized, "tech.delta": 1.6}),
+            ctx.design_spec({**reoptimized, "tech.delta": 2.5}),
+            ctx.design_spec({**reoptimized, "tech.beta": 1.3}),
+            ctx.design_spec({**reoptimized, "tech.beta": 1.6}),
+            ctx.design_spec({"arch.tier_pairs": 2}),
+        ], pdk=ctx.pdk, engine=ctx.engine))
     add("Obs. 7 flat to delta=1.6", "no loss",
         f"{flat / nominal:.3f}x of nominal", _within(flat, nominal, 0.02))
     add("Obs. 7 retained at delta=2.5", ">1x", f"{retained:.2f}x",
         1.0 < retained < 2.0)
-    beta_ok = via_pitch_study(1.3, pdk).edp_benefit
-    beta_dead = via_pitch_study(1.6, pdk).edp_benefit
     add("Obs. 8 unchanged at beta=1.3", "no loss",
         f"{beta_ok / nominal:.3f}x of nominal",
         _within(beta_ok, nominal, 0.02))
@@ -109,8 +116,6 @@ def run_validation(pdk: PDK | None = None) -> tuple[Check, ...]:
         beta_dead < 2.0)
 
     # Obs. 9 tiers.
-    from repro.core.multitier import multitier_study
-    y2 = multitier_study(2, pdk).edp_benefit
     add("Obs. 9 second tier pair", "6.9x", f"{y2:.2f}x",
         _within(y2, 6.9, 0.05))
 

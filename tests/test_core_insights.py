@@ -8,8 +8,9 @@ from repro.core.insights import (
     obs5_memory_bound_ratio,
     reference_design_point,
     sweep_bandwidth_vs_cs,
-    sweep_rram_capacity,
 )
+from repro.experiments import run_experiment
+from repro.spec import DesignSpec, evaluate_specs
 from repro.units import MEGABYTE
 
 
@@ -66,23 +67,25 @@ def test_grid_covers_requested_points():
     assert len(grid) == 4
 
 
-def test_capacity_sweep_matches_fig9(pdk):
+def test_capacity_sweep_matches_fig9(ctx):
     """Fig. 9: 1x at 12 MB -> ~5.7x at 64 MB -> ~6.8x at 128 MB."""
-    points = sweep_rram_capacity(pdk=pdk)
-    by_mb = {round(p.capacity_megabytes): p for p in points}
-    assert by_mb[12].n_cs == 1
+    points = run_experiment("fig9", ctx)
+    by_mb = {round(p.spec.arch.capacity_bits / MEGABYTE): p for p in points}
+    assert by_mb[12].n_cs_m3d == 1
     assert by_mb[12].edp_benefit == pytest.approx(1.0, abs=0.01)
     assert by_mb[64].edp_benefit == pytest.approx(5.66, rel=0.05)
     assert by_mb[128].edp_benefit == pytest.approx(6.8, rel=0.05)
 
 
-def test_capacity_sweep_monotone_cs(pdk):
-    points = sweep_rram_capacity(pdk=pdk)
-    cs_counts = [p.n_cs for p in points]
+def test_capacity_sweep_monotone_cs(ctx):
+    points = run_experiment("fig9", ctx)
+    cs_counts = [p.n_cs_m3d for p in points]
     assert cs_counts == sorted(cs_counts)
 
 
 def test_capacity_sweep_custom_points(pdk):
-    points = sweep_rram_capacity((24 * MEGABYTE, 48 * MEGABYTE), pdk=pdk)
+    points = evaluate_specs(
+        [DesignSpec().with_capacity(mb * MEGABYTE) for mb in (24, 48)],
+        pdk=pdk)
     assert len(points) == 2
-    assert points[0].n_cs < points[1].n_cs
+    assert points[0].n_cs_m3d < points[1].n_cs_m3d

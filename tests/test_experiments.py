@@ -15,7 +15,9 @@ from repro.experiments import (
     format_table1,
     run_experiment,
 )
+from repro.experiments import ExperimentContext
 from repro.experiments.reporting import format_table, percent, times
+from repro.spec import DesignSpec, evaluate_spec
 from repro.units import MEGABYTE
 
 
@@ -103,7 +105,7 @@ def test_fig9_series(ctx):
 
 def test_fig10c_series(ctx):
     results = run_experiment("fig10c", ctx)
-    assert results[0].delta == 1.0
+    assert results[0].spec.tech.delta == 1.0
     text = format_fig10c(results)
     assert "delta" in text
 
@@ -120,6 +122,44 @@ def test_fig10d_result(ctx):
     assert len(result.parallel_layer_sweep) == 3
     text = format_fig10d(result)
     assert "pairs Y" in text
+
+
+#: A context spec off the defaults in fields none of the single-knob
+#: studies sets itself.
+OFF_DEFAULT_SPEC = DesignSpec.from_jsonable({
+    "workload": {"network": "resnet18", "batch": 4},
+    "arch": {"precision_bits": 4},
+})
+
+
+#: (experiment, knobs, its row at the base point, the knobs it sets there).
+SINGLE_KNOB_CASES = [
+    ("fig9", {}, lambda rows: rows[5],
+     {"arch.capacity_bits": 64 * MEGABYTE}),
+    ("fig10c", {}, lambda rows: rows[0],
+     {"tech.delta": 1.0, "arch.baseline": "reoptimized"}),
+    ("obs8", {}, lambda rows: rows[0].evaluation,
+     {"tech.beta": 1.0, "arch.baseline": "reoptimized"}),
+    ("fig10d", {"max_pairs": 1}, lambda result: result.network_sweep[0],
+     {"arch.tier_pairs": 1}),
+    ("ext-precision", {"precisions": (4,)}, lambda rows: rows[0].evaluation,
+     {"arch.cs": "precision-scaled", "arch.precision_bits": 4}),
+    ("ext-memtech", {}, lambda rows: next(
+        row.evaluation for row in rows
+        if row.evaluation.spec.tech.memory == "rram"),
+     {"tech.memory": "rram"}),
+]
+
+
+@pytest.mark.parametrize("name, knobs, pick, changes", SINGLE_KNOB_CASES,
+                         ids=[case[0] for case in SINGLE_KNOB_CASES])
+def test_single_knob_studies_follow_the_context_spec(pdk, name, knobs, pick,
+                                                     changes):
+    """Each study's base point is ``evaluate_spec`` of the context spec
+    with the study's own knobs set: no other spec field is dropped."""
+    ctx = ExperimentContext.create(pdk=pdk, spec=OFF_DEFAULT_SPEC)
+    row = pick(run_experiment(name, ctx, **knobs))
+    assert row == evaluate_spec(OFF_DEFAULT_SPEC.updated(changes), pdk)
 
 
 def test_obs3_rows(ctx):

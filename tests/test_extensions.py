@@ -32,13 +32,14 @@ def precision_rows(ctx):
 # --- memory technologies ---------------------------------------------------------
 
 def test_memtech_covers_all_beol_presets(memtech_rows):
-    names = {row.technology.name for row in memtech_rows}
+    names = {row.evaluation.spec.tech.memory for row in memtech_rows}
     assert names == {"rram", "stt_mram", "fefet", "pcm"}
 
 
 def test_memtech_rram_matches_case_study(memtech_rows, resnet18_benefit):
-    rram = next(r for r in memtech_rows if r.technology.name == "rram")
-    assert rram.n_cs == 8
+    rram = next(r.evaluation for r in memtech_rows
+                if r.evaluation.spec.tech.memory == "rram")
+    assert rram.n_cs_m3d == 8
     assert rram.edp_benefit == pytest.approx(
         resnet18_benefit.edp_benefit, rel=0.01)
 
@@ -46,19 +47,20 @@ def test_memtech_rram_matches_case_study(memtech_rows, resnet18_benefit):
 def test_memtech_cs_count_tracks_gamma(memtech_rows):
     """N follows gamma_cells across technologies (Eq. 2 transferability)."""
     ordered = sorted(memtech_rows, key=lambda r: r.gamma_cells)
-    cs_counts = [row.n_cs for row in ordered]
+    cs_counts = [row.evaluation.n_cs_m3d for row in ordered]
     assert cs_counts == sorted(cs_counts)
 
 
 def test_memtech_denser_cells_smaller_chips(memtech_rows):
-    by_name = {row.technology.name: row for row in memtech_rows}
+    by_name = {row.evaluation.spec.tech.memory: row.evaluation
+               for row in memtech_rows}
     assert by_name["pcm"].footprint < by_name["rram"].footprint \
         < by_name["stt_mram"].footprint
 
 
 def test_memtech_all_benefit(memtech_rows):
     for row in memtech_rows:
-        assert row.edp_benefit > 3.0
+        assert row.evaluation.edp_benefit > 3.0
 
 
 def test_memtech_format(memtech_rows):
@@ -108,30 +110,35 @@ def test_beol_logic_format(beol_result):
 # --- precision --------------------------------------------------------------------
 
 def test_precision_rows(precision_rows):
-    assert [row.precision_bits for row in precision_rows] == [4, 8, 16]
+    assert [row.evaluation.spec.arch.precision_bits
+            for row in precision_rows] == [4, 8, 16]
 
 
 def test_precision_8bit_matches_case_study(precision_rows, resnet18_benefit):
-    row8 = next(r for r in precision_rows if r.precision_bits == 8)
-    assert row8.n_cs == 8
+    row8 = next(r.evaluation for r in precision_rows
+                if r.evaluation.spec.arch.precision_bits == 8)
+    assert row8.n_cs_m3d == 8
     assert row8.edp_benefit == pytest.approx(
         resnet18_benefit.edp_benefit, rel=0.01)
 
 
 def test_precision_16bit_excludes_big_models(precision_rows):
-    row16 = next(r for r in precision_rows if r.precision_bits == 16)
+    row16 = next(r for r in precision_rows
+                 if r.evaluation.spec.arch.precision_bits == 16)
     assert "resnet152" not in row16.models_fitting  # 120 MB at 16 bits
     assert "resnet18" in row16.models_fitting
 
 
 def test_precision_4bit_fits_everything_that_8_does(precision_rows):
-    row4 = next(r for r in precision_rows if r.precision_bits == 4)
-    row8 = next(r for r in precision_rows if r.precision_bits == 8)
+    by_bits = {row.evaluation.spec.arch.precision_bits: row
+               for row in precision_rows}
+    row4, row8 = by_bits[4], by_bits[8]
     assert set(row8.models_fitting) <= set(row4.models_fitting)
 
 
 def test_precision_benefit_ordering(precision_rows):
-    by_bits = {row.precision_bits: row for row in precision_rows}
+    by_bits = {row.evaluation.spec.arch.precision_bits: row.evaluation
+               for row in precision_rows}
     assert by_bits[4].edp_benefit >= by_bits[8].edp_benefit \
         >= by_bits[16].edp_benefit
 

@@ -116,10 +116,12 @@ class TestFig9Endpoints:
     def test_sweep(self, ctx):
         points = run_experiment("fig9", ctx)
         first, last = points[0], points[-1]
-        assert (first.capacity_bits, first.n_cs) == (100663296, 1)
+        assert (first.spec.arch.capacity_bits, first.n_cs_m3d) == \
+            (100663296, 1)
         assert first.speedup == pytest.approx(1.0, rel=REL)
         assert first.edp_benefit == pytest.approx(1.0, rel=REL)
-        assert (last.capacity_bits, last.n_cs) == (1073741824, 16)
+        assert (last.spec.arch.capacity_bits, last.n_cs_m3d) == \
+            (1073741824, 16)
         assert last.speedup == pytest.approx(6.849705735189993, rel=REL)
         assert last.edp_benefit == pytest.approx(6.852184823596777, rel=REL)
         # Obs. 6: the benefit grows monotonically with capacity.
@@ -131,19 +133,22 @@ class TestFig10Endpoints:
     def test_fig10c_fet_width(self, ctx):
         results = run_experiment("fig10c", ctx)
         first, last = results[0], results[-1]
-        assert (first.delta, first.n_cs_2d, first.n_cs_m3d) == (1.0, 1, 8)
+        assert (first.spec.tech.delta, first.n_cs_2d, first.n_cs_m3d) == \
+            (1.0, 1, 8)
         assert first.speedup == pytest.approx(5.630007688198693, rel=REL)
         assert first.edp_benefit == pytest.approx(5.685221320948279, rel=REL)
-        assert (last.delta, last.n_cs_2d, last.n_cs_m3d) == (3.0, 12, 20)
+        assert (last.spec.tech.delta, last.n_cs_2d, last.n_cs_m3d) == \
+            (3.0, 12, 20)
         assert last.edp_benefit == pytest.approx(1.1859212568861623, rel=REL)
 
     def test_obs8_via_pitch(self, ctx):
-        results = run_experiment("obs8", ctx)
-        first, last = results[0], results[-1]
-        assert (first.beta, first.n_cs_2d, first.n_cs_m3d) == (1.0, 1, 8)
+        rows = run_experiment("obs8", ctx)
+        first, last = rows[0].evaluation, rows[-1].evaluation
+        assert (first.spec.tech.beta, first.n_cs_2d, first.n_cs_m3d) == \
+            (1.0, 1, 8)
         assert first.edp_benefit == pytest.approx(5.685221320948279, rel=REL)
-        assert last.beta == 2.0
-        assert last.effective_delta == pytest.approx(
+        assert last.spec.tech.beta == 2.0
+        assert rows[-1].effective_delta == pytest.approx(
             3.7636423405654185, rel=REL)
         assert (last.n_cs_2d, last.n_cs_m3d) == (18, 26)
         assert last.edp_benefit == pytest.approx(1.0987762235678598, rel=REL)
@@ -152,12 +157,12 @@ class TestFig10Endpoints:
         result = run_experiment("fig10d", ctx)
         net_first = result.network_sweep[0]
         net_last = result.network_sweep[-1]
-        assert (net_first.pairs, net_first.n_cs) == (1, 8)
+        assert (net_first.spec.arch.tier_pairs, net_first.n_cs_m3d) == (1, 8)
         assert net_first.edp_benefit == pytest.approx(
             5.685221320948279, rel=REL)
-        assert net_first.temperature_rise == pytest.approx(
+        assert result.temperature_rises[0] == pytest.approx(
             0.027120710783051706, rel=REL)
-        assert (net_last.pairs, net_last.n_cs) == (6, 48)
+        assert (net_last.spec.arch.tier_pairs, net_last.n_cs_m3d) == (6, 48)
         assert net_last.edp_benefit == pytest.approx(
             7.016232429737267, rel=REL)
         layer_last = result.parallel_layer_sweep[-1]

@@ -8,10 +8,9 @@ if one fails, the corresponding table/figure in EXPERIMENTS.md is stale.
 import pytest
 
 from repro.arch import baseline_2d_design, m3d_design
-from repro.core import sweep_fet_width, sweep_tiers, sweep_via_pitch
-from repro.core.insights import sweep_rram_capacity
 from repro.experiments import run_experiment
 from repro.perf import compare_designs, simulate
+from repro.spec import DesignSpec, evaluate_specs
 from repro.units import MEGABYTE
 from repro.workloads import build_network
 
@@ -19,6 +18,14 @@ from repro.workloads import build_network
 @pytest.fixture(scope="module")
 def case_study(ctx):
     return run_experiment("casestudy", ctx, capacity_bits=64 * MEGABYTE)
+
+
+def _reoptimized(pdk, knob, *values):
+    """The case study with ``knob`` at each value, against the
+    re-optimized 2D baseline (Cases 1 and 2)."""
+    return evaluate_specs(
+        [DesignSpec().updated({knob: value, "arch.baseline": "reoptimized"})
+         for value in values], pdk=pdk)
 
 
 class TestHeadline:
@@ -73,26 +80,28 @@ class TestSectionII:
 class TestSectionIII:
     """Analytical framework observations."""
 
-    def test_obs6_capacity_scaling(self, pdk):
-        points = {round(p.capacity_megabytes): p
-                  for p in sweep_rram_capacity(pdk=pdk)}
+    def test_obs6_capacity_scaling(self, ctx):
+        points = {round(p.spec.arch.capacity_bits / MEGABYTE): p
+                  for p in run_experiment("fig9", ctx)}
         assert points[12].edp_benefit == pytest.approx(1.0, abs=0.02)
         assert points[128].edp_benefit == pytest.approx(6.8, rel=0.05)
 
     def test_obs7_fet_width_tolerance(self, pdk):
-        results = {r.delta: r for r in sweep_fet_width((1.0, 1.6, 2.5), pdk)}
+        results = {r.spec.tech.delta: r
+                   for r in _reoptimized(pdk, "tech.delta", 1.0, 1.6, 2.5)}
         assert results[1.6].edp_benefit == pytest.approx(
             results[1.0].edp_benefit, rel=0.02)
         assert 1.0 < results[2.5].edp_benefit < 2.0
 
     def test_obs8_via_pitch_tolerance(self, pdk):
-        results = {r.beta: r for r in sweep_via_pitch((1.0, 1.3, 1.6), pdk)}
+        results = {r.spec.tech.beta: r
+                   for r in _reoptimized(pdk, "tech.beta", 1.0, 1.3, 1.6)}
         assert results[1.3].edp_benefit == pytest.approx(
             results[1.0].edp_benefit, rel=0.02)
         assert results[1.6].edp_benefit < 0.4 * results[1.0].edp_benefit
 
-    def test_obs9_tier_scaling(self, pdk):
-        results = sweep_tiers(4, pdk)
+    def test_obs9_tier_scaling(self, ctx):
+        results = run_experiment("fig10d", ctx, max_pairs=4).network_sweep
         assert results[0].edp_benefit == pytest.approx(5.7, rel=0.05)
         assert results[1].edp_benefit == pytest.approx(6.9, rel=0.05)
         assert max(r.edp_benefit for r in results) == pytest.approx(

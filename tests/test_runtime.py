@@ -29,11 +29,6 @@ import pytest
 
 import repro
 from repro.core.dse import design_point_spec, joint_grid_sweep
-from repro.core.insights import (
-    CapacityPoint,
-    capacity_point,
-    sweep_rram_capacity,
-)
 from repro.runtime import (
     MISSING,
     EvaluationEngine,
@@ -197,15 +192,9 @@ class TestSerialization:
         assert candidate == SpecEvaluation.from_dict(
             json.loads(json.dumps(data)))
 
-    def test_capacity_point_round_trip(self, pdk):
-        point = capacity_point(pdk, resnet18(), 32 * MEGABYTE)
-        assert point == CapacityPoint.from_dict(
-            json.loads(json.dumps(point.to_dict())))
-
-    def test_from_dict_rejects_other_types(self, pdk):
-        point = capacity_point(pdk, resnet18(), 32 * MEGABYTE)
+    def test_from_dict_rejects_other_types(self, resnet18_benefit):
         with pytest.raises(ConfigurationError):
-            SpecEvaluation.from_dict(point.to_dict())
+            SpecEvaluation.from_dict(to_jsonable(resnet18_benefit))
 
     def test_benefit_report_round_trip(self, resnet18_benefit):
         assert loads(dumps(resnet18_benefit)) == resnet18_benefit
@@ -498,16 +487,24 @@ class TestDedupAndPool:
 
     def test_engine_parallel_map_with_shared_objects(self, pdk):
         # The engine detects kwargs shared by identity across the batch
-        # and ships them through the pool initializer; results must be
-        # indistinguishable from the serial path.
-        capacities = (32 * MEGABYTE, 64 * MEGABYTE)
+        # (here network= and pdk=) and ships them through the pool
+        # initializer; results must be indistinguishable from the serial
+        # path.
+        from repro.perf.simulator import simulate
+        from repro.spec.resolve import resolve
+
         net = resnet18()
-        serial = sweep_rram_capacity(
-            capacities, pdk=pdk, network=net,
-            engine=EvaluationEngine(jobs=1, use_cache=False))
-        pooled = sweep_rram_capacity(
-            capacities, pdk=pdk, network=net,
-            engine=EvaluationEngine(jobs=2, use_cache=False))
+        points = [resolve(design_point_spec(capacity), pdk)
+                  for capacity in (32 * MEGABYTE, 64 * MEGABYTE)]
+        calls = [{"design": design, "network": net, "pdk": pdk}
+                 for point in points for design in (point.baseline, point.m3d)]
+        assert set(EvaluationEngine._invariants(
+            [EvaluationEngine._normalize(call) for call in calls])) == \
+            {"network", "pdk"}
+        serial = EvaluationEngine(jobs=1, use_cache=False).map(
+            simulate, calls, stage="shared")
+        pooled = EvaluationEngine(jobs=2, use_cache=False).map(
+            simulate, calls, stage="shared")
         assert pooled == serial
 
     def test_shutdown_pool_is_idempotent(self):

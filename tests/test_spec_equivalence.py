@@ -1,79 +1,22 @@
-"""Spec-driven runs match the legacy entry points bit-for-bit.
+"""Other entry points match spec evaluations bit-for-bit.
 
-Every rewired study now constructs its design pair through
-``resolve(DesignSpec(...))``; these tests pin the refactor by comparing
-each legacy sweep against the equivalent batch of spec evaluations with
-exact ``==`` — same resolver, same simulator, so the floats must be
-identical, not merely close.
+The sweep executor, the sensitivity profile and the headline comparison
+each reach the simulator by their own route; these tests pin them
+against the equivalent batch of spec evaluations with exact ``==`` —
+same resolver, same simulator, so the floats must be identical, not
+merely close.
 """
 
 from repro.core.dse import design_point_spec, joint_grid_sweep
-from repro.core.insights import sweep_rram_capacity
-from repro.core.multitier import sweep_tiers
-from repro.core.relaxed_fet import sweep_fet_width
 from repro.core.sensitivity import (
     sensitivity_profile,
     sensitivity_profile_from_spec,
 )
-from repro.core.via_pitch import sweep_via_pitch
-from repro.spec import ArchSpec, DesignSpec, TechSpec, evaluate_specs
+from repro.spec import DesignSpec, evaluate_specs
 from repro.sweep import run_streaming_sweep
 from repro.units import MEGABYTE
 
-CAPACITIES = tuple(mb * MEGABYTE for mb in (16, 32, 64))
 DELTAS = (1.0, 1.6, 2.0)
-BETAS = (1.0, 1.3, 1.6)
-
-
-def test_capacity_sweep_matches_spec_evaluations(pdk, resnet18_network):
-    legacy = sweep_rram_capacity(CAPACITIES, pdk=pdk,
-                                 network=resnet18_network)
-    evaluations = evaluate_specs(
-        [DesignSpec(arch=ArchSpec(capacity_bits=capacity))
-         for capacity in CAPACITIES], pdk=pdk)
-    for point, evaluation in zip(legacy, evaluations):
-        assert point.capacity_bits == evaluation.spec.arch.capacity_bits
-        assert point.n_cs == evaluation.n_cs_m3d
-        assert point.speedup == evaluation.speedup
-        assert point.edp_benefit == evaluation.edp_benefit
-
-
-def test_fet_width_sweep_matches_spec_evaluations(pdk):
-    legacy = sweep_fet_width(DELTAS, pdk=pdk)
-    evaluations = evaluate_specs(
-        [DesignSpec(tech=TechSpec(delta=delta),
-                    arch=ArchSpec(baseline="reoptimized"))
-         for delta in DELTAS], pdk=pdk)
-    for result, evaluation in zip(legacy, evaluations):
-        assert result.n_cs_2d == evaluation.n_cs_2d
-        assert result.n_cs_m3d == evaluation.n_cs_m3d
-        assert result.footprint == evaluation.footprint
-        assert result.benefit.speedup == evaluation.speedup
-        assert result.benefit.edp_benefit == evaluation.edp_benefit
-
-
-def test_via_pitch_sweep_matches_spec_evaluations(pdk):
-    legacy = sweep_via_pitch(BETAS, pdk=pdk)
-    evaluations = evaluate_specs(
-        [DesignSpec(tech=TechSpec(beta=beta),
-                    arch=ArchSpec(baseline="reoptimized"))
-         for beta in BETAS], pdk=pdk)
-    for result, evaluation in zip(legacy, evaluations):
-        assert result.n_cs_2d == evaluation.n_cs_2d
-        assert result.n_cs_m3d == evaluation.n_cs_m3d
-        assert result.benefit.speedup == evaluation.speedup
-        assert result.benefit.edp_benefit == evaluation.edp_benefit
-
-
-def test_tier_sweep_matches_spec_evaluations(pdk):
-    legacy = sweep_tiers(3, pdk=pdk)
-    evaluations = evaluate_specs(
-        [DesignSpec(arch=ArchSpec(tier_pairs=pairs))
-         for pairs in (1, 2, 3)], pdk=pdk)
-    for result, evaluation in zip(legacy, evaluations):
-        assert result.n_cs == evaluation.n_cs_m3d
-        assert result.speedup == evaluation.speedup
-        assert result.benefit.edp_benefit == evaluation.edp_benefit
 
 
 def test_dse_grid_matches_spec_evaluations(pdk):
