@@ -217,6 +217,7 @@ class _ServeStats:
     """Server-side counters surfaced by ``/v1/cache`` and the benchmark.
 
     Attributes:
+        connections: Connections accepted.
         requests: Requests answered, by any status.
         coalesced: Eval requests that shared an in-flight evaluation.
         rejected_overload: Requests refused by the pending budget.
@@ -230,6 +231,7 @@ class _ServeStats:
             (admitted + coalesced + reads in progress).
     """
 
+    connections: int = 0
     requests: int = 0
     coalesced: int = 0
     rejected_overload: int = 0
@@ -279,6 +281,7 @@ class ReproServer:
         self._inflight_evals: dict[str, asyncio.Task] = {}
         self._pending = 0
         self._open_requests = 0
+        self._idle_writers: set[asyncio.StreamWriter] = set()
         self._buckets: dict[str, _TokenBucket] = {}
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -317,18 +320,17 @@ class ReproServer:
     async def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown: stop accepting, let in-flight work finish.
 
-        Closes the listening socket, flips the server into draining mode
-        (new POST work on surviving keep-alive connections answers 503
-        ``shutting_down``), then waits up to ``timeout`` (default
-        ``config.drain_seconds``) for every open request — including
-        in-flight NDJSON sweep streams — to complete.  Returns ``True``
-        when the server drained fully, ``False`` on timeout.
+        Closes the listening socket and every idle keep-alive connection,
+        flips the server into draining mode (each response now carries
+        ``Connection: close``, and new POST work on a surviving
+        connection answers 503 ``shutting_down``), then waits up to
+        ``timeout`` (default ``config.drain_seconds``) for every open
+        request — including in-flight NDJSON sweep streams — to
+        complete.  Returns ``True`` when the server drained fully,
+        ``False`` on timeout.
         """
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         budget = self.config.drain_seconds if timeout is None else timeout
         deadline = time.monotonic() + max(budget, 0.0)
         while self._open_requests > 0 and time.monotonic() < deadline:
@@ -337,13 +339,22 @@ class ReproServer:
 
     async def stop(self) -> None:
         """Stop accepting and release the worker threads."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
+
+    async def _close_listener(self) -> None:
+        # Idle keep-alive connections close too, since from Python 3.12
+        # on ``wait_closed`` waits for every open connection.  A client's
+        # next request on one fails before any response byte, which the
+        # bundled client retries once on a fresh connection.
+        if self._server is not None:
+            self._server.close()
+            for writer in self._idle_writers:
+                writer.close()
+            await self._server.wait_closed()
+            self._server = None
 
     # --- connection handling ----------------------------------------------
 
@@ -352,10 +363,16 @@ class ReproServer:
         peer = writer.get_extra_info("peername")
         client = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) \
             else "local"
+        self.stats.connections += 1
+        self.metrics.counter("repro_serve_connections_total").inc()
         try:
             while True:
-                request = await read_request(reader, client,
-                                             self.config.max_body_bytes)
+                self._idle_writers.add(writer)
+                try:
+                    request = await read_request(reader, client,
+                                                 self.config.max_body_bytes)
+                finally:
+                    self._idle_writers.discard(writer)
                 if request is None:
                     break
                 self._open_requests += 1
@@ -369,8 +386,11 @@ class ReproServer:
                         status = 200
                         break
                     status = response.status
-                    await write_response(writer, response,
-                                         request.keep_alive)
+                    # The header says what happens next: a draining
+                    # server closes the connection after this response.
+                    await write_response(
+                        writer, response,
+                        request.keep_alive and not self._draining)
                 finally:
                     self._open_requests -= 1
                     self._observe(request, status,

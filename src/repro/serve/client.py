@@ -7,9 +7,19 @@ burst tests and the failure-mode tests) exercise the real wire protocol
 through one shared, dependency-free implementation instead of three
 ad-hoc socket parsers.
 
-:class:`ServeClient` opens one connection per call — deliberately, since
-a burst of many independent clients is what the load and burst tests put
-on the server.  Errors surface as :class:`ServeError`, carrying the HTTP
+:class:`ServeClient` reuses HTTP/1.1 keep-alive connections.  Each
+client keeps a LIFO stack of idle connections: a call pops one (or opens
+a new one when the stack is empty) and pushes it back only after a
+complete fixed-length response that the server marked
+``Connection: keep-alive``.  Concurrent calls therefore open extra
+connections, so a burst of N calls still puts N connections on the
+server, while a closed-loop caller holds one.  A reused connection the
+server has meanwhile closed fails before any response byte arrives; the
+call then retries exactly once on a fresh connection (every
+fixed-length route is idempotent), and a fresh connection is never
+retried.  :meth:`ServeClient.sweep_events` keeps its own connection per
+stream.  :meth:`ServeClient.aclose` (or ``async with``) closes the idle
+connections.  Errors surface as :class:`ServeError`, carrying the HTTP
 status and the decoded error envelope.
 """
 
@@ -52,20 +62,46 @@ class ServeError(Exception):
 
 
 class ServeClient:
-    """Async client for one ``repro serve`` endpoint."""
+    """Async client for one ``repro serve`` endpoint.
+
+    Use it as ``async with ServeClient(host, port) as client:``, or call
+    :meth:`aclose` when done, so idle keep-alive connections are closed.
+    """
 
     def __init__(self, host: str, port: int,
                  client_id: str | None = None) -> None:
         self.host = host
         self.port = port
         self.client_id = client_id
+        self._idle: list[tuple[asyncio.StreamReader,
+                               asyncio.StreamWriter]] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
+
+    async def __aenter__(self) -> "ServeClient":
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.aclose()
+
+    async def aclose(self) -> None:
+        """Close every idle connection (calls in flight keep theirs)."""
+        idle, self._idle = self._idle_stack(), []
+        for _reader, writer in idle:
+            await _close(writer)
+
+    def _idle_stack(self) -> list[tuple[asyncio.StreamReader,
+                                        asyncio.StreamWriter]]:
+        # Connections belong to the loop that opened them; those left by
+        # an earlier ``asyncio.run`` cannot be used (or closed) here.
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            self._loop, self._idle = loop, []
+        return self._idle
 
     # --- raw HTTP ---------------------------------------------------------
 
-    async def _open(self, method: str, path: str, body: bytes,
-                    close: bool = True) -> tuple[asyncio.StreamReader,
-                                                 asyncio.StreamWriter]:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+    def _message(self, method: str, path: str, body: bytes,
+                 close: bool) -> bytes:
         lines = [f"{method} {path} HTTP/1.1",
                  f"Host: {self.host}:{self.port}",
                  f"Content-Length: {len(body)}",
@@ -74,10 +110,7 @@ class ServeClient:
             lines.append("Connection: close")
         if self.client_id is not None:
             lines.append(f"X-Client-Id: {self.client_id}")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                     + body)
-        await writer.drain()
-        return reader, writer
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     @staticmethod
     async def _read_head(reader: asyncio.StreamReader) \
@@ -96,19 +129,48 @@ class ServeClient:
                                                      bytes]:
         body = b"" if payload is None \
             else json.dumps(payload).encode("utf-8")
-        reader, writer = await self._open(method, path, body)
+        message = self._message(method, path, body, close=False)
+        idle = self._idle_stack()
+        if idle:
+            reply = await self._exchange(*idle.pop(), message, reused=True)
+            if reply is not None:
+                return reply
+        return await self._exchange(
+            *await asyncio.open_connection(self.host, self.port), message,
+            reused=False)
+
+    async def _exchange(self, reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter, message: bytes,
+                        reused: bool) \
+            -> tuple[int, dict[str, str], bytes] | None:
+        """One request and its response on one connection.
+
+        Returns ``None`` when a reused connection fails before any
+        response byte arrives (the server closed it while it sat idle),
+        so the caller retries on a fresh one.
+        """
         try:
-            status, headers = await self._read_head(reader)
-            length = int(headers.get("content-length", 0))
-            data = await reader.readexactly(length) if length \
-                else await reader.read()
-            return status, headers, data
-        finally:
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                writer.write(message)
+                await writer.drain()
+                status, headers = await self._read_head(reader)
+            except (ConnectionError, asyncio.IncompleteReadError) as error:
+                if reused and not getattr(error, "partial", b""):
+                    writer.close()
+                    return None
+                raise
+            length = headers.get("content-length")
+            data = await reader.readexactly(int(length)) if length \
+                else await reader.read()
+        except BaseException:
+            writer.close()
+            raise
+        if length is not None \
+                and headers.get("connection", "").lower() == "keep-alive":
+            self._idle.append((reader, writer))
+        else:
+            await _close(writer)
+        return status, headers, data
 
     @staticmethod
     def _decode(status: int, headers: Mapping[str, str],
@@ -160,8 +222,11 @@ class ServeClient:
         if options:
             payload["options"] = dict(options)
         body = json.dumps(payload).encode("utf-8")
-        reader, writer = await self._open("POST", "/v1/sweep", body)
+        reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
+            writer.write(self._message("POST", "/v1/sweep", body,
+                                       close=True))
+            await writer.drain()
             status, headers = await self._read_head(reader)
             if status != 200:
                 length = int(headers.get("content-length", 0))
@@ -181,14 +246,18 @@ class ServeClient:
                     if line.strip():
                         yield json.loads(line)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close(writer)
 
     async def sweep(self, sweep: Mapping[str, Any],
                     options: Mapping[str, Any] | None = None) \
             -> list[dict[str, Any]]:
         """``POST /v1/sweep``, collected: every event, in order."""
         return [event async for event in self.sweep_events(sweep, options)]
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass

@@ -33,9 +33,11 @@ def serve_test(test: Callable[[ReproServer, ServeClient], Awaitable[Any]],
             config if config is not None else ServerConfig(port=0),
             engine=engine if engine is not None else EvaluationEngine())
         host, port = await server.start()
+        client = ServeClient(host, port)
         try:
-            return await test(server, ServeClient(host, port))
+            return await test(server, client)
         finally:
+            await client.aclose()
             await server.stop()
 
     return asyncio.run(main())
@@ -338,16 +340,18 @@ def test_sweep_overload_yields_429():
 
 def test_quota_yields_429_rate_limited():
     async def check(server, client):
-        limited = ServeClient(client.host, client.port, client_id="alice")
-        await limited.evaluate(SPEC)      # burst of 1: first is free
-        with pytest.raises(ServeError) as info:
-            await limited.evaluate(SPEC)
+        async with ServeClient(client.host, client.port,
+                               client_id="alice") as limited:
+            await limited.evaluate(SPEC)  # burst of 1: first is free
+            with pytest.raises(ServeError) as info:
+                await limited.evaluate(SPEC)
         assert info.value.status == 429
         assert info.value.error_type == "rate_limited"
         assert info.value.retry_after > 0
         # A different client has its own bucket.
-        other = ServeClient(client.host, client.port, client_id="bob")
-        payload = await other.evaluate(SPEC)
+        async with ServeClient(client.host, client.port,
+                               client_id="bob") as other:
+            payload = await other.evaluate(SPEC)
         assert payload["result"]["speedup"] > 1
         assert server.stats.rejected_quota == 1
 
@@ -357,10 +361,11 @@ def test_quota_yields_429_rate_limited():
 
 def test_quota_does_not_gate_reads():
     async def check(server, client):
-        limited = ServeClient(client.host, client.port, client_id="alice")
-        await limited.evaluate(SPEC)
-        for _ in range(5):                # GETs bypass the token bucket
-            assert (await limited.health())["status"] == "ok"
+        async with ServeClient(client.host, client.port,
+                               client_id="alice") as limited:
+            await limited.evaluate(SPEC)
+            for _ in range(5):            # GETs bypass the token bucket
+                assert (await limited.health())["status"] == "ok"
 
     serve_test(check, config=ServerConfig(port=0, quota_rate=0.001,
                                           quota_burst=1))
@@ -392,6 +397,19 @@ def test_cache_endpoint_reports_engine_and_serve_counters():
     serve_test(check)
 
 
+def test_cache_counts_one_connection_per_sequential_client():
+    async def check(server, client):
+        before = (await client.cache())["serve"]["connections"]
+        async with ServeClient(client.host, client.port) as fresh:
+            for _ in range(20):
+                await fresh.evaluate(SPEC)
+            after = (await fresh.cache())["serve"]["connections"]
+        assert after - before == 1
+        assert "repro_serve_connections_total" in await client.metrics_text()
+
+    serve_test(check)
+
+
 # --- protocol edges -------------------------------------------------------
 
 
@@ -400,6 +418,7 @@ def test_oversized_body_yields_413():
         status, _headers, body = await client._request(
             "POST", "/v1/eval", {"pad": "x" * 4096})
         assert status == 413
+        assert client._idle == []         # answered "Connection: close"
 
     serve_test(check, config=ServerConfig(port=0, max_body_bytes=1024))
 
@@ -418,6 +437,107 @@ def test_keep_alive_serves_multiple_requests_per_connection():
                  if line.lower().startswith(b"content-length")][0])
             await reader.readexactly(length)
         writer.close()
+
+    serve_test(check)
+
+
+# --- client connection reuse ----------------------------------------------
+
+
+async def _stub_server(answer: Callable[[int, int], bool]) \
+        -> tuple[asyncio.AbstractServer, int, list[int]]:
+    """A keep-alive stub answering ``GET`` heads while ``answer(conn,
+    nth)`` holds, hanging up otherwise; returns requests per connection."""
+    received: list[int] = []
+
+    async def handle(reader, writer):
+        index = len(received)
+        received.append(0)
+        try:
+            while True:
+                await reader.readuntil(b"\r\n\r\n")
+                received[index] += 1
+                if not answer(index, received[index]):
+                    break
+                body = b'{"status": "ok"}'
+                writer.write(b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body)
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    stub = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return stub, stub.sockets[0].getsockname()[1], received
+
+
+def test_client_retries_a_closed_idle_connection_once():
+    """The stub answers one request per connection and hangs up on the
+    next: every reuse fails before any response byte, and each call then
+    succeeds on exactly one fresh connection."""
+
+    async def main():
+        stub, port, received = await _stub_server(
+            lambda _conn, nth: nth == 1)
+        async with ServeClient("127.0.0.1", port) as client:
+            for _ in range(3):
+                assert (await client.health())["status"] == "ok"
+        stub.close()
+        await stub.wait_closed()
+        return received
+
+    # Three calls, two of them retried once: 3 + 2 requests.
+    assert asyncio.run(main()) == [2, 2, 1]
+
+
+def test_client_never_retries_a_fresh_connection():
+    """After the first answer the stub hangs up on every request: the
+    reused connection is retried once, and the fresh one's failure is
+    raised instead of retried again."""
+
+    async def main():
+        stub, port, received = await _stub_server(
+            lambda conn, nth: conn == 0 and nth == 1)
+        async with ServeClient("127.0.0.1", port) as client:
+            await client.health()
+            with pytest.raises((asyncio.IncompleteReadError,
+                                ConnectionError)):
+                await client.health()
+            assert client._idle == []
+        stub.close()
+        await stub.wait_closed()
+        return received
+
+    assert asyncio.run(main()) == [2, 1]
+
+
+def test_pooled_connections_never_cross_responses():
+    specs = [dict(SPEC, tech={"delta": 1.0 + 0.01 * i}) for i in range(24)]
+    expected = [DesignSpec.from_jsonable(spec).fingerprint()
+                for spec in specs]
+
+    async def check(server, client):
+        for order in (specs, specs[::-1]):   # the second gather reuses
+            replies = await asyncio.gather(
+                *(client.evaluate(spec) for spec in order))
+            wanted = expected if order is specs else expected[::-1]
+            assert [r["result"]["fingerprint"] for r in replies] == wanted
+        assert len(client._idle) == len(specs)
+
+    serve_test(check)
+
+
+def test_aclose_leaves_no_open_transport():
+    async def check(server, client):
+        await asyncio.gather(*(client.health() for _ in range(4)))
+        writers = [writer for _reader, writer in client._idle]
+        assert len(writers) == 4
+        assert not any(writer.is_closing() for writer in writers)
+        await client.aclose()
+        assert client._idle == []
+        assert all(writer.is_closing() for writer in writers)
 
     serve_test(check)
 
@@ -550,6 +670,69 @@ def test_drain_waits_for_inflight_work_then_refuses_new_posts():
         return "still-open"
 
     serve_test(check, engine=_SlowEngine(delay=0.2))
+
+
+def test_client_reused_across_event_loops():
+    """Idle connections belong to the loop that opened them: a client
+    called again under a second ``asyncio.run`` opens a fresh one."""
+    import threading
+
+    loop = asyncio.new_event_loop()
+    server = ReproServer(ServerConfig(port=0), engine=EvaluationEngine())
+    host, port = loop.run_until_complete(server.start())
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        client = ServeClient(host, port)
+
+        async def health_then_close():
+            async with client:
+                return await client.health()
+
+        assert asyncio.run(client.health())["status"] == "ok"
+        assert asyncio.run(health_then_close())["status"] == "ok"
+        assert server.stats.connections == 2
+    finally:
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+    assert not thread.is_alive()
+
+
+def test_draining_server_answers_connection_close_then_hangs_up():
+    """A keep-alive request answered during drain says ``Connection:
+    close`` — what the server then does — so no client pools it."""
+
+    async def check(server, client):
+        reader, writer = await asyncio.open_connection(client.host,
+                                                       client.port)
+        body = json.dumps(SPEC).encode()
+        writer.write(b"POST /v1/eval HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        await writer.drain()
+        await asyncio.sleep(0.05)            # the eval is on the thread
+        drain = asyncio.ensure_future(server.drain(timeout=5.0))
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert b"200 OK" in head
+        assert b"Connection: close" in head
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        await reader.readexactly(length)
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        assert await drain is True
+        writer.close()
+
+    serve_test(check, engine=_SlowEngine(delay=0.2))
+
+
+def test_drain_closes_idle_keep_alive_connections():
+    async def check(server, client):
+        await client.health()
+        [(reader, _writer)] = client._idle
+        assert await server.drain(timeout=5.0) is True
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""
+
+    serve_test(check)
 
 
 def test_sigterm_drains_and_exits_cleanly(tmp_path):
