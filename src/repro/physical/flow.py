@@ -55,6 +55,12 @@ FLOW_STAGES: tuple[str, ...] = (
     "timing", "power", "thermal", "quality",
 )
 
+#: Buckets of ``repro_flow_thermal_residual`` (relative residual of the
+#: thermal solve): exact solves land around 1e-12, so the decades below
+#: and above it separate rounding noise from a degraded solve.
+THERMAL_RESIDUAL_BUCKETS: tuple[float, ...] = (
+    1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6)
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -387,6 +393,11 @@ def run_staged_flows(
         for outcome in outcomes:
             status = "feasible" if outcome.feasible else "infeasible"
             counters.counter("repro_flow_outcomes_total", status=status).inc()
+            if outcome.thermal is not None:
+                counters.histogram(
+                    "repro_flow_thermal_residual",
+                    buckets=THERMAL_RESIDUAL_BUCKETS,
+                ).observe(outcome.thermal.residual)
     return outcomes
 
 

@@ -15,25 +15,25 @@ from the spec's ``flow`` section) and attaches a :class:`PhysicalSummary`
 point (timing miss, unroutable, over the thermal budget) is a normal
 result carrying ``feasible=False``, never an exception, which is what
 lets physical-aware sweeps report infeasible regions instead of aborting.
+The summary belongs to the chip — :func:`physical_summary` takes the
+``(tech, arch, flow)`` sections, not the workload — so many-point
+evaluation (:func:`map_physical`) runs each chip's flow once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Sequence
 
-from repro.errors import require
+from repro.errors import EvaluationFailure, require
 from repro.perf.compare import compare_designs
 from repro.perf.simulator import simulate
 from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.runtime.serialize import from_jsonable, to_jsonable
-from repro.spec.design import DesignSpec
-from repro.spec.resolve import resolve
-from repro.tech.pdk import PDK
+from repro.spec.design import ArchSpec, DesignSpec, FlowSpec, TechSpec
+from repro.spec.resolve import resolve, resolve_chips
+from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.units import MEGABYTE
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only (lazy import below)
-    from repro.spec.resolve import ResolvedPoint
 
 __all__ = [
     "PhysicalSummary",
@@ -41,6 +41,8 @@ __all__ = [
     "evaluate_spec",
     "evaluate_specs",
     "format_spec_evaluations",
+    "map_physical",
+    "physical_summary",
     "spec_calls",
 ]
 
@@ -158,17 +160,23 @@ class SpecEvaluation:
         return evaluation
 
 
-def _physical_summary(spec: DesignSpec,
-                      point: "ResolvedPoint") -> PhysicalSummary:
-    """Run both designs through the staged flow and condense the outcomes.
+def physical_summary(tech: TechSpec, arch: ArchSpec, flow: FlowSpec,
+                     pdk: PDK | None = None) -> PhysicalSummary:
+    """Run one chip's 2D/M3D pair through the staged flow and condense
+    the outcomes.
 
-    Single-design non-strict runs, so a stage error on either chip
+    The chip is ``(tech, arch, flow)`` on ``pdk`` (default: the shared
+    foundry M3D PDK); the workload plays no part, so every network run
+    on one chip shares one summary (and one engine cache entry).
+    Single-design non-strict runs, so a stage error on either design
     becomes an infeasible summary instead of an exception.
     """
     from repro.physical.flow import run_staged_flow
 
-    m3d = run_staged_flow(point.m3d, point.pdk, flow=spec.flow)
-    base = run_staged_flow(point.baseline, point.pdk, flow=spec.flow)
+    base_pdk = pdk if pdk is not None else foundry_m3d_pdk()
+    chip_pdk, base_design, m3d_design = resolve_chips(tech, arch, base_pdk)
+    m3d = run_staged_flow(m3d_design, chip_pdk, flow=flow)
+    base = run_staged_flow(base_design, chip_pdk, flow=flow)
     fm, fb = m3d.feasibility, base.feasibility
     ratio = 0.0
     if m3d.power is not None and base.power is not None:
@@ -205,10 +213,9 @@ def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
                   physical: bool = False) -> SpecEvaluation:
     """Resolve and simulate one design spec.
 
-    ``physical=True`` additionally runs the staged physical flow on both
-    resolved designs (knobs from ``spec.flow``) and attaches a
-    :class:`PhysicalSummary`; infeasible points return normally with
-    ``physical.feasible == False``.
+    ``physical=True`` additionally attaches the chip's
+    :func:`physical_summary` (knobs from ``spec.flow``); infeasible
+    points return normally with ``physical.feasible == False``.
     """
     point = resolve(spec, pdk)
     batch = spec.workload.batch
@@ -224,12 +231,13 @@ def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
         speedup=benefit.speedup,
         energy_benefit=benefit.energy_benefit,
         edp_benefit=benefit.edp_benefit,
-        physical=_physical_summary(spec, point) if physical else None,
+        physical=(physical_summary(spec.tech, spec.arch, spec.flow, pdk)
+                  if physical else None),
     )
 
 
-def spec_calls(specs: Iterable[DesignSpec], pdk: PDK | None = None,
-               physical: bool = False) -> list[tuple]:
+def spec_calls(specs: Iterable[DesignSpec],
+               pdk: PDK | None = None) -> list[tuple]:
     """The engine ``(args, kwargs)`` calls of ``evaluate_spec`` over specs.
 
     These shapes are the cache-key contract: :func:`evaluate_specs` and
@@ -239,10 +247,46 @@ def spec_calls(specs: Iterable[DesignSpec], pdk: PDK | None = None,
     arguments, which keeps each key a pure function of the spec's
     content.
     """
-    kwargs = {"physical": True} if physical else {}
     if pdk is None:
-        return [((spec,), kwargs) for spec in specs]
-    return [((spec, pdk), kwargs) for spec in specs]
+        return [((spec,), {}) for spec in specs]
+    return [((spec, pdk), {}) for spec in specs]
+
+
+def map_physical(engine: EvaluationEngine, specs: Sequence[DesignSpec],
+                 pdk: PDK | None = None, jobs: int | None = None,
+                 stage: str = "spec", on_error: str = "raise") -> list:
+    """``evaluate_spec(spec, pdk, physical=True)`` over ``specs``, as two
+    engine stages; one result (or, with ``on_error="record"``, one
+    :class:`~repro.errors.EvaluationFailure`) per spec, in order.
+
+    1. ``<stage>.evaluate`` — the analytic ``evaluate_spec`` calls of
+       :func:`spec_calls`, in this process (two scalar simulations cost
+       less than a pool round trip), under the keys non-physical
+       evaluations and ``/v1/eval`` use.
+    2. ``<stage>.physical`` — :func:`physical_summary` of each evaluated
+       point's chip, with ``jobs`` workers.  The key omits the workload,
+       so the engine's dedup and cache run each chip's flow once however
+       many networks the points put on it.
+
+    A point whose analytic stage failed records that failure and runs no
+    flow; a failed chip summary is recorded for each point on that chip.
+    """
+    results = engine.map(evaluate_spec, spec_calls(specs, pdk),
+                         stage=f"{stage}.evaluate", jobs=1, on_error=on_error)
+    slots = [slot for slot, value in enumerate(results)
+             if not isinstance(value, EvaluationFailure)]
+    if not slots:
+        return results
+    chip_args = [(specs[slot].tech, specs[slot].arch, specs[slot].flow)
+                 for slot in slots]
+    summaries = engine.map(
+        physical_summary,
+        chip_args if pdk is None else [(*args, pdk) for args in chip_args],
+        stage=f"{stage}.physical", jobs=jobs, on_error=on_error)
+    for slot, summary in zip(slots, summaries):
+        results[slot] = summary if isinstance(summary, EvaluationFailure) \
+            else replace(results[slot], physical=summary)
+    return results
 
 
 def evaluate_specs(
@@ -269,15 +313,16 @@ def evaluate_specs(
     within 1e-9 of the scalar path.  Specs the kernel cannot express
     fall back to scalar evaluation point by point.
 
-    ``physical=True`` runs the staged physical flow per point (see
-    :func:`evaluate_spec`).  The flow has no vectorized form, so
-    physical evaluations always take the scalar path — ``batch`` is
-    ignored for them — and cache under distinct keys (the ``physical``
-    keyword is part of the call's content hash).
+    ``physical=True`` attaches each point's chip summary (see
+    :func:`evaluate_spec`), evaluated through :func:`map_physical` as the
+    ``spec.evaluate`` and ``spec.physical`` stages.  The flow has no
+    vectorized form, so ``batch`` is ignored for physical evaluations.
     """
     engine = engine if engine is not None else default_engine()
-    calls = spec_calls(specs, pdk, physical=physical)
-    if physical or not batch:
+    if physical:
+        return tuple(map_physical(engine, list(specs), pdk, jobs=jobs))
+    calls = spec_calls(specs, pdk)
+    if not batch:
         return tuple(engine.map(evaluate_spec, calls, stage="spec.evaluate",
                                 jobs=jobs))
     from repro.batch.kernel import BatchKernel

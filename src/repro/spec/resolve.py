@@ -14,7 +14,8 @@ path.  The pipeline:
    Eq. 2's M3D count times ``tier_pairs``, or ``n_cs``; under the
    ``reoptimized`` policy the 2D baseline enlarged to the M3D footprint
    and refilled per Eq. 9); then each design, built once with its
-   explicit count and footprint.  The last stage, the cost model's
+   explicit count and footprint (:func:`resolve_chips`, which the
+   physical flow calls on its own).  The last stage, the cost model's
    row, is :func:`repro.perf.simulator.design_row`.
 3. **Workload** — build the named network, optionally restricted to one
    layer (:func:`build_workload`).
@@ -57,7 +58,7 @@ from repro.workloads.models import Network, available_networks, build_network
 from repro.workloads.transformer import base_encoder, tiny_encoder
 
 __all__ = ["ResolvedPoint", "build_workload", "design_stage", "resolve",
-           "scaled_pdk", "tech_pdk"]
+           "resolve_chips", "scaled_pdk", "tech_pdk"]
 
 #: Resolution memo: (spec fingerprint, PDK content hash) -> ResolvedPoint.
 _RESOLVE_MEMO = memo_table("spec.resolve")
@@ -222,8 +223,16 @@ def resolve(spec: DesignSpec, pdk: PDK | None = None) -> ResolvedPoint:
     return point
 
 
-def _resolve(spec: DesignSpec, base: PDK) -> ResolvedPoint:
-    tech, arch = spec.tech, spec.arch
+def resolve_chips(
+    tech: TechSpec, arch: ArchSpec, base: PDK,
+) -> tuple[PDK, AcceleratorDesign, AcceleratorDesign]:
+    """The chip half of a point: ``(pdk, baseline, m3d)`` on ``base``.
+
+    The designs depend on the tech and arch sections only, so every
+    workload run on one chip shares them — which is what lets the
+    physical flow run once per chip (:func:`~repro.spec.evaluate
+    .physical_summary`).  :func:`resolve` builds its designs here.
+    """
     stage = design_stage(base, tech, arch)
     counts = design_counts(stage, arch.capacity_bits, arch.tier_pairs,
                            arch.n_cs, arch.baseline)
@@ -239,10 +248,14 @@ def _resolve(spec: DesignSpec, base: PDK) -> ResolvedPoint:
         baseline = replace(baseline, precision_bits=arch.precision_bits)
     if arch.precision_bits != m3d.precision_bits:
         m3d = replace(m3d, precision_bits=arch.precision_bits)
+    return stage.pdk, baseline, m3d
 
+
+def _resolve(spec: DesignSpec, base: PDK) -> ResolvedPoint:
+    pdk, baseline, m3d = resolve_chips(spec.tech, spec.arch, base)
     return ResolvedPoint(
         spec=spec,
-        pdk=stage.pdk,
+        pdk=pdk,
         baseline=baseline,
         m3d=m3d,
         network=build_workload(spec.workload),

@@ -31,7 +31,10 @@ expanded grid in order and value; with pruning the surviving frontier
 equals the exhaustive frontier; resumed runs return values ``==``
 uninterrupted runs.  Engine calls are built by
 :func:`~repro.spec.evaluate.spec_calls`, the same helper
-``evaluate_specs`` uses, so both share cache entries.
+``evaluate_specs`` uses, so both share cache entries; physical points
+evaluate through :func:`~repro.spec.evaluate.map_physical`, the
+``evaluate_specs`` path too (``sweep.evaluate`` then ``sweep.physical``,
+one flow pair per chip).
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ from repro.errors import EvaluationFailure, PermanentError, require
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
 from repro.runtime.engine import EvaluationEngine, default_engine
-from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
+from repro.spec.evaluate import (
+    SpecEvaluation,
+    evaluate_spec,
+    map_physical,
+    spec_calls,
+)
 from repro.spec.sweep import SweepSpec
 from repro.sweep.bounds import spec_bounds
 from repro.sweep.checkpoint import ChunkRecord, SweepCheckpoint, chunk_hash
@@ -186,8 +194,11 @@ def stream_sweep(
     checkpoint records match the scalar path, and results agree with it
     within 1e-9.
 
-    ``physical=True`` runs every evaluated point through the staged
-    physical flow (``evaluate_spec(..., physical=True)``) and gates the
+    ``physical=True`` attaches every evaluated point's chip summary
+    (``evaluate_spec(..., physical=True)``, evaluated through
+    :func:`~repro.spec.evaluate.map_physical`: the analytic
+    ``sweep.evaluate`` stage in this process, then the flow once per
+    distinct chip as the ``sweep.physical`` stage) and gates the
     frontier on flow feasibility: a point that fails timing, routing,
     power density, or thermal checks still yields a full evaluation (so
     sweeps *report* infeasible points instead of aborting) but is never
@@ -242,6 +253,15 @@ def stream_sweep(
                 evaluations.append(value)
         return tuple(evaluations), tuple(failures)
 
+    def evaluate(specs) -> list:
+        """Engine results for ``specs``, one per spec (the scalar path)."""
+        if physical:
+            return map_physical(engine, specs, pdk, jobs=jobs,
+                                stage="sweep", on_error=on_error)
+        return engine.map(evaluate_spec, spec_calls(specs, pdk),
+                          stage="sweep.evaluate", jobs=jobs,
+                          on_error=on_error)
+
     def retry_failures(record: ChunkRecord) -> ChunkRecord:
         """Resume path: re-evaluate only a record's failed points.
 
@@ -250,10 +270,7 @@ def stream_sweep(
         repeated resumes keep converging without re-evaluating anything
         that already succeeded.
         """
-        retry_specs = [failure.spec for failure in record.failures]
-        raw = engine.map(
-            evaluate_spec, spec_calls(retry_specs, pdk, physical=physical),
-            stage="sweep.evaluate", jobs=jobs, on_error=on_error)
+        raw = evaluate([failure.spec for failure in record.failures])
         recovered: dict[int, SpecEvaluation] = {}
         still_failed: list[EvaluationFailure] = []
         for failure, value in zip(record.failures, raw):
@@ -331,12 +348,8 @@ def stream_sweep(
                             stage="sweep.evaluate", on_error=on_error)
                         evaluations, failures = split(survivors, raw)
                     else:
-                        raw = engine.map(
-                            evaluate_spec,
-                            spec_calls(survivors, pdk, physical=physical),
-                            stage="sweep.evaluate", jobs=jobs,
-                            on_error=on_error)
-                        evaluations, failures = split(survivors, raw)
+                        evaluations, failures = split(survivors,
+                                                      evaluate(survivors))
                     if store is not None:
                         pending.append(ChunkRecord(
                             index=index, specs_hash=specs_hash,

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, prometheus_text, trace, use_registry
 from repro.physical import run_flow, run_staged_flow, run_staged_flows
 from repro.physical.floorplan import build_floorplan
 from repro.physical.netlist import synthesize
@@ -245,6 +246,15 @@ def test_evaluate_spec_without_physical_is_unchanged(pdk):
     assert evaluation.is_feasible
 
 
+def test_physical_evaluation_exports_thermal_residual(pdk):
+    scoped = MetricsRegistry()
+    with trace(), use_registry(scoped):
+        evaluate_spec(DesignSpec(), pdk, physical=True)
+    lines = prometheus_text(scoped).splitlines()
+    assert "repro_flow_thermal_residual_count 2" in lines
+    assert 'repro_flow_thermal_residual_bucket{le="1e-10"} 2' in lines
+
+
 # --- feasibility-aware sweeps ----------------------------------------------
 
 
@@ -262,6 +272,64 @@ def test_physical_sweep_reports_infeasible_points(pdk):
     assert all(ev.is_feasible for ev in result.frontier_evaluations())
     verdicts = sorted(ev.physical.verdict for ev in result.evaluations)
     assert verdicts == ["ok", "ok", "timing", "timing"]
+
+
+def _two_network_sweep():
+    return SweepSpec(grid={"arch.capacity_mb": [32, 64],
+                           "workload.network": ["resnet18", "mobilenet_v1"],
+                           "flow.frequency_mhz": [20.0, 2000.0]})
+
+
+def test_physical_sweep_runs_each_chip_flow_once(pdk):
+    engine = EvaluationEngine(jobs=1)
+    sweep = _two_network_sweep()
+    result = run_streaming_sweep(sweep, pdk, engine=engine, chunk_size=2,
+                                 physical=True)
+    chips = engine.report().stage("sweep.physical")
+    assert (chips.calls, chips.evaluated, chips.cache_hits) == (8, 4, 4)
+    assert result.evaluations == tuple(
+        evaluate_spec(spec, pdk, physical=True) for spec in sweep.expand())
+
+
+def test_physical_summaries_are_reused_across_networks(pdk, tmp_path):
+    resnet = _feasibility_sweep().expand()
+    evaluate_specs(resnet, pdk, physical=True,
+                   engine=EvaluationEngine(jobs=1, cache_dir=tmp_path))
+    mobilenet = [replace(spec, workload=replace(spec.workload,
+                                                network="mobilenet_v1"))
+                 for spec in resnet]
+    engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
+    evaluations = evaluate_specs(mobilenet, pdk, physical=True,
+                                 engine=engine)
+    report = engine.report()
+    assert report.stage("spec.physical").evaluated == 0
+    assert report.stage("spec.evaluate").evaluated == len(mobilenet)
+    assert evaluations == tuple(evaluate_spec(spec, pdk, physical=True)
+                                for spec in mobilenet)
+
+
+def test_failed_chip_summary_is_recorded_on_each_of_its_points(
+        monkeypatch, pdk):
+    import repro.spec.evaluate as evaluate_mod
+
+    summary = evaluate_mod.physical_summary
+
+    def failing_at_64mb(tech, arch, flow, pdk=None):
+        if arch.capacity_bits == 64 * MEGABYTE:
+            raise ConfigurationError("no chip at 64 MB")
+        return summary(tech, arch, flow, pdk)
+
+    monkeypatch.setattr(evaluate_mod, "physical_summary", failing_at_64mb)
+    engine = EvaluationEngine(jobs=1)
+    result = run_streaming_sweep(_two_network_sweep(), pdk, engine=engine,
+                                 chunk_size=4, physical=True,
+                                 max_failures=-1)
+    assert result.evaluated == result.failed == 4
+    assert {failure.spec.arch.capacity_bits for failure in result.failures} \
+        == {64 * MEGABYTE}
+    assert {failure.spec.workload.network for failure in result.failures} \
+        == {"resnet18", "mobilenet_v1"}
+    assert engine.report().stage("sweep.physical").failures == 2
 
 
 def test_physical_sweep_resumes_from_checkpoints(pdk, tmp_path):
@@ -372,7 +440,7 @@ def test_stale_cached_evaluation_is_quarantined(pdk, tmp_path):
                               engine=engine)
     assert engine.cache.stats.corrupt == 1
     assert [(stage.cache_hits, stage.evaluated)
-            for stage in engine.report().stages] == [(0, 1)]
+            for stage in engine.report().stages] == [(1, 0), (0, 1)]
     assert list(tmp_path.glob("*.corrupt"))
     assert again == fresh
 
