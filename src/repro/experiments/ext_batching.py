@@ -17,14 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tech.pdk import PDK
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.spec.design import ArchSpec, DesignSpec
-from repro.spec.resolve import build_workload, resolve
-from repro.workloads.models import Network
+from repro.spec.evaluate import spec_benefit, spec_calls
 
 
 @dataclass(frozen=True)
@@ -48,56 +43,43 @@ class BatchingRow:
     edp_benefit: float
 
 
-def batching_row(
-    pdk: PDK,
-    batch: int,
-    capacity_bits: int,
-    network: Network,
-) -> BatchingRow:
-    """Evaluate the case-study pair at one token batch size."""
-    spec = DesignSpec(arch=ArchSpec(capacity_bits=capacity_bits))
-    point = resolve(spec, pdk)
-    peak = point.baseline.cs.array.peak_macs_per_cycle
-    base_report = simulate(point.baseline, network, point.pdk, batch=batch)
-    m3d_report = simulate(point.m3d, network, point.pdk, batch=batch)
-    benefit = compare_designs(base_report, m3d_report)
-    utilization = network.total_macs * batch / (base_report.cycles * peak)
-    return BatchingRow(
-        batch=batch,
-        cycles_per_token_2d=base_report.cycles / batch,
-        cycles_per_token_m3d=m3d_report.cycles / batch,
-        utilization_2d=utilization,
-        speedup=benefit.speedup,
-        energy_benefit=benefit.energy_benefit,
-        edp_benefit=benefit.edp_benefit,
-    )
-
-
 @experiment("ext-batching", "Extension: transformer token batching",
             formatter=lambda rows: format_batching(rows))
 def batching_experiment(
     ctx: ExperimentContext,
     batches: tuple[int, ...] = (1, 4, 16, 64, 256),
-    network: Network | None = None,
     capacity_bits: int | None = None,
 ) -> tuple[BatchingRow, ...]:
     """Sweep the token batch for an encoder workload on the case-study pair.
 
-    The workload defaults to the tiny transformer encoder (batching is a
-    transformer story); a context ``--spec`` with an explicit workload
-    overrides it, as do the keyword arguments.
+    Each batch is the context spec with that ``workload.batch``.  The
+    workload defaults to the tiny transformer encoder (batching is a
+    transformer story); a context ``--spec`` names its own workload.
+    ``capacity_bits`` (if given) overrides the context spec's capacity.
     """
-    spec = ctx.design_spec()
-    if capacity_bits is None:
-        capacity_bits = spec.arch.capacity_bits
-    if network is None:
-        workload = spec.workload if ctx.spec is not None \
-            else spec.updated({"workload.network": "tiny_encoder"}).workload
-        network = build_workload(workload)
-    calls = [(ctx.pdk, batch, capacity_bits, network) for batch in batches]
-    return tuple(ctx.engine.map(batching_row, calls,
-                                stage="ext_batching.run_batching",
-                                jobs=ctx.jobs))
+    base = {} if capacity_bits is None \
+        else {"arch.capacity_bits": capacity_bits}
+    if ctx.spec is None:
+        base["workload.network"] = "tiny_encoder"
+    specs = [ctx.design_spec({**base, "workload.batch": batch})
+             for batch in batches]
+    benefits = ctx.engine.map(spec_benefit, spec_calls(specs, ctx.pdk),
+                              stage="ext_batching.benefit", jobs=ctx.jobs)
+    rows = []
+    for batch, benefit in zip(batches, benefits):
+        base_report, m3d_report = benefit.baseline, benefit.m3d
+        peak = base_report.design.cs.array.peak_macs_per_cycle
+        rows.append(BatchingRow(
+            batch=batch,
+            cycles_per_token_2d=base_report.cycles / batch,
+            cycles_per_token_m3d=m3d_report.cycles / batch,
+            utilization_2d=(base_report.network.total_macs * batch
+                            / (base_report.cycles * peak)),
+            speedup=benefit.speedup,
+            energy_benefit=benefit.energy_benefit,
+            edp_benefit=benefit.edp_benefit,
+        ))
+    return tuple(rows)
 
 
 def format_batching(rows: tuple[BatchingRow, ...]) -> str:

@@ -24,10 +24,8 @@ from repro.arch.accelerator import baseline_2d_design
 from repro.core.thermal import ThermalStack, temperature_rise
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
+from repro.spec.evaluate import spec_benefit, spec_calls
 from repro.spec.resolve import resolve
-from repro.workloads.models import Network
 
 
 def cnfet_tier_free_area(pdk: PDK, capacity_bits: int) -> float:
@@ -90,7 +88,6 @@ class BEOLLogicResult:
 def beol_logic_experiment(
     ctx: ExperimentContext,
     capacity_bits: int | None = None,
-    network: Network | None = None,
     stack: ThermalStack | None = None,
 ) -> BEOLLogicResult:
     """Evaluate the M3D design extended with CNFET-tier CSs.
@@ -100,35 +97,26 @@ def beol_logic_experiment(
     changes = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
     spec = ctx.design_spec(changes)
-    capacity_bits = spec.arch.capacity_bits
     point = resolve(spec, ctx.pdk)
     pdk = point.pdk
-    network = network if network is not None else point.network
     stack = stack if stack is not None else ThermalStack()
-    baseline = point.baseline
-    plain_m3d = point.m3d
-    extra = extra_cnfet_cs_count(pdk, capacity_bits)
-    extended = resolve(
-        spec.updated({"arch.n_cs": plain_m3d.n_cs + extra}), ctx.pdk).m3d
-
-    baseline_report, plain_report, extended_report = ctx.engine.map(
-        simulate,
-        [(baseline, network, pdk), (plain_m3d, network, pdk),
-         (extended, network, pdk)],
-        stage="ext_beol_logic.simulate", jobs=ctx.jobs)
-    plain_benefit = compare_designs(baseline_report, plain_report)
-    extended_benefit = compare_designs(baseline_report, extended_report)
+    si_cs = point.m3d.n_cs
+    extra = extra_cnfet_cs_count(pdk, spec.arch.capacity_bits)
+    extended = spec.updated({"arch.n_cs": si_cs + extra})
+    plain_benefit, extended_benefit = ctx.engine.map(
+        spec_benefit, spec_calls([spec, extended], ctx.pdk),
+        stage="ext_beol_logic.benefit", jobs=ctx.jobs)
 
     # Power attribution: the CNFET CSs' share of average power moves to the
     # upper tier; Eq. 17 treats the chip as one compute+memory pair with
     # that share dissipated above the Si tier.
-    total_power = extended_report.average_power
-    upper_share = extra / extended.n_cs
+    total_power = extended_benefit.m3d.average_power
+    upper_share = extra / extended_benefit.m3d.design.n_cs
     upper_power = total_power * upper_share
     rise = temperature_rise([total_power - upper_power, upper_power], stack)
 
     return BEOLLogicResult(
-        si_cs=plain_m3d.n_cs,
+        si_cs=si_cs,
         cnfet_cs=extra,
         cnfet_fmax=cnfet_cs_fmax(pdk),
         speedup=extended_benefit.speedup,

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.spec.resolve import resolve
-from repro.workloads.models import build_network
+from repro.spec.evaluate import evaluate_specs
 
 #: The Fig. 5 model set (vgg16c substitutes VGG-16; see module docstring).
 FIG5_NETWORKS: tuple[str, ...] = (
@@ -64,29 +61,22 @@ def fig5_experiment(
     networks: tuple[str, ...] = FIG5_NETWORKS,
     capacity_bits: int | None = None,
 ) -> tuple[Fig5Row, ...]:
-    """Simulate every Fig. 5 model on the 2D/M3D design pair.
+    """The context spec with each Fig. 5 model as its workload.
 
-    All 2 * len(networks) simulations run as one engine batch, so repeats
-    hit the cache and ``jobs`` >= 2 spreads models across workers.
+    All len(networks) points run as one engine batch, so repeats hit the
+    cache and ``jobs`` >= 2 spreads models across workers.
     ``capacity_bits`` (if given) overrides the context spec's capacity.
     """
-    changes = {} if capacity_bits is None \
+    base = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
-    point = resolve(ctx.design_spec(changes), ctx.pdk)
-    built = [build_network(name) for name in networks]
-    specs = []
-    for network in built:
-        specs.append((point.baseline, network, point.pdk))
-        specs.append((point.m3d, network, point.pdk))
-    reports = ctx.engine.map(simulate, specs, stage="fig5.simulate",
-                             jobs=ctx.jobs)
-    rows: list[Fig5Row] = []
-    for i, name in enumerate(networks):
-        benefit = compare_designs(reports[2 * i], reports[2 * i + 1])
-        rows.append(Fig5Row(
-            network=name,
-            speedup=benefit.speedup,
-            energy_benefit=benefit.energy_benefit,
-            edp_benefit=benefit.edp_benefit,
-        ))
-    return tuple(rows)
+    # Fig. 5 compares whole models, so a context layer is not kept.
+    specs = [ctx.design_spec({**base, "workload.network": name,
+                              "workload.layer": None})
+             for name in networks]
+    evaluations = evaluate_specs(specs, pdk=ctx.pdk, engine=ctx.engine,
+                                 jobs=ctx.jobs)
+    return tuple(
+        Fig5Row(network=name, speedup=evaluation.speedup,
+                energy_benefit=evaluation.energy_benefit,
+                edp_benefit=evaluation.edp_benefit)
+        for name, evaluation in zip(networks, evaluations))

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
 from repro.physical.flow import run_staged_flow
+from repro.spec.evaluate import evaluate_specs
 from repro.spec.resolve import resolve
 from repro.units import to_mm2
-from repro.workloads.models import Network
 
 #: Fraction of chip dynamic energy in interconnect at this node class.
 WIRE_ENERGY_SHARE = 0.30
@@ -74,7 +72,6 @@ class FoldingResult:
 def folding_experiment(
     ctx: ExperimentContext,
     capacity_bits: int | None = None,
-    network: Network | None = None,
 ) -> FoldingResult:
     """Evaluate folding-only M3D against the architectural case study.
 
@@ -84,11 +81,9 @@ def folding_experiment(
         else {"arch.capacity_bits": capacity_bits}
     spec = ctx.design_spec(changes)
     point = resolve(spec, ctx.pdk)
-    pdk = point.pdk
-    network = network if network is not None else point.network
 
     flow_2d = run_staged_flow(
-        point.baseline, pdk, flow=spec.flow,
+        point.baseline, point.pdk, flow=spec.flow,
         engine=ctx.engine, jobs=ctx.jobs, strict=True).as_result()
     baseline = flow_2d.design
 
@@ -109,12 +104,8 @@ def folding_experiment(
     folded_energy = 1.0 - WIRE_ENERGY_SHARE * (1.0 - wl_ratio)
     folded_energy_benefit = 1.0 / folded_energy
 
-    base_report, m3d_report = ctx.engine.map(
-        simulate,
-        [(baseline, network, pdk),
-         (point.m3d, network, pdk)],
-        stage="folding.simulate", jobs=ctx.jobs)
-    architectural = compare_designs(base_report, m3d_report)
+    architectural, = evaluate_specs([spec], pdk=ctx.pdk, engine=ctx.engine,
+                                    jobs=ctx.jobs)
     return FoldingResult(
         footprint_2d=baseline.area.footprint,
         footprint_folded=folded_footprint,

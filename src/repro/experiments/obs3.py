@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from repro.arch.accelerator import derive_parallel_cs_count, peripheral_area
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
+from repro.spec.evaluate import evaluate_specs
 from repro.spec.resolve import resolve
-from repro.workloads.models import Network
 
 
 @dataclass(frozen=True)
@@ -57,42 +55,29 @@ def format_obs3(rows: tuple[Obs3Row, ...]) -> str:
 def obs3_experiment(
     ctx: ExperimentContext,
     density_ratios: tuple[float, ...] = (1.0, 1.5, 2.0),
-    network: Network | None = None,
     capacity_bits: int | None = None,
 ) -> tuple[Obs3Row, ...]:
     """Sweep the baseline memory density ratio (1.0 = RRAM baseline).
 
-    The shared-baseline simulation and every per-ratio M3D simulation run
-    as one engine batch (the repeated baseline deduplicates).
+    Each ratio is the context spec at the M3D CS count the scaled freed
+    area admits; the points run as one engine batch.
     ``capacity_bits`` (if given) overrides the context spec's capacity.
     """
     changes = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
     spec = ctx.design_spec(changes)
     point = resolve(spec, ctx.pdk)
-    pdk = point.pdk
-    network = network if network is not None else point.network
     baseline = point.baseline
-    cs_area = baseline.area.cs_unit
-    perif = peripheral_area(pdk)
-    counts: list[int] = []
-    specs = [(baseline, network, pdk)]
-    for ratio in density_ratios:
-        n_cs = derive_parallel_cs_count(baseline.area.cells * ratio, perif,
-                                        cs_area)
-        counts.append(n_cs)
-        m3d = resolve(spec.updated({"arch.n_cs": n_cs}), ctx.pdk).m3d
-        specs.append((m3d, network, pdk))
-    reports = ctx.engine.map(simulate, specs, stage="obs3.simulate",
-                             jobs=ctx.jobs)
-    base_report = reports[0]
-    rows: list[Obs3Row] = []
-    for ratio, n_cs, m3d_report in zip(density_ratios, counts, reports[1:]):
-        benefit = compare_designs(base_report, m3d_report)
-        rows.append(Obs3Row(
-            density_ratio=ratio,
-            n_cs=n_cs,
-            speedup=benefit.speedup,
-            edp_benefit=benefit.edp_benefit,
-        ))
-    return tuple(rows)
+    perif = peripheral_area(point.pdk)
+    counts = [derive_parallel_cs_count(baseline.area.cells * ratio, perif,
+                                       baseline.area.cs_unit)
+              for ratio in density_ratios]
+    evaluations = evaluate_specs(
+        [spec.updated({"arch.n_cs": n_cs}) for n_cs in counts],
+        pdk=ctx.pdk, engine=ctx.engine, jobs=ctx.jobs)
+    return tuple(
+        Obs3Row(density_ratio=ratio, n_cs=n_cs,
+                speedup=evaluation.speedup,
+                edp_benefit=evaluation.edp_benefit)
+        for ratio, n_cs, evaluation in zip(density_ratios, counts,
+                                           evaluations))

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
-from repro.perf.compare import compare_designs
-from repro.perf.simulator import simulate
-from repro.spec.resolve import resolve
+from repro.spec.evaluate import spec_benefit, spec_calls
 from repro.workloads.layers import LayerKind
 
 #: Paper Table I values (speedup, energy, EDP) for cross-reference.
@@ -73,14 +71,10 @@ def table1_experiment(
     """
     changes = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
-    point = resolve(ctx.design_spec(changes), ctx.pdk)
-    network = point.network
-    base_report, m3d_report = ctx.engine.map(
-        simulate,
-        [(point.baseline, network, point.pdk),
-         (point.m3d, network, point.pdk)],
-        stage="table1.simulate", jobs=ctx.jobs)
-    benefit = compare_designs(base_report, m3d_report)
+    benefit, = ctx.engine.map(
+        spec_benefit, spec_calls([ctx.design_spec(changes)], ctx.pdk),
+        stage="table1.benefit", jobs=ctx.jobs)
+    base_report, m3d_report = benefit.baseline, benefit.m3d
 
     rows: list[Table1Row] = []
 

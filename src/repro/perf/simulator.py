@@ -246,20 +246,3 @@ def simulate(design: AcceleratorDesign, network: Network,
     """Convenience wrapper: simulate ``network`` on ``design``."""
     return AcceleratorSimulator(design, pdk, batch=batch).run(network)
 
-
-def simulate_spec(spec, pdk: PDK | None = None,
-                  batch: int | None = None) -> tuple[ExecutionReport, ExecutionReport]:
-    """Simulate the 2D/M3D pair a :class:`~repro.spec.design.DesignSpec`
-    denotes, returning ``(baseline_report, m3d_report)``.
-
-    ``batch`` overrides the spec's workload batch.  The import is local:
-    the spec layer's evaluator imports this module.
-    """
-    from repro.spec.resolve import resolve
-
-    point = resolve(spec, pdk)
-    batch = batch if batch is not None else spec.workload.batch
-    return (
-        simulate(point.baseline, point.network, point.pdk, batch=batch),
-        simulate(point.m3d, point.network, point.pdk, batch=batch),
-    )

@@ -29,6 +29,7 @@ from repro.spec.evaluate import (
     evaluate_spec,
     evaluate_specs,
     format_spec_evaluations,
+    spec_benefit,
 )
 
 __all__ = [
@@ -50,4 +51,5 @@ __all__ = [
     "load_sweep_spec",
     "resolve",
     "scaled_pdk",
+    "spec_benefit",
 ]

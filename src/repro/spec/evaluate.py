@@ -1,7 +1,9 @@
 """Spec-driven evaluation: ``DesignSpec -> SpecEvaluation``.
 
-:func:`evaluate_spec` resolves a spec and runs the simulator on the
-resulting 2D/M3D pair; :func:`evaluate_specs` batches many specs through
+:func:`spec_benefit` resolves a spec and runs the simulator on the
+resulting 2D/M3D pair at the spec's batch, keeping the per-layer
+reports; :func:`evaluate_spec` condenses that into a summary;
+:func:`evaluate_specs` batches many specs through
 the evaluation engine, which content-hashes each ``evaluate_spec(spec)``
 call.  Because a spec is pure data, that cache key is a canonical-JSON
 hash of a few dozen bytes — it survives process restarts through the disk
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from repro.errors import EvaluationFailure, require
-from repro.perf.compare import compare_designs
+from repro.perf.compare import BenefitReport, compare_designs
 from repro.perf.simulator import simulate
 from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.runtime.serialize import from_jsonable, to_jsonable
@@ -43,6 +45,7 @@ __all__ = [
     "format_spec_evaluations",
     "map_physical",
     "physical_summary",
+    "spec_benefit",
     "spec_calls",
 ]
 
@@ -209,25 +212,37 @@ def physical_summary(tech: TechSpec, arch: ArchSpec, flow: FlowSpec,
     )
 
 
+def spec_benefit(spec: DesignSpec, pdk: PDK | None = None) -> BenefitReport:
+    """Resolve one design spec and compare its 2D/M3D pair, layer by
+    layer, at ``spec.workload.batch``.
+
+    The entry for studies that need more than :func:`evaluate_spec`'s
+    summary (per-layer reports, cycles, power); map it through the
+    engine with :func:`spec_calls` to cache it like ``evaluate_spec``.
+    """
+    point = resolve(spec, pdk)
+    batch = spec.workload.batch
+    return compare_designs(
+        simulate(point.baseline, point.network, point.pdk, batch=batch),
+        simulate(point.m3d, point.network, point.pdk, batch=batch),
+    )
+
+
 def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
                   physical: bool = False) -> SpecEvaluation:
-    """Resolve and simulate one design spec.
+    """Resolve and simulate one design spec: :func:`spec_benefit`'s
+    whole-network summary.
 
     ``physical=True`` additionally attaches the chip's
     :func:`physical_summary` (knobs from ``spec.flow``); infeasible
     points return normally with ``physical.feasible == False``.
     """
-    point = resolve(spec, pdk)
-    batch = spec.workload.batch
-    benefit = compare_designs(
-        simulate(point.baseline, point.network, point.pdk, batch=batch),
-        simulate(point.m3d, point.network, point.pdk, batch=batch),
-    )
+    benefit = spec_benefit(spec, pdk)
     return SpecEvaluation(
         spec=spec,
-        n_cs_2d=point.n_cs_2d,
-        n_cs_m3d=point.n_cs_m3d,
-        footprint=point.footprint,
+        n_cs_2d=benefit.baseline.design.n_cs,
+        n_cs_m3d=benefit.m3d.design.n_cs,
+        footprint=benefit.m3d.design.area.footprint,
         speedup=benefit.speedup,
         energy_benefit=benefit.energy_benefit,
         edp_benefit=benefit.edp_benefit,

@@ -17,8 +17,9 @@ from repro.experiments import (
 )
 from repro.experiments import ExperimentContext
 from repro.experiments.reporting import format_table, percent, times
-from repro.spec import DesignSpec, evaluate_spec
+from repro.spec import DesignSpec, evaluate_spec, spec_benefit
 from repro.units import MEGABYTE
+from repro.workloads.layers import LayerKind
 
 
 # --- reporting helpers ---------------------------------------------------------
@@ -160,6 +161,71 @@ def test_single_knob_studies_follow_the_context_spec(pdk, name, knobs, pick,
     ctx = ExperimentContext.create(pdk=pdk, spec=OFF_DEFAULT_SPEC)
     row = pick(run_experiment(name, ctx, **knobs))
     assert row == evaluate_spec(OFF_DEFAULT_SPEC.updated(changes), pdk)
+
+
+def _benefits(row):
+    return row.speedup, row.energy_benefit, row.edp_benefit
+
+
+def _table1_total(benefit):
+    """Table I's Total row: the benefit over the non-FC layers."""
+    layers = [b for b in benefit.layers
+              if b.baseline.layer.kind != LayerKind.FC]
+    speedup = (sum(b.baseline.cycles for b in layers)
+               / sum(b.m3d.cycles for b in layers))
+    energy = (sum(b.baseline.energy for b in layers)
+              / sum(b.m3d.energy for b in layers))
+    return speedup, energy, speedup * energy
+
+
+def _beol_logic(result, spec, pdk):
+    extended = spec.updated({"arch.n_cs": result.si_cs + result.cnfet_cs})
+    return ((result.baseline_edp_benefit, result.edp_benefit),
+            (evaluate_spec(spec, pdk).edp_benefit,
+             evaluate_spec(extended, pdk).edp_benefit))
+
+
+#: An encoder context spec off the defaults in a field ext-batching does
+#: not set itself (twice the CSs of one tier pair).
+ENCODER_SPEC = DesignSpec.from_jsonable({
+    "workload": {"network": "tiny_encoder"},
+    "arch": {"tier_pairs": 2},
+})
+
+#: (experiment, context spec, knobs, (result, spec, pdk) -> (the study's
+#: value, the spec path's value at the context spec with its knobs)).
+PER_LAYER_CASES = [
+    ("table1", OFF_DEFAULT_SPEC, {}, lambda rows, spec, pdk: (
+        _benefits(rows[-1]), _table1_total(spec_benefit(spec, pdk)))),
+    ("fig5", OFF_DEFAULT_SPEC, {"networks": ("alexnet",)},
+     lambda rows, spec, pdk: (
+         _benefits(rows[0]), _benefits(evaluate_spec(
+             spec.updated({"workload.network": "alexnet"}), pdk)))),
+    ("obs3", OFF_DEFAULT_SPEC, {"density_ratios": (2.0,)},
+     lambda rows, spec, pdk: (
+         (rows[0].speedup, rows[0].edp_benefit),
+         _benefits(evaluate_spec(
+             spec.updated({"arch.n_cs": rows[0].n_cs}), pdk))[::2])),
+    ("folding", OFF_DEFAULT_SPEC, {}, lambda result, spec, pdk: (
+        result.architectural_edp_benefit,
+        evaluate_spec(spec, pdk).edp_benefit)),
+    ("ext-beol-logic", OFF_DEFAULT_SPEC, {}, _beol_logic),
+    ("ext-batching", ENCODER_SPEC, {"batches": (4,)},
+     lambda rows, spec, pdk: (
+         _benefits(rows[0]), _benefits(evaluate_spec(
+             spec.updated({"workload.batch": 4}), pdk)))),
+]
+
+
+@pytest.mark.parametrize("name, spec, knobs, compare", PER_LAYER_CASES,
+                         ids=[case[0] for case in PER_LAYER_CASES])
+def test_per_layer_studies_follow_the_context_spec(pdk, name, spec, knobs,
+                                                   compare):
+    """Each study's value equals the spec path's at the context spec with
+    the study's own knobs set: batch, precision and tier pairs are kept."""
+    ctx = ExperimentContext.create(pdk=pdk, spec=spec)
+    got, want = compare(run_experiment(name, ctx, **knobs), spec, pdk)
+    assert got == want
 
 
 def test_obs3_rows(ctx):

@@ -84,6 +84,34 @@ class TestCompleteness:
             assert defined == allowed, (
                 f"{module.__name__} defines {sorted(defined - allowed)}")
 
+    def test_no_experiment_simulates_outside_the_spec_path(self):
+        """Studies evaluate through ``repro.spec.evaluate`` (``evaluate_specs``
+        or ``spec_benefit``), which applies every spec field: no
+        experiment module imports or calls ``simulate`` or
+        ``compare_designs`` itself."""
+        import ast
+        import inspect
+
+        from repro.perf.compare import compare_designs
+        from repro.perf.simulator import simulate
+
+        banned = {"simulate", "compare_designs"}
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(
+                f"repro.experiments.{info.name}")
+            bound = {name for name, value in vars(module).items()
+                     if value is simulate or value is compare_designs}
+            tree = ast.parse(inspect.getsource(module))
+            used = {getattr(node, "id", None) or getattr(node, "attr", None)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            imported = {alias.name.rsplit(".", 1)[-1]
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names}
+            found = bound | ((used | imported) & banned)
+            assert not found, f"{module.__name__} uses {sorted(found)}"
+
     def test_duplicate_registration_is_an_error(self):
         with pytest.raises(ValueError, match="already registered"):
             @experiment("fig8", "dup", formatter=str)
