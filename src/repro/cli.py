@@ -282,9 +282,10 @@ def _main(argv: list[str] | None = None) -> int:
     else:
         observation = contextlib.nullcontext(None)
 
+    from repro.errors import ReproError
+
     base_spec = None
     if args.spec is not None:
-        from repro.errors import ReproError
         from repro.spec import load_design_spec
         try:
             base_spec = load_design_spec(args.spec)
@@ -299,7 +300,10 @@ def _main(argv: list[str] | None = None) -> int:
             if index:
                 print()
             started = time.perf_counter()
-            print(get_experiment(name).run_formatted(ctx))
+            try:
+                print(get_experiment(name).run_formatted(ctx))
+            except ReproError as error:
+                return _fail(args, error, prefix=f"{name}: ")
             timings.append((name, time.perf_counter() - started))
         # Snapshot inside the context so the report carries the trace.
         report = engine.report()

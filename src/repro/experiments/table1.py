@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, times
 from repro.spec.evaluate import spec_benefit, spec_calls
@@ -38,6 +39,10 @@ PAPER_TABLE1: dict[str, tuple[float, float, float]] = {
     "L4.1 CONV2": (7.83, 0.99, 7.85),
     "Total": (5.64, 0.99, 5.66),
 }
+
+
+#: The layers the paper merges into its first row.
+STEM_LAYERS = ("CONV1", "POOL")
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,18 @@ def table1_experiment(
     """
     changes = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
+    spec = ctx.design_spec(changes)
     benefit, = ctx.engine.map(
-        spec_benefit, spec_calls([ctx.design_spec(changes)], ctx.pdk),
+        spec_benefit, spec_calls([spec], ctx.pdk),
         stage="table1.benefit", jobs=ctx.jobs)
     base_report, m3d_report = benefit.baseline, benefit.m3d
+    names = {layer.baseline.layer.name for layer in benefit.layers}
+    missing = [name for name in STEM_LAYERS if name not in names]
+    if missing:
+        raise ConfigurationError(
+            f"Table I merges the {'+'.join(STEM_LAYERS)} stem into one "
+            f"row, but network {spec.workload.network!r} has no "
+            f"{' or '.join(map(repr, missing))} layer")
 
     rows: list[Table1Row] = []
 
@@ -88,14 +101,14 @@ def table1_experiment(
             paper_speedup=paper[0] if paper else None))
 
     # Merged CONV1+POOL row, then each conv layer, as the paper lists them.
-    stem_2d = [base_report.layer_result(n) for n in ("CONV1", "POOL")]
-    stem_3d = [m3d_report.layer_result(n) for n in ("CONV1", "POOL")]
+    stem_2d = [base_report.layer_result(n) for n in STEM_LAYERS]
+    stem_3d = [m3d_report.layer_result(n) for n in STEM_LAYERS]
     add("CONV1+POOL",
         sum(r.cycles for r in stem_2d), sum(r.cycles for r in stem_3d),
         sum(r.energy for r in stem_2d), sum(r.energy for r in stem_3d))
     for layer_benefit in benefit.layers:
         layer = layer_benefit.baseline.layer
-        if layer.name in ("CONV1", "POOL") or layer.kind == LayerKind.FC:
+        if layer.name in STEM_LAYERS or layer.kind == LayerKind.FC:
             continue
         add(layer.name,
             layer_benefit.baseline.cycles, layer_benefit.m3d.cycles,

@@ -115,6 +115,11 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory)
 
+    def in_memory(self, key: str) -> bool:
+        """Whether the memory tier holds ``key``: no disk access, no
+        counters, no LRU reordering."""
+        return key in self._memory
+
     def __contains__(self, key: str) -> bool:
         if key in self._memory:
             return True

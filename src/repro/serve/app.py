@@ -32,7 +32,11 @@ Evaluations are synchronous CPU work, so they run on a small thread pool
 behind an engine lock: the event loop stays free to accept, coalesce and
 reject, while engine internals (cache, counters, memo tables) only ever
 run single-threaded.  Sweeps hold the lock per *chunk*, so a long sweep
-interleaves fairly with point evaluations.
+interleaves fairly with point evaluations.  The one exception is a
+``/v1/eval`` whose result sits in the cache's memory tier while no
+worker thread holds the engine: the loop answers it itself, since the
+lookup costs less than the hop to a thread and back.  The loop only
+ever *tries* the lock, so it never waits on the engine.
 """
 
 from __future__ import annotations
@@ -229,6 +233,8 @@ class _ServeStats:
         peak_pending: High-water mark of admitted concurrent work.
         peak_inflight: High-water mark of concurrently open requests
             (admitted + coalesced + reads in progress).
+        loop_hits: Eval requests answered on the event loop from the
+            cache's memory tier, without the executor hop.
     """
 
     connections: int = 0
@@ -242,6 +248,7 @@ class _ServeStats:
     streams_cancelled: int = 0
     peak_pending: int = 0
     peak_inflight: int = 0
+    loop_hits: int = 0
 
     def to_jsonable(self) -> dict[str, int]:
         return dict(vars(self))
@@ -274,7 +281,9 @@ class ReproServer:
         self.stats = _ServeStats()
         self.metrics: MetricsRegistry = _metrics_registry()
         self.started = time.time()
-        self._engine_lock = threading.Lock()
+        # Reentrant: the loop takes it without blocking to answer a
+        # memory hit, then runs the same _eval_sync a worker thread runs.
+        self._engine_lock = threading.RLock()
         self._breaker = _CircuitBreaker(self.config.breaker_threshold,
                                         self.config.breaker_reset_seconds)
         self._draining = False
@@ -623,27 +632,36 @@ class ReproServer:
 
     async def _handle_eval(self, request: Request) -> Response:
         spec = parse_eval_body(request.body)
-        key = spec.fingerprint()
-        task = self._inflight_evals.get(key)
+        fingerprint = spec.fingerprint()
+        task = self._inflight_evals.get(fingerprint)
         coalesced = task is not None
-        if task is None:
+        if coalesced:
+            self.stats.coalesced += 1
+            self.metrics.counter("repro_serve_coalesced_total").inc()
+        else:
             denied = self._admit()
             if denied is not None:
                 return denied
-            task = asyncio.get_running_loop().create_task(
-                self._run_eval(spec))
-            self._inflight_evals[key] = task
-            task.add_done_callback(
-                lambda _done, key=key: self._eval_done(key))
-        else:
-            self.stats.coalesced += 1
-            self.metrics.counter("repro_serve_coalesced_total").inc()
-        # Shielded: a disconnecting follower (or owner) must not cancel
-        # the shared evaluation other clients are waiting on.
-        outcome = await asyncio.shield(task)
+            try:
+                outcome = self._eval_on_loop(spec)
+            except BaseException:
+                self._release()
+                raise
+            if outcome is None:
+                task = asyncio.get_running_loop().create_task(
+                    self._run_eval(spec))
+                self._inflight_evals[fingerprint] = task
+                task.add_done_callback(
+                    lambda _done, key=fingerprint: self._eval_done(key))
+            else:
+                self._release()
+        if task is not None:
+            # Shielded: a disconnecting follower (or owner) must not
+            # cancel the shared evaluation other clients are waiting on.
+            outcome = await asyncio.shield(task)
         payload = {
             "api": API_VERSION,
-            "result": evaluation_wire(outcome.evaluation),
+            "result": evaluation_wire(outcome.evaluation, fingerprint),
             "cached": outcome.cached,
             "coalesced": coalesced,
         }
@@ -654,12 +672,36 @@ class ReproServer:
         self._inflight_evals.pop(key, None)
         self._release()
 
-    async def _run_eval(self, spec: DesignSpec) -> _EvalOutcome:
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None, "server not started"
+    def _eval_on_loop(self, spec: DesignSpec) -> _EvalOutcome | None:
+        """Answer a memory-tier hit on the loop; ``None`` sends the
+        request to the executor.
+
+        Only when no worker thread holds the engine: the lock is tried,
+        never waited on.  A key held only on disk goes to the executor
+        too, so file reads stay off the loop.
+        """
+        cache = self.engine.cache
+        if cache is None or not self._engine_lock.acquire(blocking=False):
+            return None
         try:
-            outcome = await loop.run_in_executor(
-                self._executor, self._eval_sync, spec)
+            if not cache.in_memory(call_key(evaluate_spec, (spec,), {})):
+                return None
+            outcome = self._evaluate(spec)
+        finally:
+            self._engine_lock.release()
+        self.stats.loop_hits += 1
+        self.metrics.counter("repro_serve_loop_hits_total").inc()
+        return outcome
+
+    async def _run_eval(self, spec: DesignSpec) -> _EvalOutcome:
+        assert self._executor is not None, "server not started"
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._evaluate, spec)
+
+    def _evaluate(self, spec: DesignSpec) -> _EvalOutcome:
+        """``_eval_sync`` with the breaker's accounting, on either path."""
+        try:
+            outcome = self._eval_sync(spec)
         except ReproError:
             raise                   # blames the request, not the engine
         except Exception:
@@ -676,13 +718,13 @@ class ReproServer:
         # The bare (spec,) call shape matches what evaluate_specs builds
         # under the default PDK, so served points and library sweeps
         # share cache entries — a sweep warms /v1/eval and vice versa.
+        # The cache's hit count tells a hit without hashing the key again.
         with self._engine_lock:
-            cached = False
             cache = self.engine.cache
-            if cache is not None:
-                cached = call_key(evaluate_spec, (spec,), {}) in cache
+            hits = cache.stats.hits if cache is not None else 0
             result = self.engine.map(evaluate_spec, [(spec,)],
                                      stage="serve.eval", jobs=1)[0]
+            cached = cache is not None and cache.stats.hits > hits
             return _EvalOutcome(evaluation=result, cached=cached)
 
     # --- POST /v1/sweep (streaming) ---------------------------------------

@@ -120,16 +120,19 @@ def parse_sweep_body(body: bytes) -> tuple[SweepSpec, dict[str, Any]]:
     return SweepSpec.from_jsonable(data), options
 
 
-def evaluation_wire(evaluation: SpecEvaluation) -> dict[str, Any]:
+def evaluation_wire(evaluation: SpecEvaluation,
+                    fingerprint: str | None = None) -> dict[str, Any]:
     """One evaluated point in wire form: plain fields, no codec markers.
 
     The shape mirrors :class:`~repro.spec.evaluate.SpecEvaluation` but
     lowers the spec through its canonical plain-JSON form so clients in
-    any language can read it.
+    any language can read it.  ``fingerprint``, when the caller already
+    holds it, saves hashing the spec again.
     """
     return {
         "spec": evaluation.spec.to_jsonable(),
-        "fingerprint": evaluation.spec.fingerprint(),
+        "fingerprint": (fingerprint if fingerprint is not None
+                        else evaluation.spec.fingerprint()),
         "n_cs_2d": evaluation.n_cs_2d,
         "n_cs_m3d": evaluation.n_cs_m3d,
         "footprint": evaluation.footprint,

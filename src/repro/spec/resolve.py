@@ -73,6 +73,9 @@ _TECH_PDK_MEMO = memo_table("spec.tech_pdk")
 #: (base PDK, TechCSStage); the entry pins the base so its id stays unique.
 _DESIGN_STAGE_MEMO = memo_table("spec.design_stage")
 
+#: Workload memo: (network, layer) -> Network.
+_WORKLOAD_MEMO = memo_table("spec.workload")
+
 #: Transformer-encoder presets addressable by workload.network (the CNN
 #: zoo resolves through repro.workloads.models.build_network).
 _ENCODER_PRESETS = {
@@ -151,8 +154,20 @@ def build_workload(workload: WorkloadSpec) -> Network:
     ``network`` resolves through the CNN zoo or the transformer-encoder
     presets; ``layer`` (if set) restricts the network to that single
     layer, renamed ``<network>_<layer>`` with spaces underscored — the
-    Fig. 10d parallel-layer convention.
+    Fig. 10d parallel-layer convention.  Memoized on ``(network,
+    layer)``, the only fields it reads, so every resolve of one workload
+    shares one :class:`Network`.  A name that does not resolve stores
+    nothing, so it raises every time.
     """
+    key = (workload.network, workload.layer)
+    network = _WORKLOAD_MEMO.get(key)
+    if network is MISSING:
+        network = _build_workload(workload)
+        _WORKLOAD_MEMO.put(key, network)
+    return network
+
+
+def _build_workload(workload: WorkloadSpec) -> Network:
     name = workload.network
     if name in _ENCODER_PRESETS:
         network = _ENCODER_PRESETS[name]()

@@ -67,6 +67,16 @@ def test_run_table1(capsys):
     assert "Total" in out
 
 
+def test_table1_spec_without_the_stem_layers_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "alexnet.json"
+    spec_file.write_text('{"workload": {"network": "alexnet"}, '
+                         '"arch": {"capacity_mb": 128}}')
+    assert main(["table1", "--spec", str(spec_file)]) == 2
+    err = capsys.readouterr().err
+    assert "CONV1+POOL" in err
+    assert "network 'alexnet' has no 'POOL' layer" in err
+
+
 def test_descriptions_are_nonempty():
     for name, (description, runner) in EXPERIMENTS.items():
         assert description, name

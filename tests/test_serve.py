@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from typing import Any, Awaitable, Callable
 
 import pytest
@@ -73,10 +74,14 @@ def test_eval_matches_library_evaluation():
 def test_eval_reports_cached_on_repeat():
     async def check(server, client):
         first = await client.evaluate(SPEC)
+        assert server.stats.loop_hits == 0
         second = await client.evaluate(SPEC)
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["result"] == first["result"]
+        # The repeat is a memory hit, answered on the event loop.
+        assert (await client.cache())["serve"]["loop_hits"] == 1
+        assert "repro_serve_loop_hits_total" in await client.metrics_text()
 
     serve_test(check)
 
@@ -199,20 +204,140 @@ def test_distinct_specs_do_not_coalesce():
     serve_test(check, engine=engine)
 
 
+class _HoldingEngine(EvaluationEngine):
+    """Holds the engine on one spec's evaluation until ``release`` is set
+    (at most 10 s); every other call runs normally."""
+
+    def __init__(self, held: dict) -> None:
+        super().__init__()
+        self.held = DesignSpec.from_jsonable(held)
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def map(self, fn, calls, *args, **kwargs):
+        calls = list(calls)
+        if any(call == (self.held,) for call in calls):
+            self.holding.set()
+            self.release.wait(10.0)
+        return super().map(fn, calls, *args, **kwargs)
+
+
 def test_warm_burst_holds_half_its_requests_in_flight():
-    """200 concurrent requests over 24 cached specs: the server holds at
-    least half of them open at once instead of serializing its clients."""
-    specs = [dict(SPEC, tech={"delta": 1.0 + 0.005 * i}) for i in range(24)]
+    """200 concurrent requests over 24 cached specs, sent while a slow
+    miss (a 25th spec) holds the engine: the hits must queue behind it,
+    and the server holds at least half of them open at once instead of
+    serializing its clients."""
+    specs = [dict(SPEC, tech={"delta": 1.0 + 0.005 * i}) for i in range(25)]
+    slow, specs = specs[-1], specs[:-1]
     burst = [specs[i % len(specs)] for i in range(200)]
+    engine = _HoldingEngine(slow)
 
     async def check(server, client):
+        loop = asyncio.get_running_loop()
         await asyncio.gather(*(client.evaluate(s) for s in specs))
-        results = await asyncio.gather(*(client.evaluate(s) for s in burst))
+        held = asyncio.ensure_future(client.evaluate(slow))
+        assert await asyncio.to_thread(engine.holding.wait, 10.0)
+        read = server.stats.requests
+        pending = asyncio.gather(*(client.evaluate(s) for s in burst))
+        # Let the engine go once the server has read the whole burst (or
+        # after 5 s: a server that serializes its clients never does).
+        deadline = loop.time() + 5.0
+        while server.stats.requests < read + len(burst) \
+                and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        engine.release.set()
+        results = await pending
+        assert (await held)["cached"] is False
         assert all(r["cached"] for r in results)
         assert server.stats.peak_inflight >= len(burst) // 2
 
     # max_pending above the burst: this measures concurrency, not 429s.
-    serve_test(check, config=ServerConfig(port=0, max_pending=8192))
+    serve_test(check, config=ServerConfig(port=0, max_pending=8192),
+               engine=engine)
+
+
+# --- cache hits on the event loop -----------------------------------------
+
+
+def test_cache_hit_hashes_the_spec_once(monkeypatch):
+    import repro.runtime.engine as engine_module
+    import repro.serve.app as app
+
+    counts = {"fingerprint": 0, "call_key": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    async def check(server, client):
+        first = await client.evaluate(SPEC)
+        monkeypatch.setattr(DesignSpec, "fingerprint", counted(
+            "fingerprint", DesignSpec.fingerprint))
+        for module in (app, engine_module):
+            monkeypatch.setattr(module, "call_key", counted(
+                "call_key", module.call_key))
+        second = await client.evaluate(SPEC)
+        assert second["cached"] is True
+        assert second["result"] == first["result"]
+        assert counts["fingerprint"] == 1
+        assert counts["call_key"] <= 2
+
+    serve_test(check)
+
+
+def test_disk_only_hit_goes_through_the_executor(tmp_path):
+    async def warm(server, client):
+        return await client.evaluate(SPEC)
+
+    first = serve_test(warm, engine=EvaluationEngine(cache_dir=tmp_path))
+    engine = EvaluationEngine(cache_dir=tmp_path)
+    threads: list[str] = []
+
+    async def check(server, client):
+        original = server._eval_sync
+
+        def eval_sync(spec):
+            threads.append(threading.current_thread().name)
+            return original(spec)
+
+        server._eval_sync = eval_sync
+        reply = await client.evaluate(SPEC)
+        assert reply["cached"] is True
+        assert reply["result"] == first["result"]
+        assert server.stats.loop_hits == 0
+        assert engine.cache.stats.disk_hits == 1
+        # The disk hit put the entry in memory: the next one stays on
+        # the loop.
+        assert (await client.evaluate(SPEC))["cached"] is True
+        assert server.stats.loop_hits == 1
+
+    serve_test(check, engine=engine)
+    assert threads[0].startswith("repro-serve-eval")
+    assert threads[1] == threading.main_thread().name
+    assert engine.report().stage("serve.eval").cache_hits == 2
+
+
+def test_eval_sync_runs_once_per_owned_evaluation():
+    calls = []
+
+    async def check(server, client):
+        original = server._eval_sync
+        server._eval_sync = lambda spec: calls.append(spec) \
+            or original(spec)
+        await client.evaluate(SPEC)                     # miss
+        await client.evaluate(SPEC)                     # hit
+        assert len(calls) == 2
+        other = dict(SPEC, tech={"delta": 1.5})
+        results = await asyncio.gather(
+            *(client.evaluate(other) for _ in range(8)))
+        coalesced = sum(1 for r in results if r["coalesced"])
+        assert len(calls) == 2 + len(results) - coalesced
+        stage = server.engine.report().stage("serve.eval")
+        assert stage.calls == len(calls)
+
+    serve_test(check)
 
 
 # --- sweep streaming ------------------------------------------------------
@@ -617,6 +742,42 @@ def test_breaker_half_open_probe_closes_on_success():
                config=ServerConfig(port=0, breaker_threshold=1,
                                    breaker_reset_seconds=0.05),
                engine=_FlakyEngine(failures=1))
+
+
+@pytest.mark.parametrize("warm", [False, True],
+                         ids=["executor-miss", "loop-hit"])
+def test_engine_failures_trip_the_breaker_on_either_path(warm):
+    engine = _FlakyEngine(failures=0)
+    threads: list[str] = []
+    original_map = engine.map
+
+    def map_on(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return original_map(*args, **kwargs)
+
+    engine.map = map_on
+
+    async def check(server, client):
+        if warm:
+            await client.evaluate(SPEC)
+            threads.clear()
+        engine.remaining = 2
+        statuses = []
+        for _ in range(3):
+            with pytest.raises(ServeError) as excinfo:
+                await client.evaluate(SPEC)
+            statuses.append(excinfo.value.status)
+        assert statuses == [500, 500, 503]
+        assert server.stats.rejected_breaker == 1
+        assert server.stats.loop_hits == 0
+        assert (await client.health())["breaker"] == "open"
+
+    serve_test(check,
+               config=ServerConfig(port=0, breaker_threshold=2,
+                                   breaker_reset_seconds=60.0),
+               engine=engine)
+    on_loop = [name == threading.main_thread().name for name in threads]
+    assert on_loop == [warm, warm]
 
 
 def test_repro_errors_never_trip_the_breaker():

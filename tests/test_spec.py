@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.runtime.engine import EvaluationEngine
-from repro.runtime.memo import reset_memoization
+from repro.runtime.memo import memo_table, reset_memoization
 from repro.spec import (
     ArchSpec,
     DesignSpec,
@@ -336,8 +336,21 @@ def test_build_workload_layer_restriction():
 
 
 def test_build_workload_rejects_unknown_network():
-    with pytest.raises(ConfigurationError, match="unknown workload network"):
-        build_workload(WorkloadSpec(network="resnet9000"))
+    for _ in range(2):              # a failed build is never memoized
+        with pytest.raises(ConfigurationError,
+                           match="unknown workload network"):
+            build_workload(WorkloadSpec(network="resnet9000"))
+
+
+def test_resolves_of_one_workload_share_one_network():
+    reset_memoization()
+    first = resolve(DesignSpec(workload=WorkloadSpec(network="alexnet")))
+    second = resolve(DesignSpec(
+        arch=ArchSpec(capacity_bits=128 * MEGABYTE),
+        workload=WorkloadSpec(network="alexnet", batch=4)))
+    assert second.network is first.network
+    stats = memo_table("spec.workload").stats()
+    assert (stats.misses, stats.hits) == (1, 1)
 
 
 # --- evaluation + restart-surviving cache keys -----------------------------------
