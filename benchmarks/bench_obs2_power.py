@@ -4,14 +4,13 @@ from _reporting import report_table
 
 from repro.arch import m3d_design
 from repro.experiments.reporting import format_table, percent
-from repro.physical import run_flow
+from repro.physical import run_staged_flow
 from repro.tech import foundry_m3d_pdk
 from repro.units import to_mw
 
 
 def _power_breakdown(pdk):
-    flow = run_flow(m3d_design(pdk), pdk)
-    return flow.power
+    return run_staged_flow(m3d_design(pdk), pdk, strict=True).power
 
 
 def test_bench_obs2_power(benchmark):

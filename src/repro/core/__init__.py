@@ -40,13 +40,6 @@ from repro.core.thermal import (
 from repro.core.insights import BandwidthCSPoint, sweep_bandwidth_vs_cs
 from repro.core.allocate import Allocation, AllocationResult, optimize_freed_silicon
 from repro.core.dse import design_point_spec
-from repro.core.roofline import RooflineModel, RooflinePoint, roofline
-from repro.core.sensitivity import (
-    Elasticity,
-    elasticity,
-    sensitivity_profile,
-    sensitivity_profile_from_spec,
-)
 
 __all__ = [
     "Workload",
@@ -71,11 +64,4 @@ __all__ = [
     "AllocationResult",
     "optimize_freed_silicon",
     "design_point_spec",
-    "RooflinePoint",
-    "RooflineModel",
-    "roofline",
-    "Elasticity",
-    "elasticity",
-    "sensitivity_profile",
-    "sensitivity_profile_from_spec",
 ]

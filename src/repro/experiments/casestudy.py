@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
-from repro.physical.flow import FlowResult, run_staged_flows
+from repro.physical.flow import FlowOutcome, run_staged_flows
 from repro.spec.resolve import resolve
 from repro.units import MEGABYTE, to_mm2, to_mw
 
@@ -26,8 +26,8 @@ class CaseStudyResult:
         m3d: M3D flow result.
     """
 
-    baseline: FlowResult
-    m3d: FlowResult
+    baseline: FlowOutcome
+    m3d: FlowOutcome
 
     @property
     def iso_footprint(self) -> bool:
@@ -110,5 +110,4 @@ def casestudy_experiment(ctx: ExperimentContext,
     baseline, m3d = run_staged_flows(
         (point.baseline, point.m3d), point.pdk, flow=spec.flow,
         engine=ctx.engine, jobs=ctx.jobs, strict=True)
-    return CaseStudyResult(baseline=baseline.as_result(),
-                           m3d=m3d.as_result())
+    return CaseStudyResult(baseline=baseline, m3d=m3d)

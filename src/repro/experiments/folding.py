@@ -84,7 +84,7 @@ def folding_experiment(
 
     flow_2d = run_staged_flow(
         point.baseline, point.pdk, flow=spec.flow,
-        engine=ctx.engine, jobs=ctx.jobs, strict=True).as_result()
+        engine=ctx.engine, jobs=ctx.jobs, strict=True)
     baseline = flow_2d.design
 
     # Folded footprint: the memory tier and the logic tier overlap.

@@ -19,24 +19,18 @@ from repro.physical.netlist import (
     Netlist,
     synthesize,
 )
-from repro.physical.macros import BlockageKind, Macro, rram_array_macro
 from repro.physical.floorplan import Floorplan, PlacedBlock, Rect, build_floorplan
 from repro.physical.placement import legalize_floorplan, placement_quality
 from repro.physical.routing import RoutingResult, route
 from repro.physical.timing import TimingResult, analyze_timing
 from repro.physical.power import ActivityFactors, PowerReport, analyze_power
 from repro.physical.clock import ClockTree, synthesize_clock_tree
-from repro.physical.congestion import (
-    CongestionReport,
-    analyze_congestion,
-    congestion_report,
-)
+from repro.physical.congestion import CongestionReport, congestion_report
 from repro.physical.thermal import ThermalReport, analyze_thermal
 from repro.physical.flow import (
     FLOW_STAGES,
     FlowFeasibility,
     FlowOutcome,
-    FlowResult,
     run_flow,
     run_staged_flow,
     run_staged_flows,
@@ -48,9 +42,6 @@ __all__ = [
     "Net",
     "Netlist",
     "synthesize",
-    "Macro",
-    "BlockageKind",
-    "rram_array_macro",
     "Rect",
     "PlacedBlock",
     "Floorplan",
@@ -67,14 +58,12 @@ __all__ = [
     "ClockTree",
     "synthesize_clock_tree",
     "CongestionReport",
-    "analyze_congestion",
     "congestion_report",
     "ThermalReport",
     "analyze_thermal",
     "FLOW_STAGES",
     "FlowFeasibility",
     "FlowOutcome",
-    "FlowResult",
     "run_flow",
     "run_staged_flow",
     "run_staged_flows",

@@ -15,22 +15,17 @@ verify:
 
 :func:`congestion_report` is the staged-flow entry point — it takes the
 floorplan/routing artifacts directly so the engine can content-hash them
-as cache keys.  :func:`analyze_congestion` keeps the historical
-"completed flow in, report out" signature on top of it.
+as cache keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.arch.accelerator import AcceleratorDesign
 from repro.errors import require
 from repro.physical.floorplan import Floorplan
 from repro.physical.routing import RoutingResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow -> here)
-    from repro.physical.flow import FlowResult
 
 #: Signal routing layers available over the whole stack.
 ROUTING_LAYERS = 6
@@ -110,7 +105,3 @@ def congestion_report(floorplan: Floorplan, routing: RoutingResult,
         ilv_capacity=ilv_capacity,
     )
 
-
-def analyze_congestion(flow: "FlowResult") -> CongestionReport:
-    """Build the congestion report from a completed flow run."""
-    return congestion_report(flow.floorplan, flow.routing, flow.design)

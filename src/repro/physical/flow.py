@@ -63,39 +63,6 @@ THERMAL_RESIDUAL_BUCKETS: tuple[float, ...] = (
 
 
 @dataclass(frozen=True)
-class FlowResult:
-    """Everything the legacy flow produces for one design.
-
-    Attributes:
-        design: The input design.
-        netlist: Synthesized block-level netlist.
-        floorplan: Legalized floorplan.
-        routing: Routing estimate.
-        timing: Static timing outcome.
-        power: Per-tier power report.
-        quality: Placement quality metrics.
-    """
-
-    design: AcceleratorDesign
-    netlist: Netlist
-    floorplan: Floorplan
-    routing: RoutingResult
-    timing: TimingResult
-    power: PowerReport
-    quality: dict[str, float]
-
-    @property
-    def footprint(self) -> float:
-        """Die area, m^2."""
-        return self.floorplan.footprint
-
-    @property
-    def closed_timing(self) -> bool:
-        """True when the design meets its target frequency."""
-        return self.timing.meets_target
-
-
-@dataclass(frozen=True)
 class FlowFeasibility:
     """Per-check feasibility of one flow run.
 
@@ -160,13 +127,10 @@ class FlowFeasibility:
 class FlowOutcome:
     """Structured result of one staged flow run — never an exception.
 
-    Carries the same artifact attributes as :class:`FlowResult`
-    (``design``/``netlist``/``floorplan``/``routing``/``timing``/
-    ``power``/``quality``) plus the stages the legacy flow never ran
-    (``clock``/``congestion``/``thermal``) and a :class:`FlowFeasibility`
-    verdict.  Artifacts downstream of a failed stage are ``None`` and
-    ``error`` holds the diagnostic, so an infeasible sweep point is a
-    reportable row instead of an abort.
+    Carries every stage's artifact plus a :class:`FlowFeasibility`
+    verdict.  Artifacts of stages toggled off, or downstream of a failed
+    stage, are ``None``; ``error`` holds a failed stage's diagnostic, so
+    an infeasible sweep point is a reportable row instead of an abort.
 
     Attributes:
         design: The input design.
@@ -214,27 +178,6 @@ class FlowOutcome:
     def feasible(self) -> bool:
         """Shortcut for ``feasibility.feasible``."""
         return self.feasibility.feasible
-
-    def as_result(self) -> FlowResult:
-        """The legacy :class:`FlowResult` view of a completed flow.
-
-        Requires every legacy artifact to be present — i.e. the flow ran
-        to completion (the stages beyond the legacy set may be off).
-        """
-        require(self.error is None,
-                f"{self.design.name}: flow failed at stage "
-                f"{self.feasibility.failed_stage}: {self.error}")
-        require(self.quality is not None,
-                f"{self.design.name}: flow did not run to completion")
-        return FlowResult(
-            design=self.design,
-            netlist=self.netlist,
-            floorplan=self.floorplan,
-            routing=self.routing,
-            timing=self.timing,
-            power=self.power,
-            quality=self.quality,
-        )
 
 
 class _Slot:
@@ -419,13 +362,15 @@ def run_flow(
     design: AcceleratorDesign,
     pdk: PDK | None = None,
     activity: ActivityFactors | None = None,
-) -> FlowResult:
+) -> FlowOutcome:
     """Run the legacy physical design flow on ``design``.
 
     Strict compatibility path over the staged pipeline: same stages the
     historical flow ran (clock/congestion/thermal off), same direct
     execution (no engine), and the same
-    :class:`~repro.errors.ConfigurationError` on a timing miss.
+    :class:`~repro.errors.ConfigurationError` on a timing miss.  The
+    returned outcome is complete: strict mode raises instead of
+    recording a failed stage.
     """
     flow = FlowSpec(clock=False, congestion=False, thermal=False)
     if activity is not None:
@@ -433,5 +378,4 @@ def run_flow(
                        activity_cs=activity.cs_compute,
                        activity_channel=activity.weight_channel,
                        activity_bus=activity.writeback_bus)
-    (outcome,) = run_staged_flows((design,), pdk, flow=flow, strict=True)
-    return outcome.as_result()
+    return run_staged_flow(design, pdk, flow=flow, strict=True)

@@ -22,8 +22,9 @@ tables it replaced.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError, require
 from repro.units import MEGABYTE
@@ -343,7 +344,7 @@ class FlowSpec:
     def from_jsonable(cls, data: Mapping[str, Any]) -> "FlowSpec":
         """Inverse of :meth:`to_jsonable`; rejects unknown keys."""
         _require_mapping("flow", data)
-        _check_keys("flow", data, tuple(f.name for f in fields(cls)))
+        _check_keys("flow", data, _FIELD_NAMES[cls])
         return cls(**dict(data))
 
 

@@ -6,7 +6,9 @@ report — the thing you run after touching any calibration constant.
 
 Each check compares a measured quantity against the paper's value at an
 explicit tolerance and reports PASS/FAIL; the exit code is the number of
-failures.
+failures.  The last checks run the independent references (event
+simulator, RRAM mat model, gate-level placer) against the model
+assumptions they back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class Check:
 
     Attributes:
         name: Short claim identifier.
-        paper: The paper's value, as text.
+        paper: The paper's value (for a reference check, the assumed
+            value it backs), as text.
         measured: Our measured value, as text.
         passed: Whether the claim holds at its tolerance.
     """
@@ -142,6 +145,45 @@ def run_validation(pdk: PDK | None = None) -> tuple[Check, ...]:
     add("Folding-only EDP ([3-4])", "1.1x-1.4x",
         f"{folded.folded_edp_benefit:.2f}x",
         1.05 <= folded.folded_edp_benefit <= 1.5)
+
+    # The references behind the model's assumptions (DESIGN.md Sec. 6).
+    from repro.perf.simulator import simulate
+    from repro.perf.tilesim import tile_simulate
+    from repro.spec.resolve import resolve
+    point = resolve(ctx.design_spec({}), ctx.pdk)
+    misses = [abs(tile_simulate(design, point.network, point.pdk).cycles
+                  / simulate(design, point.network, point.pdk).cycles - 1)
+              for design in (point.baseline, point.m3d)]
+    add("Event sim vs closed form", "<2%",
+        " / ".join(f"{miss * 100:.2f}%" for miss in misses),
+        max(misses) < 0.02)
+
+    from repro.tech.array_internals import organize_bank
+    m3d = point.m3d
+    bank = organize_bank(m3d.bank_plan.bank_capacity_bits, m3d.frequency_hz,
+                         m3d.bank_width_bits)
+    cycles = bank.read_latency_cycles(m3d.frequency_hz)
+    add("Bank read per cycle", f"{m3d.bank_width_bits}b/1 cycle",
+        f"{m3d.bank_width_bits}b/{cycles} cycle at "
+        f"{m3d.frequency_hz / 1e6:.0f} MHz (access "
+        f"{bank.mat.access_time() * 1e9:.1f} of "
+        f"{m3d.cycle_time * 1e9:.0f} ns)", cycles == 1)
+
+    from repro.physical.cellplace import (
+        clustered_netlist,
+        clustered_placement,
+        refine_by_swaps,
+    )
+    from repro.physical.routing import intra_block_wirelength
+    netlist = clustered_netlist()
+    placed = refine_by_swaps(clustered_placement(netlist, 16), passes=2)
+    cells = netlist.cell_count
+    # Unit site pitch: the Rent estimate's mean net length in pitches.
+    rent = intra_block_wirelength(cells, float(cells)) / cells
+    length = placed.average_net_length()
+    add("Placed net length vs Rent", f"{rent:.2f} pitch",
+        f"{length:.2f} ({(length / rent - 1) * 100:+.1f}%)",
+        _within(length, rent, 0.10))
 
     return tuple(checks)
 

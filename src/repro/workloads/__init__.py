@@ -2,8 +2,8 @@
 
 The paper evaluates AlexNet, VGG, and ResNet-family models (Fig. 5), with a
 per-layer breakdown for ResNet-18 (Table I).  This package defines layer
-shapes, full-network builders, and the workload-partitioning model that
-produces the paper's N# (maximum parallel partitions per layer).
+shapes and full-network builders; a layer's N# (maximum parallel
+partitions) is :meth:`repro.arch.systolic.SystolicArrayConfig.k_tiles`.
 """
 
 from repro.workloads.layers import (
@@ -25,7 +25,6 @@ from repro.workloads.models import (
     resnet152,
     vgg16,
 )
-from repro.workloads.partition import max_parallel_partitions, partition_plan
 
 __all__ = [
     "Layer",
@@ -43,6 +42,4 @@ __all__ = [
     "resnet152",
     "build_network",
     "available_networks",
-    "max_parallel_partitions",
-    "partition_plan",
 ]

@@ -10,6 +10,7 @@ sweep meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import require
 from repro.workloads.layers import ConvLayer, FCLayer, Layer, PoolLayer
@@ -37,9 +38,10 @@ class Network:
         """Total MACs (the paper's F0) for one inference."""
         return sum(layer.macs for layer in self.layers)
 
-    @property
+    @cached_property
     def total_weights(self) -> int:
-        """Total parameter count."""
+        """Total parameter count (summed once: a network is immutable and
+        shared per workload)."""
         return sum(layer.weights for layer in self.layers)
 
     def weight_bits(self, precision_bits: int = 8) -> int:

@@ -136,4 +136,4 @@ def test_report_contains_all_sections(capsys):
                    "--- validation ---"):
         assert marker in report
     assert "[FAIL]" not in report
-    assert "16/16 claims reproduced" in report
+    assert "19/19 claims reproduced" in report

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.physical.congestion import analyze_congestion
+from repro.physical.congestion import congestion_report
 from repro.physical.flow import run_flow
 from repro.arch import m3d_design
 from repro.validate import Check, format_validation
@@ -15,7 +15,8 @@ def flows(pdk, baseline, m3d):
 
 @pytest.fixture(scope="module")
 def reports(flows):
-    return tuple(analyze_congestion(flow) for flow in flows)
+    return tuple(congestion_report(flow.floorplan, flow.routing, flow.design)
+                 for flow in flows)
 
 
 def test_both_designs_routable(reports):
@@ -47,7 +48,7 @@ def test_coarse_pitch_saturates_ilvs(pdk):
     regime: utilization pegs at 1 (every site used)."""
     coarse = pdk.with_ilv_pitch_factor(1.5)
     flow = run_flow(m3d_design(coarse), coarse)
-    report = analyze_congestion(flow)
+    report = congestion_report(flow.floorplan, flow.routing, flow.design)
     assert report.ilv_utilization == pytest.approx(1.0, abs=0.01)
 
 

@@ -9,7 +9,6 @@ from repro.perf import compare_designs, simulate
 from repro.perf.tilesim import tile_simulate
 from repro.workloads.layers import ConvLayer
 from repro.workloads.models import build_network, mobilenet_v1
-from repro.workloads.partition import max_parallel_partitions
 
 
 def _depthwise(channels=64, in_size=28):
@@ -49,7 +48,7 @@ def test_dense_layer_groups_default():
 def test_depthwise_tiles_per_group():
     """Each depthwise group is its own tile: N# = channel count."""
     layer = _depthwise(512)
-    assert max_parallel_partitions(layer, 16) == 512
+    assert default_systolic_array().k_tiles(layer) == 512
 
 
 def test_depthwise_row_packing_applies():

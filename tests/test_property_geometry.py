@@ -5,12 +5,14 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.arch.systolic import SystolicArrayConfig
+from repro.perf.layer_cost import layer_cost, layer_row, scalar_ops
+from repro.perf.simulator import design_row
 from repro.physical.floorplan import Rect
 from repro.tech.ilv import ILVModel
 from repro.tech.node import NODE_130NM
 from repro.tech.rram import RRAMArray, default_rram_cell
 from repro.workloads.layers import ConvLayer
-from repro.workloads.partition import partition_plan
 
 rects = st.builds(
     Rect,
@@ -90,20 +92,31 @@ def test_conv_out_size_bounds(layer):
     assert 1 <= layer.out_size <= layer.in_size + 2 * layer.padding
 
 
+def _partition(layer, n_cs, columns):
+    """(used CSs, busiest CS's compute cycles) in the cost model, for
+    ``n_cs`` CSs with ``columns``-wide arrays and a private 256-bit
+    weight channel each."""
+    row = design_row(n_cs, 256 * n_cs, 8, 0.0,
+                     SystolicArrayConfig(cols=columns), 0.0, 0.0, 1)
+    used, compute, *_ = layer_cost(scalar_ops, row, layer_row(layer))
+    return used, compute
+
+
 @given(conv_layers, st.integers(min_value=1, max_value=64),
        st.integers(min_value=1, max_value=64))
 def test_partition_plan_invariants(layer, n_cs, columns):
-    plan = partition_plan(layer, n_cs, columns)
-    assert 1 <= plan.used_cs <= min(n_cs, plan.tiles_total)
-    assert plan.used_cs + plan.idle_cs == n_cs
-    # The busiest CS covers its share: per-CS tiles x used >= total tiles.
-    assert plan.tiles_per_cs * plan.used_cs >= plan.tiles_total
-    assert 0 < plan.balance <= 1.0
+    tiles = SystolicArrayConfig(cols=columns).k_tiles(layer)
+    used, compute = _partition(layer, n_cs, columns)
+    assert used == min(n_cs, tiles)
+    # The busiest CS covers its share: per-CS load x used >= total load.
+    _, alone = _partition(layer, 1, columns)
+    assert compute * used >= alone * (1 - 1e-12)
+    assert compute <= alone
 
 
 @given(conv_layers, st.integers(min_value=1, max_value=32),
        st.integers(min_value=1, max_value=32))
 def test_more_cs_never_increases_per_cs_load(layer, n_cs, columns):
-    small = partition_plan(layer, n_cs, columns)
-    large = partition_plan(layer, n_cs + 1, columns)
-    assert large.tiles_per_cs <= small.tiles_per_cs
+    _, small = _partition(layer, n_cs, columns)
+    _, large = _partition(layer, n_cs + 1, columns)
+    assert large <= small

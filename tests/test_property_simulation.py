@@ -48,10 +48,15 @@ def test_speedup_bounded_by_partitions(layer):
 @given(conv_layers)
 @settings(max_examples=60)
 def test_compute_cycles_cover_macs(layer):
-    """A CS cannot beat its peak throughput on its slice of the work."""
-    result = _SIMULATORS[8].run_layer(layer)
+    """A CS cannot beat its peak throughput on its slice of the work, nor
+    the chip its weight bandwidth: the roofline's two ceilings."""
+    simulator = _SIMULATORS[8]
+    result = simulator.run_layer(layer)
     slice_macs = layer.macs / min(8, -(-layer.out_channels // 16))
     assert result.compute_cycles * 256 >= slice_macs * (1 - 1e-9)
+    design = simulator.design
+    assert result.cycles * design.total_weight_bandwidth \
+        >= layer.weights * design.precision_bits * (1 - 1e-9)
 
 
 @given(conv_layers)

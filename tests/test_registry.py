@@ -158,3 +158,57 @@ class TestMarkdown:
 
     def test_module_column_strips_package_prefix(self):
         assert "repro.experiments." not in registry_markdown()
+
+
+def _imported_modules(path, known: set[str]) -> set[str]:
+    """``repro`` modules that the file at ``path`` imports, anywhere in it.
+
+    ``from repro.pkg import name`` counts ``repro.pkg.name`` when that is a
+    module, else the package ``repro.pkg`` itself.
+    """
+    import ast
+
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}"
+                         for alias in node.names)
+    return {name for name in found if name in known}
+
+
+class TestReachability:
+    def test_every_src_module_is_reached(self):
+        """Each ``repro`` module earns its place: a non-``__init__`` module
+        or an example imports it, it defines a public ``repro`` name, or
+        it hosts a registered experiment.  A package ``__init__``
+        re-export alone does not count, so an orphan cannot hide behind
+        one."""
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        root = src.parent.parent
+        modules = {
+            ".".join(path.relative_to(src.parent).with_suffix("").parts):
+                path
+            for path in src.rglob("*.py")
+        }
+        known = set(modules)
+        reached: set[str] = set()
+        for name, path in modules.items():
+            if path.name != "__init__.py":
+                reached |= _imported_modules(path, known) - {name}
+        for path in (root / "examples").glob("*.py"):
+            reached |= _imported_modules(path, known)
+        reached |= {getattr(getattr(repro, name), "__module__", None)
+                    for name in repro.__all__}
+        reached |= {exp.module for exp in all_experiments()}
+        entry_points = {"__init__", "__main__"}
+        orphans = sorted(
+            name.removeprefix("repro.") for name, path in modules.items()
+            if path.stem not in entry_points and name not in reached)
+        assert not orphans, f"src modules nothing reaches: {orphans}"

@@ -394,23 +394,6 @@ def test_evaluate_spec_reports_the_headline_benefit(pdk):
     assert evaluation.speedup > 5.0
 
 
-# --- satellite: sensitivity parameter validation ---------------------------------
-
-def test_sensitivity_rejects_unknown_parameter(pdk, baseline, m3d):
-    from repro.core.framework import Workload
-    from repro.core.params import design_point
-    from repro.core.sensitivity import _perturbed, elasticity
-
-    workload = Workload(compute_ops=1e9, data_bits=1e9)
-    base, dut = design_point(baseline, pdk), design_point(m3d, pdk)
-    with pytest.raises(ConfigurationError, match="unknown parameter"):
-        elasticity(workload, base, dut, "peak_flops")
-    # The perturbation itself validates against the DesignPoint fields up
-    # front instead of letting dataclasses.replace fail mid-profile.
-    with pytest.raises(ConfigurationError, match="unknown design-point"):
-        _perturbed(base, "peak_flops", 1.01)
-
-
 # --- CLI -------------------------------------------------------------------------
 
 @pytest.fixture()

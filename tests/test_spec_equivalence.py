@@ -1,17 +1,12 @@
 """Other entry points match spec evaluations bit-for-bit.
 
-The sweep executor, the sensitivity profile and the headline comparison
-each reach the simulator by their own route; these tests pin them
-against the equivalent batch of spec evaluations with exact ``==`` —
-same resolver, same simulator, so the floats must be identical, not
-merely close.
+The sweep executor and the headline comparison each reach the simulator
+by their own route; these tests pin them against the equivalent batch of
+spec evaluations with exact ``==`` — same resolver, same simulator, so
+the floats must be identical, not merely close.
 """
 
 from repro.core.dse import design_point_spec, joint_grid_sweep
-from repro.core.sensitivity import (
-    sensitivity_profile,
-    sensitivity_profile_from_spec,
-)
 from repro.spec import DesignSpec, evaluate_specs
 from repro.sweep import run_streaming_sweep
 from repro.units import MEGABYTE
@@ -37,20 +32,6 @@ def test_dse_grid_matches_spec_evaluations(pdk):
         assert candidate.footprint == evaluation.footprint
         assert candidate.speedup == evaluation.speedup
         assert candidate.edp_benefit == evaluation.edp_benefit
-
-
-def test_sensitivity_profile_matches_spec_route(pdk, baseline, m3d,
-                                                resnet18_network):
-    from repro.core.framework import Workload
-    from repro.core.params import design_point
-
-    workload = Workload(
-        compute_ops=float(resnet18_network.total_macs),
-        data_bits=float(resnet18_network.weight_bits(8)))
-    legacy = sensitivity_profile(workload, design_point(baseline, pdk),
-                                 design_point(m3d, pdk))
-    from_spec = sensitivity_profile_from_spec(DesignSpec(), pdk=pdk)
-    assert from_spec == legacy
 
 
 def test_default_spec_matches_the_headline_benefit(pdk, resnet18_benefit):

@@ -40,6 +40,9 @@ from repro.units import MEGABYTE
 
 #: The FlowSpec matching what the legacy ``run_flow`` pipeline ran.
 LEGACY_FLOW = FlowSpec(clock=False, congestion=False, thermal=False)
+#: The artifacts the legacy pipeline produced.
+LEGACY_ARTIFACTS = ("design", "netlist", "floorplan", "routing", "timing",
+                    "power", "quality")
 
 
 # --- FlowSpec section ------------------------------------------------------
@@ -91,14 +94,18 @@ def test_staged_flow_matches_legacy_run_flow(pdk, baseline, m3d):
     for design in (baseline, m3d):
         legacy = run_flow(design, pdk)
         outcome = run_staged_flow(design, pdk, flow=LEGACY_FLOW, strict=True)
-        assert outcome.as_result() == legacy
+        assert legacy == outcome
+        assert legacy.feasible and legacy.error is None
+        assert (legacy.clock, legacy.congestion, legacy.thermal) == \
+            (None, None, None)
 
 
 def test_extra_stages_leave_legacy_artifacts_identical(pdk, m3d):
     """Clock/congestion/thermal are new outputs, not perturbations."""
     legacy = run_flow(m3d, pdk)
     outcome = run_staged_flow(m3d, pdk, flow=FlowSpec(), strict=True)
-    assert outcome.as_result() == legacy
+    for artifact in LEGACY_ARTIFACTS:
+        assert getattr(outcome, artifact) == getattr(legacy, artifact)
     assert outcome.clock is not None
     assert outcome.congestion is not None
     assert outcome.thermal is not None
