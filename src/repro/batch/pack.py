@@ -88,21 +88,16 @@ class UnsupportedSpec(Exception):
 class WorkloadStage:
     """Per-layer features of one (network, layer-restriction) workload."""
 
-    __slots__ = ("network", "layers", "_weight_bits", "_columns")
+    __slots__ = ("network", "layers", "_columns")
 
     def __init__(self, network) -> None:
         self.network = network
         self.layers = tuple(layer_row(layer) for layer in network.layers)
-        self._weight_bits: dict[int, int] = {}
         self._columns = None
 
     def weight_bits(self, precision_bits: int) -> int:
-        """Total weight bits at a precision (cached per precision)."""
-        bits = self._weight_bits.get(precision_bits)
-        if bits is None:
-            bits = self.network.weight_bits(precision_bits)
-            self._weight_bits[precision_bits] = bits
-        return bits
+        """Total weight bits at a precision."""
+        return self.network.weight_bits(precision_bits)
 
     def columns(self) -> LayerRow:
         """The layer features as (1, L) numpy row vectors, built lazily."""

@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", action="store_true",
         help="with 'sweep': report the run as a stream, with a summary "
              "line of chunks, pruned and resumed points and frontier size "
-             "(implied by --checkpoint-dir and --prune); every sweep is "
-             "evaluated chunk by chunk either way")
+             "(implied by --checkpoint-dir, --prune and a nonzero "
+             "--max-failures); every sweep is evaluated chunk by chunk "
+             "either way")
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
         help="points per sweep chunk (default 64)")
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
              "exhaustive one")
     parser.add_argument(
         "--max-failures", type=int, default=0, metavar="N",
-        help="with 'sweep' (streaming): tolerate up to N failed points, "
+        help="with 'sweep': tolerate up to N failed points, "
              "recording each as a structured failure instead of aborting "
              "(0 = strict, -1 = unlimited); failed points land in the "
              "checkpoint and are retried on resume")
@@ -443,7 +444,8 @@ def _run_spec_command(command: str, args: argparse.Namespace, engine,
     if args.spec is None:
         return _fail(args, f"'{command}' needs --spec PATH (a JSON design "
                            f"or sweep spec)")
-    streaming = bool(args.stream or args.checkpoint_dir or args.prune)
+    streaming = bool(args.stream or args.checkpoint_dir or args.prune
+                     or args.max_failures)
     batch = bool(args.batch or args.batch_size is not None)
     observe = bool(args.profile or args.trace or args.trace_csv
                    or args.metrics)
@@ -473,7 +475,7 @@ def _run_spec_command(command: str, args: argparse.Namespace, engine,
                     prune=args.prune, checkpoint=args.checkpoint_dir,
                     checkpoint_every=args.checkpoint_every, batch=batch,
                     physical=args.physical,
-                    max_failures=args.max_failures if streaming else 0)
+                    max_failures=args.max_failures)
                 evaluations = result.evaluations
                 kind = "Streaming sweep" if streaming else "Sweep evaluation"
                 title = f"{kind} — {args.spec} ({result.points} points)"

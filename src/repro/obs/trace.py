@@ -190,10 +190,6 @@ class Tracer:
                 root.worker = worker
             parent.append(root)
 
-    def iter_spans(self) -> Iterator[Span]:
-        """Depth-first iteration over every span in the trace."""
-        return walk_spans(self.roots)
-
     def activate(self):
         """Make this tracer the context-local active one; returns a token
         for :meth:`deactivate`."""

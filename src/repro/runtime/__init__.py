@@ -60,7 +60,6 @@ from repro.runtime.pmap import (
     TaskOutcome,
     default_jobs,
     pmap,
-    pmap_calls,
     pmap_outcomes,
     shutdown_pool,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "TaskOutcome",
     "default_jobs",
     "pmap",
-    "pmap_calls",
     "pmap_outcomes",
     "shutdown_pool",
     "clear_fingerprint_cache",

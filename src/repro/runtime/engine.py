@@ -8,7 +8,7 @@ purity three ways:
   call (function name + every argument field), in memory and optionally
   on disk, so re-runs and overlapping sweeps skip evaluation entirely;
 * **parallelism** — cache-missing points evaluate on a deterministic
-  process pool (:func:`repro.runtime.pmap.pmap_calls`) with ordered
+  process pool (:func:`repro.runtime.pmap.pmap_outcomes`) with ordered
   results, so ``jobs=N`` is observably identical to serial;
 * **instrumentation** — per-stage wall time and hit/miss counters
   accumulate into a :class:`RunReport`, printable via
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.errors import EvaluationFailure, require
 from repro.obs.metrics import registry as _metrics_registry
@@ -44,8 +44,6 @@ from repro.runtime.pmap import (
     TaskOutcome,
     pmap_outcomes,
 )
-
-CallSpec = "tuple[tuple, dict]"
 
 
 @dataclass(frozen=True)
@@ -281,25 +279,16 @@ class EvaluationEngine:
         tally.calls += len(specs)
         before = (tally.cache_hits, tally.dedup_hits, tally.evaluated,
                   tally.retries, tally.failures)
-        # Opened/closed manually (not ``with``) to keep the long body at
-        # its original indentation; the except below closes it on error
-        # so the tracer's open-span stack cannot wedge.
-        map_span = _span("engine.map", stage=tally.name, calls=len(specs))
-        map_span.__enter__()
-        try:
+        with _span("engine.map", stage=tally.name,
+                   calls=len(specs)) as map_span:
             results = self._map_body(fn, specs, tally, jobs, dedup,
                                      executor=executor, on_error=on_error)
-        except BaseException:
-            map_span.__exit__(None, None, None)
-            raise
-
-        elapsed = time.perf_counter() - start
-        tally.wall_time += elapsed
-        if map_span:
-            map_span.set(cache_hits=tally.cache_hits - before[0],
-                         dedup_hits=tally.dedup_hits - before[1],
-                         evaluated=tally.evaluated - before[2])
-        map_span.__exit__(None, None, None)
+            elapsed = time.perf_counter() - start
+            tally.wall_time += elapsed
+            if map_span:
+                map_span.set(cache_hits=tally.cache_hits - before[0],
+                             dedup_hits=tally.dedup_hits - before[1],
+                             evaluated=tally.evaluated - before[2])
         if _obs_enabled():
             self._record_metrics(tally.name, len(specs), before,
                                  tally, elapsed)
@@ -367,7 +356,6 @@ class EvaluationEngine:
                 report = pmap_outcomes(
                     fn, pending_specs,
                     jobs=self.jobs if jobs is None else jobs,
-                    invariants=self._invariants(pending_specs),
                     policy=self.retry_policy)
                 tally.retries += report.retries
                 tally.pool_deaths += report.pool_deaths
@@ -438,24 +426,6 @@ class EvaluationEngine:
             memos=memo_stats(),
             counters=counter_stats(),
             spans=tuple(tracer.roots) if tracer is not None else ())
-
-    @staticmethod
-    def _invariants(specs: Sequence[tuple[tuple, dict]]) -> dict | None:
-        """Keyword arguments bound to the *same object* in every spec.
-
-        These ship to pool workers once (via the initializer) instead of
-        being pickled per call — e.g. the network shared by every point
-        of a sweep.  Identity (not equality) keeps detection O(calls).
-        """
-        if len(specs) < 2:
-            return None
-        head_kwargs = specs[0][1]
-        shared = {
-            name: value for name, value in head_kwargs.items()
-            if all(name in kwargs and kwargs[name] is value
-                   for _, kwargs in specs[1:])
-        }
-        return shared or None
 
     def reset_stats(self) -> None:
         """Zero the stage counters (the cache is untouched)."""

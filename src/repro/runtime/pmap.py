@@ -33,16 +33,13 @@ per task** so one bad task cannot take down a million-point sweep:
 
 :func:`pmap_outcomes` exposes the supervised result as per-task
 :class:`TaskOutcome` records (value *or* error, plus retry/death
-counts) so the engine can run in partial-results mode;
-:func:`pmap_calls` keeps the classic raise-on-first-error contract.
+counts) so the engine can run in partial-results mode; :func:`pmap`
+keeps the classic raise-on-first-error contract.
 
-Two throughput refinements survive from the unsupervised version:
-persistent workers (the executor is reused while ``(jobs, invariants,
-fault plan)`` are unchanged) and invariant shipping (keyword arguments
-bound to the same object in every call transfer once, through the pool
-initializer).  When observability is on in the parent
+Workers are persistent: the executor is reused while ``(jobs, fault
+plan)`` are unchanged.  When observability is on in the parent
 (:mod:`repro.obs`), each task ships its span tree and metric snapshot
-back alongside its result, exactly as before.
+back alongside its result.
 """
 
 from __future__ import annotations
@@ -79,16 +76,10 @@ from repro.obs.trace import (
 #: silently reclassified as pool failures and rerun serially.
 _POOL_FAILURES = (OSError, ImportError)
 
-#: Invariant kwargs installed in each worker by the pool initializer.
-_worker_invariants: dict[str, Any] = {}
-
 _pool: ProcessPoolExecutor | None = None
-#: ``(jobs, ((name, id(value)), ...), plan)`` the live pool was built
-#: for.  The invariant objects are pinned by ``_pool_invariants``, so
-#: the ids are stable for the pool's lifetime; the fault plan is part of
-#: the token so installing a plan retires stale workers.
+#: ``(jobs, plan_json)`` the live pool was built for; the fault plan is
+#: part of the token so installing a plan retires stale workers.
 _pool_token: tuple | None = None
-_pool_invariants: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -202,28 +193,20 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _set_worker_invariants(invariants: dict[str, Any]) -> None:
-    """Install the batch-invariant keyword arguments in this worker."""
-    global _worker_invariants
-    _worker_invariants = invariants
-
-
-def _init_worker(invariants: dict[str, Any],
-                 plan_json: str | None) -> None:
-    """Pool initializer: invariants plus the active fault plan (if any).
+def _init_worker(plan_json: str | None) -> None:
+    """Pool initializer: marks the worker, installs the fault plan if any.
 
     Shipping the plan through the initializer is what lets a
     programmatically installed :class:`~repro.faults.FaultPlan` reach
     forkserver workers, which do not inherit parent-process state.
     """
-    _set_worker_invariants(invariants)
     faults.mark_worker()
     if plan_json is not None:
         faults.install_plan(faults.FaultPlan.from_json(plan_json))
 
 
 def _apply(payload: tuple) -> tuple[Any, tuple | None]:
-    """Worker body: merge invariants back into the call, then run it.
+    """Worker body: run one call.
 
     Returns ``(result, shipped)`` where ``shipped`` is ``None`` unless
     the parent requested observability, in which case it is a picklable
@@ -238,10 +221,6 @@ def _apply(payload: tuple) -> tuple[Any, tuple | None]:
     fn, args, kwargs, observe, token = payload
     if token is not None:
         faults.perturb_task(token)
-    if _worker_invariants:
-        merged = dict(_worker_invariants)
-        merged.update(kwargs)
-        kwargs = merged
     if not observe:
         return fn(*args, **kwargs), None
     task_registry = MetricsRegistry()
@@ -252,13 +231,6 @@ def _apply(payload: tuple) -> tuple[Any, tuple | None]:
     shipped = (tracer.roots, task_registry.snapshot(),
                f"worker-{os.getpid()}")
     return result, shipped
-
-
-def _invariants_token(jobs: int, invariants: dict[str, Any] | None,
-                      plan_json: str | None) -> tuple:
-    names = () if not invariants else tuple(sorted(
-        (name, id(value)) for name, value in invariants.items()))
-    return (jobs, names, plan_json)
 
 
 def _pool_context():
@@ -277,12 +249,11 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
-def _acquire_pool(jobs: int, invariants: dict[str, Any] | None,
-                  plan_json: str | None = None) -> ProcessPoolExecutor:
-    """The persistent executor for ``(jobs, invariants, plan)``,
-    creating or replacing it as needed."""
-    global _pool, _pool_token, _pool_invariants
-    token = _invariants_token(jobs, invariants, plan_json)
+def _acquire_pool(jobs: int, plan_json: str | None) -> ProcessPoolExecutor:
+    """The persistent executor for ``(jobs, plan)``, creating or
+    replacing it as needed."""
+    global _pool, _pool_token
+    token = (jobs, plan_json)
     if _pool is not None and token == _pool_token:
         return _pool
     shutdown_pool()
@@ -290,10 +261,9 @@ def _acquire_pool(jobs: int, invariants: dict[str, Any] | None,
         max_workers=jobs,
         mp_context=_pool_context(),
         initializer=_init_worker,
-        initargs=(dict(invariants) if invariants else {}, plan_json))
+        initargs=(plan_json,))
     _pool = pool
     _pool_token = token
-    _pool_invariants = dict(invariants) if invariants else None
     return pool
 
 
@@ -342,10 +312,9 @@ def shutdown_pool(wait: bool = True) -> None:
     outright, the executor is released without waiting, and the
     interrupt is re-raised for the caller's clean-exit path.
     """
-    global _pool, _pool_token, _pool_invariants
+    global _pool, _pool_token
     pool, _pool = _pool, None
     _pool_token = None
-    _pool_invariants = None
     if pool is None:
         return
     try:
@@ -375,7 +344,6 @@ def _merge_shipped(shipped: tuple | None, tracer, merge_into) -> None:
 
 
 def _run_serial(payloads: Sequence[tuple],
-                invariants: dict[str, Any] | None,
                 policy: RetryPolicy) -> DispatchReport:
     # Serial tasks run in the caller's process, so their spans flow
     # straight into the active tracer — no shipping, observe is ignored.
@@ -383,10 +351,6 @@ def _run_serial(payloads: Sequence[tuple],
     # sleeps); crash/hang fault sites never fire outside workers.
     report = DispatchReport()
     for index, (fn, args, kwargs, _observe, token) in enumerate(payloads):
-        if invariants:
-            merged = dict(invariants)
-            merged.update(kwargs)
-            kwargs = merged
         outcome = TaskOutcome()
         while True:
             try:
@@ -417,28 +381,12 @@ def pmap(fn: Callable[..., Any], items: Iterable[Any],
     ``jobs=1`` runs serially with zero pool overhead; ``jobs<=0`` selects
     :func:`default_jobs`.  Results are returned in input order regardless
     of worker scheduling, so parallel and serial runs are interchangeable.
-    """
-    return pmap_calls(fn, [((item,), {}) for item in items], jobs=jobs)
-
-
-def pmap_calls(fn: Callable[..., Any],
-               calls: Sequence[tuple[tuple, dict]],
-               jobs: int = 1,
-               invariants: dict[str, Any] | None = None,
-               policy: RetryPolicy | None = None) -> list:
-    """Like :func:`pmap` for heterogeneous ``(args, kwargs)`` call specs.
-
-    ``invariants`` maps keyword names to objects shared by *every* call;
-    they are shipped to the workers once and merged back into each call
-    worker-side.  Per-call keyword arguments take precedence on merge,
-    so passing an argument both ways stays correct (just unoptimized).
 
     The first failed task's exception (in input order) is re-raised with
     its original traceback; callers that want partial results use
     :func:`pmap_outcomes` instead.
     """
-    report = pmap_outcomes(fn, calls, jobs=jobs, invariants=invariants,
-                           policy=policy)
+    report = pmap_outcomes(fn, [((item,), {}) for item in items], jobs=jobs)
     for outcome in report.outcomes:
         if outcome.error is not None:
             raise outcome.error
@@ -448,7 +396,6 @@ def pmap_calls(fn: Callable[..., Any],
 def pmap_outcomes(fn: Callable[..., Any],
                   calls: Sequence[tuple[tuple, dict]],
                   jobs: int = 1,
-                  invariants: dict[str, Any] | None = None,
                   policy: RetryPolicy | None = None) -> DispatchReport:
     """Supervised map that never raises for task failures.
 
@@ -472,33 +419,24 @@ def pmap_outcomes(fn: Callable[..., Any],
                 tokens.append(call_key(fn, args, kwargs))
             except (TypeError, AttributeError):
                 tokens.append(None)
-    if invariants:
-        calls = [
-            (args,
-             {name: value for name, value in kwargs.items()
-              if name not in invariants or kwargs[name] is not invariants[name]})
-            for args, kwargs in calls
-        ]
     tracer = _current_tracer()
     observe = _obs_enabled() and tracer is not None
     payloads = [(fn, args, kwargs, observe, tokens[i])
                 for i, (args, kwargs) in enumerate(calls)]
     if jobs == 1 or len(payloads) <= 1:
-        return _run_serial(payloads, invariants, policy)
+        return _run_serial(payloads, policy)
     try:
         pickle.dumps(fn)
     except Exception:
         # Unpicklable callables (lambdas, closures) can never cross the
         # process boundary — run serially rather than failing every task.
-        return _run_serial(payloads, invariants, policy)
+        return _run_serial(payloads, policy)
     with _span("pmap.batch", calls=len(payloads), jobs=jobs):
-        return _supervise(fn, payloads, jobs, invariants, policy, plan,
-                          tracer, observe)
+        return _supervise(fn, payloads, jobs, policy, plan, tracer, observe)
 
 
 def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
-               jobs: int, invariants: dict[str, Any] | None,
-               policy: RetryPolicy, plan, tracer,
+               jobs: int, policy: RetryPolicy, plan, tracer,
                observe: bool) -> DispatchReport:
     """The supervised dispatch loop (see module docstring)."""
     report = DispatchReport()
@@ -549,7 +487,7 @@ def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
                        (time.monotonic() + delay, seq, task))
 
     def submit(task: _Task, queue: deque) -> bool:
-        pool = _acquire_pool(jobs, invariants, plan_json)
+        pool = _acquire_pool(jobs, plan_json)
         try:
             if policy.task_timeout is not None:
                 _warm_pool(pool, jobs)
@@ -576,8 +514,7 @@ def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
         waiting.clear()
         solo.clear()
         inflight.clear()
-        serial = _run_serial([task.payload for task in leftovers],
-                             invariants, policy)
+        serial = _run_serial([task.payload for task in leftovers], policy)
         for task, outcome in zip(leftovers, serial.outcomes):
             outcome.retries += task.retries
             outcome.pool_deaths += task.pool_deaths

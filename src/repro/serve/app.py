@@ -94,8 +94,8 @@ class ServerConfig:
             second; 0 disables quotas.
         quota_burst: Per-client bucket capacity (burst size).
         eval_workers: Threads evaluating engine work.  The engine lock
-            serializes engine access regardless; extra workers only keep
-            a sweep stream and point evaluations interleaving.
+            serializes engine access regardless; a sweep stream holds a
+            worker only while one of its chunks evaluates.
         chunk_size: Default points per sweep chunk (and NDJSON flush).
         batch: Evaluate sweep chunks through the vectorized batch
             kernel by default (per-request ``options.batch`` overrides).
@@ -103,7 +103,7 @@ class ServerConfig:
         request_timeout: Per-request deadline in seconds; 0 disables.
             Non-streaming requests that overrun answer 504
             ``deadline_exceeded``; a sweep stream applies it to each
-            inter-chunk gap and ends the stream with an error event.
+            wait for a chunk and ends the stream with an error event.
         drain_seconds: How long a SIGTERM-triggered drain waits for
             in-flight requests (including open NDJSON streams) to
             finish before the process exits anyway.
@@ -740,26 +740,17 @@ class ReproServer:
         prune = bool(options.get("prune", False))
         batch = bool(options.get("batch", self.config.batch))
 
+        generator = stream_sweep(sweep, engine=self.engine,
+                                 chunk_size=chunk_size, prune=prune,
+                                 batch=batch)
         loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=4)
-        cancelled = threading.Event()
-
-        def put(item: tuple) -> None:
-            # Runs on the worker thread; blocks when the client reads
-            # slowly, which is exactly the backpressure we want on the
-            # producer.  A dead loop/consumer surfaces as a timeout.
-            future = asyncio.run_coroutine_threadsafe(queue.put(item), loop)
-            try:
-                future.result(timeout=600)
-            except (concurrent.futures.TimeoutError,
-                    concurrent.futures.CancelledError):
-                cancelled.set()
-
         assert self._executor is not None, "server not started"
-        worker = loop.run_in_executor(
-            self._executor, self._run_sweep_sync,
-            sweep, chunk_size, prune, batch, put, cancelled)
 
+        def pull() -> asyncio.Future:
+            return loop.run_in_executor(self._executor, self._next_chunk,
+                                        generator)
+
+        pending = pull()
         stream = StreamingBody(writer)
         points = evaluated = pruned = chunks = 0
         try:
@@ -769,14 +760,12 @@ class ReproServer:
                 "chunk_size": chunk_size, "prune": prune, "batch": batch,
             })
             while True:
-                # The per-request deadline bounds each inter-chunk gap:
+                # The per-request deadline bounds each wait for a chunk:
                 # a stuck engine surfaces as an in-band error event
                 # instead of a silently hung stream.
-                gap = self.config.request_timeout or None
-                try:
-                    kind, item = await asyncio.wait_for(queue.get(), gap)
-                except asyncio.TimeoutError:
-                    cancelled.set()
+                done, _ = await asyncio.wait(
+                    (pending,), timeout=self.config.request_timeout or None)
+                if not done:
                     self.stats.deadline_exceeded += 1
                     self.metrics.counter("repro_serve_deadline_total").inc()
                     await self._send_event(stream, {
@@ -785,59 +774,54 @@ class ReproServer:
                             f"no chunk within the "
                             f"{self.config.request_timeout:g} s deadline")})
                     break
-                if kind == "chunk":
-                    chunks += 1
-                    points += item.size
-                    evaluated += len(item.evaluations)
-                    pruned += item.pruned
-                    for evaluation in item.evaluations:
-                        await self._send_event(stream, {
-                            "event": "evaluation",
-                            **evaluation_wire(evaluation),
-                        })
+                try:
+                    item = pending.result()
+                except Exception as error:              # noqa: BLE001
                     await self._send_event(stream, {
-                        "event": "chunk", "index": item.index,
-                        "size": item.size, "pruned": item.pruned,
-                        "frontier_size": item.frontier_size,
-                        "seconds": item.seconds,
-                    })
-                    self.metrics.counter(
-                        "repro_serve_stream_points_total").inc(item.size)
-                elif kind == "error":
-                    await self._send_event(stream, {
-                        "event": "error", **error_envelope(item)})
+                        "event": "error", **error_envelope(error)})
                     break
-                else:                                   # kind == "done"
+                if item is _DONE:
                     await self._send_event(stream, {
                         "event": "end", "points": points,
                         "evaluated": evaluated, "pruned": pruned,
                         "chunks": chunks,
                     })
                     break
+                # The next chunk evaluates while this one is written; the
+                # engine never runs more than one chunk ahead of the client.
+                pending = pull()
+                chunks += 1
+                points += item.size
+                evaluated += len(item.evaluations)
+                pruned += item.pruned
+                for evaluation in item.evaluations:
+                    await self._send_event(stream, {
+                        "event": "evaluation",
+                        **evaluation_wire(evaluation),
+                    })
+                await self._send_event(stream, {
+                    "event": "chunk", "index": item.index,
+                    "size": item.size, "pruned": item.pruned,
+                    "frontier_size": item.frontier_size,
+                    "seconds": item.seconds,
+                })
+                self.metrics.counter(
+                    "repro_serve_stream_points_total").inc(item.size)
             await stream.finish()
         except (ConnectionError, asyncio.CancelledError, OSError):
-            # Client went away mid-stream: stop producing, drain what the
-            # worker already queued, and leave the shared cache exactly as
-            # the completed chunks left it (their results stay valid).
-            cancelled.set()
+            # Client went away mid-stream: stop pulling chunks and leave
+            # the shared cache exactly as the completed chunks left it
+            # (their results stay valid).
             self.stats.streams_cancelled += 1
             self.metrics.counter("repro_serve_streams_cancelled_total").inc()
         finally:
-            cancelled.set()
-            while True:                # unblock a producer stuck on put()
-                try:
-                    kind, _item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    if worker.done():
-                        break
-                    await asyncio.sleep(0.01)
-                    continue
-                if kind in ("done", "error"):
-                    break
+            # A running generator cannot be closed: let the chunk in
+            # flight finish first.
             try:
-                await worker
+                await pending
             except Exception:                           # noqa: BLE001
                 pass                   # already surfaced as an error event
+            generator.close()
             self._release()
         return None
 
@@ -847,32 +831,24 @@ class ReproServer:
         """Write one NDJSON event line to the chunked body."""
         await stream.send((json.dumps(payload) + "\n").encode("utf-8"))
 
-    def _run_sweep_sync(self, sweep, chunk_size: int, prune: bool,
-                        batch: bool, put: Callable[[tuple], None],
-                        cancelled: threading.Event) -> None:
-        """Worker-thread side of one sweep stream.
+    def _next_chunk(self, generator) -> Any:
+        """The next chunk of a sweep stream (``_DONE`` at its end), on a
+        worker thread.
 
-        Holds the engine lock per chunk (not for the whole sweep), so
-        concurrent ``/v1/eval`` requests interleave with a long stream.
+        Holds the engine lock for this one chunk, so concurrent
+        ``/v1/eval`` requests interleave with a long stream.
         """
-        generator = stream_sweep(sweep, engine=self.engine,
-                                 chunk_size=chunk_size, prune=prune,
-                                 batch=batch)
         try:
-            while not cancelled.is_set():
-                with self._engine_lock:
-                    chunk = next(generator, _DONE)
-                if chunk is _DONE:
-                    break
-                put(("chunk", chunk))
+            with self._engine_lock:
+                chunk = next(generator, _DONE)
+        except ReproError:
+            raise                   # blames the request, not the engine
+        except Exception:
+            self._record_engine_failure()
+            raise
+        if chunk is _DONE:
             self._breaker.record_success()
-            put(("done", None))
-        except Exception as error:                      # noqa: BLE001
-            if not isinstance(error, ReproError):
-                self._record_engine_failure()
-            put(("error", error))
-        finally:
-            generator.close()
+        return chunk
 
 
 def serve(config: ServerConfig | None = None,

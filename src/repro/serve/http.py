@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = [
@@ -237,8 +237,3 @@ class StreamingBody:
             return
         self._writer.write(b"0\r\n\r\n")
         await self._writer.drain()
-
-
-def json_headers(extra: Mapping[str, Any] | None = None) -> dict[str, str]:
-    """Stringified extra headers for a :class:`Response`."""
-    return {name: str(value) for name, value in (extra or {}).items()}

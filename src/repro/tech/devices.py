@@ -66,11 +66,6 @@ class FETModel:
         """Absolute on-current in amperes."""
         return self.drive_current_per_width * self.width
 
-    @property
-    def off_current(self) -> float:
-        """Absolute off-state leakage in amperes."""
-        return self.leakage_current_per_width * self.width
-
     def widened(self, factor: float) -> "FETModel":
         """Return a copy with the width scaled by ``factor`` (>0)."""
         require(factor > 0, "width factor must be positive")

@@ -77,11 +77,6 @@ class ConvLayer:
         return self.in_channels // self.groups
 
     @property
-    def group_out_channels(self) -> int:
-        """Output channels per group."""
-        return self.out_channels // self.groups
-
-    @property
     def out_size(self) -> int:
         """Output feature-map size OX = OY."""
         return (self.in_size + 2 * self.padding - self.kernel) // self.stride + 1

@@ -47,6 +47,19 @@ def test_sweep_size_below_one_names_the_flag(tmp_path, capsys, flag, value,
     assert err.strip() == f"{flag} must be >= 1"
 
 
+def test_max_failures_tolerates_failed_points_without_stream(tmp_path,
+                                                            capsys):
+    # resnet18's weights do not fit in 1 MB: one of the two points fails.
+    spec_file = tmp_path / "sweep.json"
+    spec_file.write_text('{"base": {"workload": {"network": "resnet18"}}, '
+                         '"grid": {"arch.capacity_mb": [1, 64]}}')
+    assert main(["sweep", "--spec", str(spec_file),
+                 "--max-failures", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "streamed 2 points" in out
+    assert "1 failed" in out
+
+
 def test_run_single_experiment(capsys):
     assert main(["obs10"]) == 0
     out = capsys.readouterr().out

@@ -43,7 +43,7 @@ from repro.runtime import (
     loads,
     memoization_disabled,
     pmap,
-    pmap_calls,
+    pmap_outcomes,
     reset_default_engine,
     reset_memoization,
     set_memoization,
@@ -121,9 +121,11 @@ class TestPmap:
         assert results == [11, 12, 13]
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_pmap_calls_mixed_args_kwargs(self, jobs):
+    def test_pmap_outcomes_mixed_args_kwargs(self, jobs):
         calls = [((1, 2), {}), ((3, 4), {"offset": 100}), ((0, 0), {})]
-        assert pmap_calls(_add, calls, jobs=jobs) == [3, 107, 0]
+        report = pmap_outcomes(_add, calls, jobs=jobs)
+        assert [outcome.value for outcome in report.outcomes] == [3, 107, 0]
+        assert report.failures == 0
 
 
 class TestStableKey:
@@ -477,19 +479,10 @@ class TestDedupAndPool:
         assert _EVALUATIONS == [5, 5]
         assert engine.report().stage("dd").dedup_hits == 0
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_invariant_kwargs_ship_once_and_results_match(self, jobs):
-        shared = 100  # same object in every call -> detected invariant
-        calls = [((i, 2), {"offset": shared}) for i in range(6)]
-        assert pmap_calls(_add, calls, jobs=jobs,
-                          invariants={"offset": shared}) == \
-            [i + 2 + 100 for i in range(6)]
-
     def test_engine_parallel_map_with_shared_objects(self, pdk):
-        # The engine detects kwargs shared by identity across the batch
-        # (here network= and pdk=) and ships them through the pool
-        # initializer; results must be indistinguishable from the serial
-        # path.
+        # Calls sharing objects by identity (here network= and pdk=)
+        # cross into the pool per task; results must be indistinguishable
+        # from the serial path.
         from repro.perf.simulator import simulate
         from repro.spec.resolve import resolve
 
@@ -498,9 +491,6 @@ class TestDedupAndPool:
                   for capacity in (32 * MEGABYTE, 64 * MEGABYTE)]
         calls = [{"design": design, "network": net, "pdk": pdk}
                  for point in points for design in (point.baseline, point.m3d)]
-        assert set(EvaluationEngine._invariants(
-            [EvaluationEngine._normalize(call) for call in calls])) == \
-            {"network", "pdk"}
         serial = EvaluationEngine(jobs=1, use_cache=False).map(
             simulate, calls, stage="shared")
         pooled = EvaluationEngine(jobs=2, use_cache=False).map(
@@ -667,6 +657,6 @@ class TestSupervisedDispatch:
         assert report.timeouts == 1
         assert report.outcomes[2].retries >= 1
 
-    def test_pmap_calls_raises_the_original_error_type(self):
+    def test_pmap_raises_the_original_error_type(self):
         with pytest.raises(ValueError, match="task failure for 1"):
-            pmap_calls(_boom, [((1,), {})], jobs=2)
+            pmap(_boom, [1], jobs=2)

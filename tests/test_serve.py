@@ -796,6 +796,42 @@ def test_repro_errors_never_trip_the_breaker():
                engine=_FlakyEngine(failures=10, error=ConfigurationError))
 
 
+async def _await_released(server: ReproServer) -> None:
+    """Poll until the server has released every pending slot."""
+    for _ in range(200):
+        if server._pending == 0:
+            return
+        await asyncio.sleep(0.01)
+
+
+def test_sweep_deadline_ends_stream_with_in_band_error():
+    async def check(server, client):
+        events = await client.sweep(SWEEP, options={"batch": False})
+        assert [event["event"] for event in events] == ["start", "error"]
+        assert events[-1]["error"]["type"] == "deadline_exceeded"
+        assert server.stats.deadline_exceeded == 1
+        await _await_released(server)
+        assert server._pending == 0
+
+    serve_test(check,
+               config=ServerConfig(port=0, request_timeout=0.05),
+               engine=_SlowEngine(delay=0.3))
+
+
+def test_sweep_engine_failure_ends_stream_and_counts_for_the_breaker():
+    async def check(server, client):
+        events = await client.sweep(SWEEP, options={"batch": False})
+        assert [event["event"] for event in events] == ["start", "error"]
+        assert "engine sick" in events[-1]["error"]["message"]
+        assert server._breaker._failures == 1
+        await _await_released(server)
+        assert server._pending == 0
+
+    serve_test(check,
+               config=ServerConfig(port=0, breaker_threshold=5),
+               engine=_FlakyEngine(failures=1))
+
+
 def test_request_deadline_yields_504():
     async def check(server, client):
         with pytest.raises(ServeError) as excinfo:
