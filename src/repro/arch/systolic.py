@@ -9,7 +9,10 @@ next (r, s) kernel position / channel tile is loaded.
 The tiling arithmetic here is what the performance model consumes:
 
 * ``k_tiles`` — output-channel tiles; also the layer's partitioning limit
-  across parallel CSs (the paper's N#).
+  across parallel CSs (the paper's N#).  :func:`output_tiles` (and
+  :func:`pool_tiles` for pooling layers) state that limit once, over the
+  :class:`ArrayOps` op set, so the per-layer cost model
+  (:mod:`repro.perf.layer_cost`) runs the same rule on numpy arrays.
 * ``slab_count`` — total weight slabs streamed, including the first-layer
   optimization of packing C x R weight rows onto the array rows when the
   input-channel count is shallow (C < rows), which is what keeps the
@@ -20,10 +23,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import require
 from repro.arch.pe import PEConfig, default_pe
 from repro.workloads.layers import Layer, LayerKind
+
+
+class ArrayOps(NamedTuple):
+    """The element-wise ops the tiling rules and the per-layer cost model
+    (:func:`repro.perf.layer_cost.layer_cost`) are written against."""
+
+    maximum: Callable[[Any, Any], Any]
+    minimum: Callable[[Any, Any], Any]
+    where: Callable[[Any, Any, Any], Any]
+    ceil: Callable[[Any], Any]
+
+
+#: Plain-number ops over one (design, layer) pair.
+scalar_ops = ArrayOps(
+    maximum=max,
+    minimum=min,
+    where=lambda condition, then, otherwise: then if condition else otherwise,
+    ceil=math.ceil,
+)
+
+
+def output_tiles(ops: ArrayOps, out_channels, groups, cols):
+    """Output-channel tiles of a conv/FC layer on ``cols`` array columns:
+    its partition limit N#.
+
+    Grouped convolutions tile per group: a tile cannot mix output
+    channels whose input channels differ.
+    """
+    return groups * ops.maximum(1, ops.ceil(out_channels / groups / cols))
+
+
+def pool_tiles(ops: ArrayOps, out_channels, pool_lanes):
+    """Channel tiles of a pooling layer on ``pool_lanes`` vector lanes:
+    its partition limit across CSs."""
+    return ops.maximum(1, ops.ceil(out_channels / pool_lanes))
 
 
 @dataclass(frozen=True)
@@ -63,14 +102,10 @@ class SystolicArrayConfig:
         return self.rows + self.cols
 
     def k_tiles(self, layer: Layer) -> int:
-        """Output-channel tiles — the layer's partition limit N#.
-
-        Grouped convolutions tile per group: a tile cannot mix output
-        channels whose input channels differ.
-        """
-        groups = layer.channel_groups
-        per_group = max(1, math.ceil(layer.out_channels / groups / self.cols))
-        return groups * per_group
+        """Output-channel tiles — the layer's partition limit N#
+        (:func:`output_tiles`)."""
+        return output_tiles(scalar_ops, layer.out_channels,
+                            layer.channel_groups, self.cols)
 
     def _group_in_channels(self, layer: Layer) -> int:
         return layer.in_channels // layer.channel_groups

@@ -49,7 +49,8 @@ from repro.batch.pack import (
 )
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
-from repro.perf.layer_cost import ArrayOps, layer_cost
+from repro.arch.systolic import ArrayOps
+from repro.perf.layer_cost import layer_cost
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import stable_key
 from repro.runtime.memo import add_counts

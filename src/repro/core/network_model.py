@@ -20,13 +20,12 @@ claim — and our test — is agreement within 10% on network-level benefits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import require
-from repro.tech import constants
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import AcceleratorDesign
+from repro.arch.systolic import pool_tiles, scalar_ops
 from repro.core.params import (
     _compute_energy_per_op,
     _cs_idle_energy_per_cycle,
@@ -111,7 +110,7 @@ def _layer_quantities(design: AcceleratorDesign, layer: Layer) -> tuple[int, flo
     """(n_max, compute_cycles, transfer_cycles) for one layer."""
     array = design.cs.array
     if layer.kind == LayerKind.POOL:
-        tiles = max(1, math.ceil(layer.out_channels / design.pool_lanes))
+        tiles = pool_tiles(scalar_ops, layer.out_channels, design.pool_lanes)
     else:
         tiles = array.k_tiles(layer)
     n_max = min(design.n_cs, tiles)

@@ -6,9 +6,11 @@ leakage energy (see :mod:`repro.perf.simulator` for the model).  Its
 inputs are two flat rows: a :class:`DesignRow` holding every scalar the
 model reads from a design, and a :class:`LayerRow` holding every scalar
 it reads from a layer.  The formula is written against the tiny op set
-of :class:`ArrayOps`, so the same body runs in two ways:
+of :class:`~repro.arch.systolic.ArrayOps` (defined beside the tiling
+rules it shares with the scalar architecture code: N# and the pool-lane
+limit), so the same body runs in two ways:
 
-* with :data:`scalar_ops` on one (design, layer) pair of plain numbers —
+* with :data:`~repro.arch.systolic.scalar_ops` on one (design, layer) pair of plain numbers —
   :meth:`AcceleratorSimulator.run_layer
   <repro.perf.simulator.AcceleratorSimulator.run_layer>`;
 * with numpy ops on broadcast arrays, one row per design and one column
@@ -22,45 +24,25 @@ mode; every branch is total (no division by zero on the untaken side).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple
+from typing import NamedTuple
 
+from repro.arch.systolic import ArrayOps, output_tiles, pool_tiles
 from repro.tech.constants import SRAM_ENERGY_PER_BIT, WIRE_ENERGY_PER_BIT_MM
 from repro.workloads.layers import Layer, LayerKind
 
 __all__ = [
-    "ArrayOps",
     "DesignRow",
     "LayerRow",
     "WRITEBACK_WIRE_LENGTH",
     "layer_cost",
     "layer_row",
-    "scalar_ops",
 ]
 
 #: Average on-chip distance for writeback-bus transfers, metres.
 WRITEBACK_WIRE_LENGTH = 5e-3
 
 _WIRE_MM = WRITEBACK_WIRE_LENGTH / 1e-3
-
-
-class ArrayOps(NamedTuple):
-    """The element-wise ops :func:`layer_cost` is written against."""
-
-    maximum: Callable[[Any, Any], Any]
-    minimum: Callable[[Any, Any], Any]
-    where: Callable[[Any, Any, Any], Any]
-    ceil: Callable[[Any], Any]
-
-
-#: Plain-number ops over one (design row, layer row) pair.
-scalar_ops = ArrayOps(
-    maximum=max,
-    minimum=min,
-    where=lambda condition, then, otherwise: then if condition else otherwise,
-    ceil=math.ceil,
-)
 
 
 class DesignRow(NamedTuple):
@@ -168,8 +150,7 @@ def layer_cost(ops: ArrayOps, d, f):
     """
     # Timing: a conv/FC layer tiles into weight slabs on each CS's
     # systolic array, partitioned across min(N, K-tiles) CSs.
-    per_group = ops.maximum(1, ops.ceil(f.out_channels / f.groups / d.cols))
-    k_tiles = f.groups * per_group
+    k_tiles = output_tiles(ops, f.out_channels, f.groups, d.cols)
     packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
     row_tiles = ops.where(
         packing,
@@ -188,8 +169,8 @@ def layer_cost(ops: ArrayOps, d, f):
     per_slab = ops.maximum(stream, weight_load)
     conv_compute = slabs_per_cs * per_slab
     # Timing: pooling on the per-CS vector lanes, channel-partitioned.
-    pool_used = ops.minimum(
-        d.n_cs, ops.maximum(1, ops.ceil(f.out_channels / d.pool_lanes)))
+    pool_used = ops.minimum(d.n_cs,
+                            pool_tiles(ops, f.out_channels, d.pool_lanes))
     pool_compute = f.macs * d.batch / d.pool_lanes / pool_used
     used_cs = ops.where(f.is_pool, pool_used, conv_used)
     compute = ops.where(f.is_pool, pool_compute, conv_compute)

@@ -35,10 +35,10 @@ from repro.arch.accelerator import (
     AcceleratorDesign,
     peripheral_leakage,
 )
-from repro.arch.systolic import SystolicArrayConfig
+from repro.arch.systolic import SystolicArrayConfig, scalar_ops
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
-from repro.perf.layer_cost import DesignRow, layer_cost, layer_row, scalar_ops
+from repro.perf.layer_cost import DesignRow, layer_cost, layer_row
 from repro.workloads.layers import Layer, shape_key
 from repro.workloads.models import Network
 

@@ -37,6 +37,12 @@ interleaves fairly with point evaluations.  The one exception is a
 worker thread holds the engine: the loop answers it itself, since the
 lookup costs less than the hop to a thread and back.  The loop only
 ever *tries* the lock, so it never waits on the engine.
+
+Around the engine call, ``/v1/eval`` keeps two bounded memos on the
+loop: request-body bytes to their parsed spec and fingerprint, and
+fingerprint to the encoded ``result``.  A repeated body is parsed,
+validated, hashed and encoded once; it still reaches the engine every
+time, so cache, stage and breaker accounting are those of a fresh body.
 """
 
 from __future__ import annotations
@@ -53,8 +59,10 @@ from typing import Any, Awaitable, Callable, Mapping
 from repro.errors import ReproError, envelope, error_envelope
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry, registry as _metrics_registry
+from repro.runtime.cache import MISSING
 from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.runtime.keys import call_key
+from repro.runtime.memo import MemoTable
 from repro.serve.http import (
     ProtocolError,
     Request,
@@ -78,6 +86,19 @@ __all__ = ["ReproServer", "ServerConfig", "serve"]
 
 #: Default TCP port: "DB48" — the paper is DATE 2023, the repo is repro.
 DEFAULT_PORT = 8348
+
+#: Entries in each ``/v1/eval`` memo (bodies, encoded results); FIFO
+#: eviction beyond it.
+_EVAL_MEMO_ENTRIES = 1024
+
+#: Largest body the body memo stores.  A spec body is 0.5-0.7 KB, so this
+#: admits every real one and bounds the table's keys at
+#: ``_EVAL_MEMO_ENTRIES * _EVAL_MEMO_BODY_BYTES`` (2 MiB).
+_EVAL_MEMO_BODY_BYTES = 2048
+
+#: A ``/v1/eval`` reply up to its ``result``, exactly as ``json.dumps``
+#: writes the payload dict.
+_EVAL_REPLY_HEAD = '{"api": ' + json.dumps(API_VERSION) + ', "result": '
 
 
 @dataclass(frozen=True)
@@ -292,6 +313,12 @@ class ReproServer:
         self._open_requests = 0
         self._idle_writers: set[asyncio.StreamWriter] = set()
         self._buckets: dict[str, _TokenBucket] = {}
+        # Event-loop only, so unlocked: body bytes -> (spec, fingerprint)
+        # and fingerprint -> the ``json.dumps`` text of its result.
+        self._eval_bodies = MemoTable("serve.eval_bodies",
+                                      max_entries=_EVAL_MEMO_ENTRIES)
+        self._eval_replies = MemoTable("serve.eval_replies",
+                                       max_entries=_EVAL_MEMO_ENTRIES)
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._routes: dict[tuple[str, str], Callable[
@@ -619,6 +646,12 @@ class ReproServer:
                 for stage in report.stages
             },
             "serve": self.stats.to_jsonable(),
+            "memos": {
+                name: {"entries": len(table), "hits": table.hits,
+                       "misses": table.misses}
+                for name, table in (("body", self._eval_bodies),
+                                    ("reply", self._eval_replies))
+            },
         }
         return Response(status=200,
                         body=(json.dumps(payload) + "\n").encode("utf-8"))
@@ -631,8 +664,7 @@ class ReproServer:
     # --- POST /v1/eval ----------------------------------------------------
 
     async def _handle_eval(self, request: Request) -> Response:
-        spec = parse_eval_body(request.body)
-        fingerprint = spec.fingerprint()
+        spec, fingerprint = self._parse_eval(request.body)
         task = self._inflight_evals.get(fingerprint)
         coalesced = task is not None
         if coalesced:
@@ -659,14 +691,35 @@ class ReproServer:
             # Shielded: a disconnecting follower (or owner) must not
             # cancel the shared evaluation other clients are waiting on.
             outcome = await asyncio.shield(task)
-        payload = {
-            "api": API_VERSION,
-            "result": evaluation_wire(outcome.evaluation, fingerprint),
-            "cached": outcome.cached,
-            "coalesced": coalesced,
-        }
-        return Response(status=200,
-                        body=(json.dumps(payload) + "\n").encode("utf-8"))
+        result = self._eval_replies.get(fingerprint)
+        if result is MISSING:
+            result = json.dumps(evaluation_wire(outcome.evaluation,
+                                                fingerprint))
+            self._eval_replies.put(fingerprint, result)
+        # Byte for byte what json.dumps writes for the payload dict
+        # {"api", "result", "cached", "coalesced"}.
+        body = (f'{_EVAL_REPLY_HEAD}{result}, '
+                f'"cached": {"true" if outcome.cached else "false"}, '
+                f'"coalesced": {"true" if coalesced else "false"}}}\n')
+        return Response(status=200, body=body.encode("utf-8"))
+
+    def _parse_eval(self, body: bytes) -> tuple[DesignSpec, str]:
+        """The spec and fingerprint of a ``/v1/eval`` body, parsed once
+        per distinct body.
+
+        Parsing is a pure function of the bytes, so a stored verdict is
+        the one a fresh parse would give.  Only bodies that parse are
+        stored (a 400 or 422 body is parsed again each time), and only
+        bodies up to ``_EVAL_MEMO_BODY_BYTES``.
+        """
+        small = len(body) <= _EVAL_MEMO_BODY_BYTES
+        parsed = self._eval_bodies.get(body) if small else MISSING
+        if parsed is MISSING:
+            spec = parse_eval_body(body)
+            parsed = (spec, spec.fingerprint())
+            if small:
+                self._eval_bodies.put(body, parsed)
+        return parsed
 
     def _eval_done(self, key: str) -> None:
         self._inflight_evals.pop(key, None)

@@ -5,8 +5,8 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.arch.systolic import SystolicArrayConfig
-from repro.perf.layer_cost import layer_cost, layer_row, scalar_ops
+from repro.arch.systolic import SystolicArrayConfig, scalar_ops
+from repro.perf.layer_cost import layer_cost, layer_row
 from repro.perf.simulator import design_row
 from repro.physical.floorplan import Rect
 from repro.tech.ilv import ILVModel

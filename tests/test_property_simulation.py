@@ -14,6 +14,7 @@ _SIMULATORS = {
     n: AcceleratorSimulator(m3d_design(_PDK, n_cs=n), _PDK)
     for n in (1, 2, 4, 8, 16)
 }
+_k_tiles = _SIMULATORS[1].design.cs.array.k_tiles
 
 conv_layers = st.builds(
     ConvLayer,
@@ -41,8 +42,7 @@ def test_more_cs_never_slower(layer, n_cs):
 def test_speedup_bounded_by_partitions(layer):
     one = _SIMULATORS[1].run_layer(layer)
     eight = _SIMULATORS[8].run_layer(layer)
-    k_tiles = -(-layer.out_channels // 16)
-    assert one.cycles / eight.cycles <= min(8, k_tiles) + 1e-9
+    assert one.cycles / eight.cycles <= min(8, _k_tiles(layer)) + 1e-9
 
 
 @given(conv_layers)
@@ -52,7 +52,7 @@ def test_compute_cycles_cover_macs(layer):
     the chip its weight bandwidth: the roofline's two ceilings."""
     simulator = _SIMULATORS[8]
     result = simulator.run_layer(layer)
-    slice_macs = layer.macs / min(8, -(-layer.out_channels // 16))
+    slice_macs = layer.macs / min(8, _k_tiles(layer))
     assert result.compute_cycles * 256 >= slice_macs * (1 - 1e-9)
     design = simulator.design
     assert result.cycles * design.total_weight_bandwidth \

@@ -278,13 +278,117 @@ def test_cache_hit_hashes_the_spec_once(monkeypatch):
         for module in (app, engine_module):
             monkeypatch.setattr(module, "call_key", counted(
                 "call_key", module.call_key))
-        second = await client.evaluate(SPEC)
+        # A new body of a cached spec is parsed and hashed once.
+        second = await client.evaluate({"spec": SPEC})
         assert second["cached"] is True
         assert second["result"] == first["result"]
         assert counts["fingerprint"] == 1
         assert counts["call_key"] <= 2
+        # The same bytes again: the body memo holds spec and fingerprint.
+        counts.update(fingerprint=0, call_key=0)
+        third = await client.evaluate({"spec": SPEC})
+        assert third["cached"] is True
+        assert third["result"] == first["result"]
+        assert counts["fingerprint"] == 0
+        assert counts["call_key"] <= 2
 
     serve_test(check)
+
+
+# --- the /v1/eval body and reply memos ------------------------------------
+
+
+async def _post_eval_raw(client: ServeClient, body: bytes) \
+        -> tuple[int, bytes]:
+    """POST exact bytes to /v1/eval; ``(status, body)``."""
+    reader, writer = await asyncio.open_connection(client.host, client.port)
+    writer.write((f"POST /v1/eval HTTP/1.1\r\nHost: x\r\n"
+                  f"Content-Length: {len(body)}\r\n"
+                  f"Connection: close\r\n\r\n").encode() + body)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    head, _, reply = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), reply
+
+
+def test_failing_and_large_bodies_are_parsed_every_time():
+    """The same bytes get the same verdict; only small bodies that parse
+    are stored."""
+    async def check(server, client):
+        before = (await client.cache())["memos"]["body"]["entries"]
+        for body, status in ((b"{not json", 400),
+                             (json.dumps({"bogus": 1}).encode(), 422)):
+            first = await _post_eval_raw(client, body)
+            again = await _post_eval_raw(client, body)
+            assert first[0] == status
+            assert again == first
+        large = json.dumps(SPEC).encode() + b" " * 4096
+        status, reply = await _post_eval_raw(client, large)
+        assert status == 200
+        assert json.loads(reply)["result"]["fingerprint"] \
+            == DesignSpec.from_jsonable(SPEC).fingerprint()
+        assert (await client.cache())["memos"]["body"]["entries"] == before
+
+    serve_test(check)
+
+
+def test_eval_reply_bytes_are_the_json_dumps_of_the_payload():
+    """A first miss, its coalesced followers and a repeated hit reply
+    exactly ``json.dumps(payload) + "\\n"``."""
+    from repro.serve.protocol import evaluation_wire
+
+    spec = DesignSpec.from_jsonable(SPEC)
+    result = evaluation_wire(evaluate_spec(spec), spec.fingerprint())
+
+    def encoded(cached: bool, coalesced: bool) -> bytes:
+        payload = {"api": "v1", "result": result, "cached": cached,
+                   "coalesced": coalesced}
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    async def check(server, client):
+        replies = await asyncio.gather(
+            *(client._request("POST", "/v1/eval", SPEC) for _ in range(24)))
+        flags = set()
+        for status, _headers, body in replies:
+            assert status == 200
+            payload = json.loads(body)
+            flags.add((payload["cached"], payload["coalesced"]))
+            assert body == encoded(payload["cached"], payload["coalesced"])
+        assert (False, False) in flags           # the owner's miss
+        assert (False, True) in flags            # a coalesced follower
+        status, _headers, body = await client._request(
+            "POST", "/v1/eval", SPEC)
+        assert body == encoded(True, False)      # a repeated hit
+
+    serve_test(check)
+
+
+def test_every_repeated_body_still_reaches_the_engine():
+    async def check(server, client):
+        for _ in range(5):
+            await client.evaluate(SPEC)
+        stage = (await client.cache())["stages"]["serve.eval"]
+        assert stage["calls"] == 5
+        assert stage["cache_hits"] == 4
+
+    serve_test(check)
+
+
+def test_disabled_memoization_leaves_the_eval_memos_empty():
+    from repro.runtime.memo import memoization_disabled
+
+    async def check(server, client):
+        first = await client._request("POST", "/v1/eval", SPEC)
+        second = await client._request("POST", "/v1/eval", SPEC)
+        assert json.loads(second[2])["cached"] is True
+        assert second[2] == first[2].replace(b'"cached": false',
+                                             b'"cached": true')
+        memos = (await client.cache())["memos"]
+        assert memos["body"]["entries"] == memos["reply"]["entries"] == 0
+
+    with memoization_disabled():
+        serve_test(check)
 
 
 def test_disk_only_hit_goes_through_the_executor(tmp_path):
@@ -511,13 +615,19 @@ def test_metrics_endpoint_scrapes_prometheus_text():
 
 def test_cache_endpoint_reports_engine_and_serve_counters():
     async def check(server, client):
-        await client.evaluate(SPEC)
-        await client.evaluate(SPEC)
+        replies = [await client.evaluate(SPEC) for _ in range(3)]
+        replies.append(await client.evaluate({"spec": SPEC}))
+        assert all(r["result"] == replies[0]["result"] for r in replies)
         payload = await client.cache()
         assert payload["entries"] >= 1
         assert payload["cache"]["stores"] >= 1
         assert payload["stages"]["serve.eval"]["evaluated"] == 1
-        assert payload["serve"]["requests"] >= 3
+        assert payload["serve"]["requests"] >= 5
+        # Two distinct bodies of one spec: one parse each, one encoding.
+        assert payload["memos"]["body"] == {"entries": 2, "hits": 2,
+                                            "misses": 2}
+        assert payload["memos"]["reply"] == {"entries": 1, "hits": 3,
+                                             "misses": 1}
 
     serve_test(check)
 
