@@ -98,7 +98,20 @@ from repro.spec import (
     load_sweep_spec,
 )
 from repro.sweep import run_streaming_sweep, stream_sweep
-from repro.serve import ReproServer, ServeClient, ServeError, ServerConfig
+
+#: Public names resolved on first use: importing the serve stack (asyncio,
+#: the HTTP server, the client) costs every ``import repro`` otherwise.
+_SERVE_NAMES = frozenset({"ReproServer", "ServeClient", "ServeError",
+                          "ServerConfig", "serve"})
+
+
+def __getattr__(name: str):
+    if name in _SERVE_NAMES:
+        import repro.serve as serve
+
+        return serve if name == "serve" else getattr(serve, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __version__ = "2.0.0"
 

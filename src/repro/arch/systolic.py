@@ -17,6 +17,7 @@ The tiling arithmetic here is what the performance model consumes:
   optimization of packing C x R weight rows onto the array rows when the
   input-channel count is shallow (C < rows), which is what keeps the
   7x7 / 3-channel stem layer from wasting 13/16 of the array.
+  :func:`row_packing` states that rule once, over :class:`ArrayOps`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def pool_tiles(ops: ArrayOps, out_channels, pool_lanes):
     return ops.maximum(1, ops.ceil(out_channels / pool_lanes))
 
 
+def row_packing(ops: ArrayOps, enabled, is_conv, group_in, kernel, rows):
+    """``(packs, row_tiles, passes)`` of a layer on ``rows`` array rows.
+
+    A convolution whose per-group input channels are fewer than the rows
+    (``group_in < rows``, ``kernel > 1``; the stem layer and every
+    depthwise group) packs C x R weight rows onto the array rows when
+    row packing is ``enabled``: ``row_tiles`` then covers C x R rows and
+    the R dimension is spatial, leaving S ``passes`` per tile.  Otherwise
+    a conv takes R x S passes and any other layer one.
+    """
+    packs = enabled & is_conv & (group_in < rows) & (kernel > 1)
+    row_tiles = ops.where(packs,
+                          ops.maximum(1, ops.ceil(group_in * kernel / rows)),
+                          ops.maximum(1, ops.ceil(group_in / rows)))
+    passes = ops.where(is_conv, ops.where(packs, kernel, kernel * kernel), 1)
+    return packs, row_tiles, passes
+
+
 @dataclass(frozen=True)
 class SystolicArrayConfig:
     """A rows x cols weight-stationary systolic array.
@@ -107,24 +126,21 @@ class SystolicArrayConfig:
         return output_tiles(scalar_ops, layer.out_channels,
                             layer.channel_groups, self.cols)
 
-    def _group_in_channels(self, layer: Layer) -> int:
-        return layer.in_channels // layer.channel_groups
+    def _row_packing(self, layer: Layer) -> tuple:
+        """:func:`row_packing` of ``layer`` on this array."""
+        return row_packing(
+            scalar_ops, self.enable_row_packing, layer.kind == LayerKind.CONV,
+            layer.in_channels // layer.channel_groups, layer.kernel,
+            self.rows)
 
     def uses_row_packing(self, layer: Layer) -> bool:
         """True when the shallow-channel C x R row-packing mapping applies
         (the stem layer, and every depthwise group)."""
-        if not self.enable_row_packing:
-            return False
-        if layer.kind != LayerKind.CONV:
-            return False
-        return self._group_in_channels(layer) < self.rows and layer.kernel > 1
+        return self._row_packing(layer)[0]
 
     def row_tiles(self, layer: Layer) -> int:
         """Input-side tiles per output-channel tile (within one group)."""
-        group_c = self._group_in_channels(layer)
-        if self.uses_row_packing(layer):
-            return max(1, math.ceil(group_c * layer.kernel / self.rows))
-        return max(1, math.ceil(group_c / self.rows))
+        return self._row_packing(layer)[1]
 
     def kernel_passes(self, layer: Layer) -> int:
         """Weight-slab passes per (K-tile, row-tile) pair.
@@ -132,11 +148,7 @@ class SystolicArrayConfig:
         Normally R * S kernel positions; with row packing the R dimension is
         spatial on the array, leaving S passes.
         """
-        if layer.kind != LayerKind.CONV:
-            return 1
-        if self.uses_row_packing(layer):
-            return layer.kernel
-        return layer.kernel * layer.kernel
+        return self._row_packing(layer)[2]
 
     def slab_count(self, layer: Layer) -> int:
         """Total weight slabs streamed for the layer on one array."""

@@ -2,12 +2,14 @@
 
 :class:`BatchKernel` evaluates many ``evaluate_spec`` calls at once:
 
-1. **Pack** (python, per point): each spec lowers to two
+1. **Pack** (python, per design): each spec lowers to two
    :class:`~repro.perf.layer_cost.DesignRow` parameter rows through the
    delta-evaluation stage tables (:mod:`repro.batch.pack`), built by the
    same staged design construction the scalar resolver and simulator
-   use.  Specs the row schema cannot express fall back to scalar
-   ``evaluate_spec`` (counted as ``batch.fallback_scalar``).
+   use, once per ``(tech, arch, batch)`` design of the call
+   (:class:`~repro.batch.pack.PackMemo`).  Specs the row schema cannot
+   express fall back to scalar ``evaluate_spec`` (counted as
+   ``batch.fallback_scalar``).
 2. **Evaluate** (arrays): the distinct ``(design row, workload)`` pairs
    that no earlier point — in this batch or a previous one — already
    evaluated run through :func:`~repro.perf.layer_cost.layer_cost`, the
@@ -41,6 +43,7 @@ import numpy as np
 from repro.batch.pack import (
     ROW_RESULTS,
     DesignRow,
+    PackMemo,
     PackedPoint,
     UnsupportedSpec,
     WorkloadStage,
@@ -89,27 +92,40 @@ def _evaluate_rows(rows: Sequence[DesignRow],
     return list(zip(total_cycles.tolist(), total_energy.tolist()))
 
 
-def _delta_evaluate(row_keys: "Iterable[tuple[DesignRow, tuple]]",
+def _delta_evaluate(point_rows: "Iterable[tuple[tuple, Sequence[DesignRow]]]",
                     ) -> "tuple[dict, int]":
-    """Delta evaluation: ``((row, workload key) -> (cycles, energy), hits)``.
+    """Delta evaluation of each point's ``(workload key, rows)``:
+    ``({workload key: {id(row): (cycles, energy)}}, hits)``.
 
     Only the distinct pairs no earlier call already evaluated (the
     ``batch.rows`` memo) run through :func:`_evaluate_rows`, one
     vectorized group per workload; every other pair is a delta hit.
+    Results are keyed on the row *object* (which the caller pins), so a
+    row shared by many points (:class:`~repro.batch.pack.PackMemo`
+    interns them) is hashed by content once, not once per point.
     """
+    by_workload: dict = {}
     local: dict = {}
     pending: dict = {}
     delta_hits = 0
-    for row_key in row_keys:
-        if row_key in local or row_key in pending:
-            delta_hits += 1
-            continue
-        memoized = ROW_RESULTS.get(row_key)
-        if memoized is not MISSING:
-            local[row_key] = memoized
-            delta_hits += 1
-            continue
-        pending[row_key] = None
+    for workload_key, rows in point_rows:
+        seen = by_workload.get(workload_key)
+        if seen is None:
+            seen = by_workload[workload_key] = {}
+        for row in rows:
+            if id(row) in seen:
+                delta_hits += 1
+                continue
+            row_key = seen[id(row)] = (row, workload_key)
+            if row_key in local or row_key in pending:
+                delta_hits += 1
+                continue
+            memoized = ROW_RESULTS.get(row_key)
+            if memoized is not MISSING:
+                local[row_key] = memoized
+                delta_hits += 1
+                continue
+            pending[row_key] = None
 
     groups: dict = {}
     for row, workload_key in pending:
@@ -120,7 +136,9 @@ def _delta_evaluate(row_keys: "Iterable[tuple[DesignRow, tuple]]",
             row_key = (row, workload_key)
             local[row_key] = totals
             ROW_RESULTS.put(row_key, totals)
-    return local, delta_hits
+    return {workload_key: {row_id: local[row_key]
+                           for row_id, row_key in seen.items()}
+            for workload_key, seen in by_workload.items()}, delta_hits
 
 
 class BatchKernel:
@@ -161,26 +179,21 @@ class BatchKernel:
         results: list = [None] * len(calls)
         packed, fallback = self._pack_calls(calls)
         totals, delta_hits = _delta_evaluate(
-            (row, point.workload_key) for _, point in packed
-            for row in (point.row_2d, point.row_m3d))
+            (point.workload_key, (point.row_2d, point.row_m3d))
+            for _, point in packed)
 
         for index, point in packed:
-            cycles_2d, energy_2d = totals[(point.row_2d, point.workload_key)]
-            cycles_m3d, energy_m3d = totals[(point.row_m3d,
-                                             point.workload_key)]
+            row_2d, row_m3d = point.row_2d, point.row_m3d
+            workload_totals = totals[point.workload_key]
+            cycles_2d, energy_2d = workload_totals[id(row_2d)]
+            cycles_m3d, energy_m3d = workload_totals[id(row_m3d)]
             # compare_designs ratio arithmetic, with runtime = cycles * t.
-            speedup = (cycles_2d * point.row_2d.cycle_time) \
-                / (cycles_m3d * point.row_m3d.cycle_time)
+            speedup = (cycles_2d * row_2d.cycle_time) \
+                / (cycles_m3d * row_m3d.cycle_time)
             energy_benefit = energy_2d / energy_m3d
             results[index] = SpecEvaluation(
-                spec=point.spec,
-                n_cs_2d=point.row_2d.n_cs,
-                n_cs_m3d=point.row_m3d.n_cs,
-                footprint=point.footprint,
-                speedup=speedup,
-                energy_benefit=energy_benefit,
-                edp_benefit=speedup * energy_benefit,
-            )
+                point.spec, row_2d.n_cs, row_m3d.n_cs, point.footprint,
+                speedup, energy_benefit, speedup * energy_benefit)
 
         for index in fallback:
             args, kwargs = calls[index]
@@ -213,16 +226,16 @@ class BatchKernel:
         relaxed = [(index, point, *relaxed_rows(point.row_m3d))
                    for index, point in packed]
         totals, delta_hits = _delta_evaluate(
-            (row, point.workload_key) for _, point, timing, energy in relaxed
-            for row in (point.row_2d, timing, energy))
+            (point.workload_key, (point.row_2d, timing, energy))
+            for _, point, timing, energy in relaxed)
 
         for index, point, timing, energy in relaxed:
-            workload_key = point.workload_key
-            cycles_2d, energy_2d = totals[(point.row_2d, workload_key)]
-            cycles_lb = totals[(timing, workload_key)][0]
+            workload_totals = totals[point.workload_key]
+            cycles_2d, energy_2d = workload_totals[id(point.row_2d)]
+            cycles_lb = workload_totals[id(timing)][0]
             # Zero static power: the energy row's total is its dynamic
             # energy exactly.
-            energy_lb = totals[(energy, workload_key)][1]
+            energy_lb = workload_totals[id(energy)][1]
             results[index] = point_bounds(
                 point.spec, point.footprint,
                 cycles_2d * point.row_2d.cycle_time, energy_2d,
@@ -243,6 +256,7 @@ class BatchKernel:
         indices that must take the scalar path."""
         packed: "list[tuple[int, PackedPoint]]" = []
         fallback: list[int] = []
+        memo = PackMemo()
         for index, (args, kwargs) in enumerate(calls):
             supported = (not kwargs and 1 <= len(args) <= 2
                          and isinstance(args[0], DesignSpec))
@@ -251,7 +265,8 @@ class BatchKernel:
                     else self._accepts_pdk(args[1])
             if supported:
                 try:
-                    packed.append((index, pack_point(args[0], self.base)))
+                    packed.append(
+                        (index, pack_point(args[0], self.base, memo)))
                     continue
                 except UnsupportedSpec:
                     pass

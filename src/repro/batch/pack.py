@@ -19,6 +19,11 @@ footprints (:func:`~repro.arch.accelerator.design_counts`) and the row
 stage (:func:`~repro.perf.simulator.design_row`).  The rows therefore
 equal the simulator's rows of the resolved designs by construction.
 
+Within one batch, points that share section objects share their
+design: :class:`PackMemo` packs each ``(tech, arch, batch)`` design once
+and interns its rows, so a point costs a weight-fit check and a
+:class:`PackedPoint`.
+
 Delta-evaluation lives in the stage tables: a spec's sections identify
 which intermediate stages its neighbors already computed.
 
@@ -52,6 +57,7 @@ import numpy as np
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
     DEFAULT_WRITEBACK_BUS_BITS,
+    TechCSStage,
     design_counts,
 )
 from repro.perf.layer_cost import DesignRow, LayerRow, layer_row
@@ -59,13 +65,14 @@ from repro.perf.simulator import design_row
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import call_key as spec_call_key
 from repro.runtime.memo import memo_table
-from repro.spec.design import DesignSpec, WorkloadSpec
+from repro.spec.design import ArchSpec, DesignSpec, TechSpec, WorkloadSpec
 from repro.spec.resolve import build_workload, design_stage
 from repro.tech.pdk import PDK
 
 __all__ = [
     "DesignRow",
     "LayerRow",
+    "PackMemo",
     "PackedPoint",
     "UnsupportedSpec",
     "WorkloadStage",
@@ -88,9 +95,10 @@ class UnsupportedSpec(Exception):
 class WorkloadStage:
     """Per-layer features of one (network, layer-restriction) workload."""
 
-    __slots__ = ("network", "layers", "_columns")
+    __slots__ = ("key", "network", "layers", "_columns")
 
-    def __init__(self, network) -> None:
+    def __init__(self, key: tuple, network) -> None:
+        self.key = key
         self.network = network
         self.layers = tuple(layer_row(layer) for layer in network.layers)
         self._columns = None
@@ -141,51 +149,106 @@ def workload_stage(network: str, layer: str | None) -> WorkloadStage:
     key = (network, layer)
     stage = _WORKLOAD_STAGE.get(key)
     if stage is MISSING:
-        stage = WorkloadStage(
-            build_workload(WorkloadSpec(network=network, layer=layer)))
+        stage = WorkloadStage(key, build_workload(
+            WorkloadSpec(network=network, layer=layer)))
         _WORKLOAD_STAGE.put(key, stage)
     return stage
 
 
-def pack_point(spec: DesignSpec, base: PDK) -> PackedPoint:
+class PackMemo:
+    """What one batch's points share while they are packed.
+
+    * ``designs``: ``(id(tech), id(arch), batch)`` -> the design's
+      ``(row_2d, row_m3d, footprint)``, or the exception packing raised;
+    * ``rows``: a design row's inputs (tech section id, CS preset,
+      precision, batch, CS count, bandwidth) -> the row, so equal rows
+      are one object (the iso 2D row is the same for every capacity);
+    * ``workloads``: ``id(workload)`` -> its :class:`WorkloadStage`.
+
+    Ids key the tables, so a memo lives only as long as the specs that
+    pin them: one :meth:`~repro.batch.kernel.BatchKernel.evaluate_calls`
+    or ``bound_calls`` call, at most one entry per point of it.
+    """
+
+    __slots__ = ("designs", "rows", "workloads")
+
+    def __init__(self) -> None:
+        self.designs: dict = {}
+        self.rows: dict = {}
+        self.workloads: dict = {}
+
+
+def pack_point(spec: DesignSpec, base: PDK,
+               memo: PackMemo | None = None) -> PackedPoint:
     """Lower one spec to its two design rows + workload key.
 
     The rows come from the stages :func:`~repro.spec.resolve.resolve`
     and :class:`~repro.perf.simulator.AcceleratorSimulator` build
     designs and rows from, so they equal the scalar pipeline's rows.
+    With a ``memo``, a design the batch already packed is looked up, not
+    rebuilt; only the weight-fit check and the point stay per spec.
     Raises :class:`UnsupportedSpec` for anything the scalar path would
     reject, so that path raises its own diagnostic.
     """
+    if memo is None:
+        memo = PackMemo()
     tech, arch, workload = spec.tech, spec.arch, spec.workload
+    wstage = memo.workloads.get(id(workload))
+    if wstage is None:
+        wstage = memo.workloads[id(workload)] = workload_stage(
+            workload.network, workload.layer)
+    if wstage.weight_bits(arch.precision_bits) > arch.capacity_bits:
+        raise UnsupportedSpec("weights do not fit in on-chip RRAM")
+    key = (id(tech), id(arch), workload.batch)
+    design = memo.designs.get(key)
+    if design is None:
+        try:
+            design = _pack_design(base, tech, arch, workload.batch, memo.rows)
+        except Exception as error:
+            design = error
+        memo.designs[key] = design
+    if isinstance(design, Exception):
+        raise design.with_traceback(None)
+    return PackedPoint(spec, wstage.key, *design)
+
+
+def _pack_design(base: PDK, tech: TechSpec, arch: ArchSpec, batch: int,
+                 rows: dict) -> "tuple[DesignRow, DesignRow, float]":
+    """One design's ``(row_2d, row_m3d, footprint)``, rows interned."""
     if arch.precision_bits > DEFAULT_WRITEBACK_BUS_BITS:
         # AcceleratorDesign would reject the precision; let the scalar
         # path raise its diagnostic.
         raise UnsupportedSpec("precision exceeds the writeback bus")
     stage = design_stage(base, tech, arch)
-    wstage = workload_stage(workload.network, workload.layer)
     capacity = arch.capacity_bits
-    if wstage.weight_bits(arch.precision_bits) > capacity:
-        raise UnsupportedSpec("weights do not fit in on-chip RRAM")
     n_2d, n_m3d, _, footprint = design_counts(
         stage, capacity, arch.tier_pairs, arch.n_cs, arch.baseline)
     if n_m3d > capacity or n_2d > capacity:
         # RRAMBankPlan rejects more banks than bits.
         raise UnsupportedSpec("more banks than capacity bits")
-
     # The 2D baseline keeps its single weight channel; the M3D design
     # gives each CS its own bank.
-    read_energy = stage.pdk.rram_cell.read_energy_per_bit
-    array = stage.cs.array
-    return PackedPoint(
-        spec=spec,
-        workload_key=(workload.network, workload.layer),
-        row_2d=design_row(
-            n_2d, DEFAULT_BANK_WIDTH_BITS, arch.precision_bits, read_energy,
-            array, stage.cs_leakage, stage.peripheral_leakage,
-            workload.batch),
-        row_m3d=design_row(
-            n_m3d, n_m3d * DEFAULT_BANK_WIDTH_BITS, arch.precision_bits,
-            read_energy, array, stage.cs_leakage, stage.peripheral_leakage,
-            workload.batch),
-        footprint=footprint,
-    )
+    return (_row(rows, stage, tech, arch, batch, n_2d,
+                 DEFAULT_BANK_WIDTH_BITS),
+            _row(rows, stage, tech, arch, batch, n_m3d,
+                 n_m3d * DEFAULT_BANK_WIDTH_BITS),
+            footprint)
+
+
+def _row(rows: dict, stage: TechCSStage, tech: TechSpec, arch: ArchSpec,
+         batch: int, n_cs: int, bandwidth_bits: int) -> DesignRow:
+    """The design row of ``n_cs`` CSs at ``bandwidth_bits``, one object
+    per batch.
+
+    The tech section, the CS preset and the precision fix the stage, so
+    they and the row's own inputs key it: equal keys are equal rows.
+    """
+    key = (id(tech), arch.cs, arch.precision_bits, batch, n_cs,
+           bandwidth_bits)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = design_row(
+            n_cs, bandwidth_bits, arch.precision_bits,
+            stage.pdk.rram_cell.read_energy_per_bit, stage.cs.array,
+            stage.cs_leakage, stage.peripheral_leakage, batch)
+    return row

@@ -27,7 +27,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from repro.arch.systolic import ArrayOps, output_tiles, pool_tiles
+from repro.arch.systolic import (
+    ArrayOps,
+    output_tiles,
+    pool_tiles,
+    row_packing,
+)
 from repro.tech.constants import SRAM_ENERGY_PER_BIT, WIRE_ENERGY_PER_BIT_MM
 from repro.workloads.layers import Layer, LayerKind
 
@@ -151,13 +156,8 @@ def layer_cost(ops: ArrayOps, d, f):
     # Timing: a conv/FC layer tiles into weight slabs on each CS's
     # systolic array, partitioned across min(N, K-tiles) CSs.
     k_tiles = output_tiles(ops, f.out_channels, f.groups, d.cols)
-    packing = d.row_packing & f.is_conv & (f.group_in < d.rows) & (f.kernel > 1)
-    row_tiles = ops.where(
-        packing,
-        ops.maximum(1, ops.ceil(f.group_in * f.kernel / d.rows)),
-        ops.maximum(1, ops.ceil(f.group_in / d.rows)))
-    passes = ops.where(
-        f.is_conv, ops.where(packing, f.kernel, f.kernel * f.kernel), 1)
+    _, row_tiles, passes = row_packing(ops, d.row_packing, f.is_conv,
+                                       f.group_in, f.kernel, d.rows)
     conv_used = ops.minimum(d.n_cs, k_tiles)
     slabs_per_cs = ops.ceil(k_tiles / conv_used) * row_tiles * passes
     stream = f.positions * d.batch + d.fill_cycles

@@ -38,12 +38,7 @@ from repro.obs.trace import (
 from repro.runtime.cache import MISSING, ResultCache
 from repro.runtime.keys import call_key
 from repro.runtime.memo import CounterStats, MemoStats, counter_stats, memo_stats
-from repro.runtime.pmap import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    TaskOutcome,
-    pmap_outcomes,
-)
+from repro.runtime.pmap import DEFAULT_RETRY_POLICY, RetryPolicy, pmap_outcomes
 
 
 @dataclass(frozen=True)
@@ -351,15 +346,23 @@ class EvaluationEngine:
                     require(len(evaluated) == len(pending),
                             "batch executor must return one result per call")
             if evaluated is not None:
-                outcomes = [TaskOutcome(value=value) for value in evaluated]
-            else:
-                report = pmap_outcomes(
-                    fn, pending_specs,
-                    jobs=self.jobs if jobs is None else jobs,
-                    policy=self.retry_policy)
-                tally.retries += report.retries
-                tally.pool_deaths += report.pool_deaths
-                outcomes = report.outcomes
+                # The executor returned a value per call: cache and
+                # place them directly.
+                tally.evaluated += len(pending)
+                cache = self.cache
+                for index, value in zip(pending, evaluated):
+                    if cache is not None and keys[index] is not None:
+                        cache.put(keys[index], value)
+                    results[index] = value
+                    for follower in followers.get(index, ()):
+                        results[follower] = value
+                return results
+            report = pmap_outcomes(
+                fn, pending_specs, jobs=self.jobs if jobs is None else jobs,
+                policy=self.retry_policy)
+            tally.retries += report.retries
+            tally.pool_deaths += report.pool_deaths
+            outcomes = report.outcomes
             if on_error == "raise":
                 for outcome in outcomes:
                     if outcome.error is not None:

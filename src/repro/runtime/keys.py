@@ -17,26 +17,29 @@ engine's result cache, the server's cache probe, pool task tokens),
 ``resolve`` / ``tech_pdk`` / ``scaled_pdk`` memo keys over a PDK) and
 :func:`plain_key` (``DesignSpec.fingerprint``).
 
-:func:`canonical` builds the text by string composition, with two
-caches:
+:func:`canonical` builds the text by string composition:
 
-* **by value** — a *flat* frozen dataclass (every field ``None``, a
-  bool, an int, a float or a str: a spec section) is cached on its class
-  plus each field's type and value, so ``1``, ``1.0`` and ``True`` never
-  share an entry (a float zero keys on its repr, so ``-0.0`` and ``0.0``
-  do not either).  A server request's fresh sections hit it.
+* **leaves** — an exact ``None``, ``bool``, ``int``, ``float`` or ``str``
+  encodes through a type -> text table (``json.dumps``'s text, ``NaN``
+  and ``Infinity`` included); subclasses such as an ``IntEnum`` keep the
+  ``json.dumps`` branch, so the table never captures one;
+* **dataclasses** — each class gets a generated f-string over its sorted
+  fields, so a dataclass's text is one f-string over its fields' text.
+  A *flat* frozen dataclass (every field an exact leaf: a spec section)
+  has a second one that encodes its leaves inline through the table;
 * **by identity** — flat objects, and frozen dataclasses whose text is
   large (a PDK, a network), are cached on ``id()``; :func:`stable_key` of
   one such object also caches its digest.  Sweep points share section
-  objects, so their keys assemble from identity hits; a whole spec is
-  re-assembled rather than cached.  Each entry pins its object, so the
-  id cannot be recycled, and frozen objects are never mutated in place
-  (the repo-wide convention), so the text stays valid.  The default PDK
-  is one shared object (:func:`repro.tech.pdk.foundry_m3d_pdk`), so its
-  12 KB text is encoded about once per process, not once per call.
+  objects, so a spec's key is four identity lookups, one f-string and one
+  SHA-256; a whole spec is re-assembled rather than cached.  Each entry
+  pins its object, so the id cannot be recycled, and frozen objects are
+  never mutated in place (the repo-wide convention), so the text stays
+  valid.  The default PDK is one shared object
+  (:func:`repro.tech.pdk.foundry_m3d_pdk`), so its 12 KB text is encoded
+  about once per process, not once per call.
 
-:func:`set_fingerprint_cache` turns both caches off (benchmarks' uncached
-arm); the text is identical either way.  The module imports nothing
+:func:`set_fingerprint_cache` turns the identity cache off (benchmarks'
+uncached arm); the text is identical either way.  The module imports nothing
 heavier than :mod:`hashlib` and :mod:`json`: ``repro serve`` loads no
 numpy.
 """
@@ -48,7 +51,6 @@ import enum
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import Any
 
 from repro.runtime.serialize import (
@@ -63,7 +65,6 @@ from repro.runtime.serialize import (
 __all__ = [
     "FINGERPRINT_CACHE_MAX_ENTRIES",
     "IDENTITY_CACHE_MIN_CHARS",
-    "VALUE_CACHE_MAX_ENTRIES",
     "call_key",
     "canonical",
     "clear_fingerprint_cache",
@@ -81,30 +82,47 @@ FINGERPRINT_CACHE_MAX_ENTRIES = 1024
 #: pays for itself.
 IDENTITY_CACHE_MIN_CHARS = 2048
 
-#: Value-cache entry bound (cleared when full).
-VALUE_CACHE_MAX_ENTRIES = 65536
-
 #: ``json.dumps(x, sort_keys=True, separators=(",", ":"))``, without
 #: building an encoder per call.
 _sorted_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_LEAF_TYPES = frozenset({type(None), bool, int, float, str})
+
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    # json's floatstr: repr, except for the non-finite spellings.
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: Exact JSON leaf type -> its ``json.dumps`` text.  Keyed on the exact
+#: type, so a subclass (an ``IntEnum``, a ``str`` subclass) never hits it.
+_LEAF_TEXT = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _float_text,
+    str: _quote,
+}
 
 #: id(obj) -> [obj, canonical text, stable_key(obj) or None].  The strong
 #: reference pins the id for the entry's lifetime.
 _by_identity: dict[int, list] = {}
 
-#: (class, v1, type(v1), v2, type(v2), ...) -> canonical text.
-_by_value: dict[tuple, str] = {}
-
 #: class -> its _Layout.
 _layouts: dict[type, "_Layout"] = {}
 
-#: Whether the caches serve and store (see set_fingerprint_cache).
+#: Whether the identity cache serves and stores (see set_fingerprint_cache).
 _enabled = True
 
 
 def set_fingerprint_cache(enabled: bool) -> bool:
-    """Enable/disable the encoder's caches; returns the previous state."""
+    """Enable/disable the identity cache; returns the previous state."""
     global _enabled
     previous = _enabled
     _enabled = bool(enabled)
@@ -114,14 +132,13 @@ def set_fingerprint_cache(enabled: bool) -> bool:
 
 
 def fingerprint_cache_enabled() -> bool:
-    """Whether :func:`canonical` caches text by value and by identity."""
+    """Whether :func:`canonical` caches text by identity."""
     return _enabled
 
 
 def clear_fingerprint_cache() -> None:
-    """Drop both caches (releases the pinned objects)."""
+    """Drop the identity cache (releases the pinned objects)."""
     _by_identity.clear()
-    _by_value.clear()
 
 
 def stable_key(*parts: Any) -> str:
@@ -144,12 +161,14 @@ def stable_key(*parts: Any) -> str:
 def call_key(fn: Any, args: tuple, kwargs: dict) -> str:
     """Key for one function call: qualified name + argument content.
 
-    ``stable_key(name, list(args), dict(kwargs))``, assembled without
-    the intermediate list and dict.
+    ``stable_key(name, list(args), dict(kwargs))``, assembled as one
+    join over the arguments' text.
     """
     name = _quote(f"{fn.__module__}.{fn.__qualname__}")
+    values = _encode(args[0]) if len(args) == 1 \
+        else ",".join(map(_encode, args))
     options = _encode_dict(dict(kwargs)) if kwargs else "{}"
-    return _sha256(f"[{name},[{','.join(map(_encode, args))}],{options}]")
+    return _sha256(f"[{name},[{values}],{options}]")
 
 
 def plain_key(tag: str, obj: Any) -> str:
@@ -157,7 +176,7 @@ def plain_key(tag: str, obj: Any) -> str:
     fields are JSON leaves or further such dataclasses.
 
     The untagged form of a :class:`~repro.spec.design.DesignSpec` (its
-    ``to_jsonable()``), built from the sections' value-cached text.
+    ``to_jsonable()``), built from the sections' cached text.
     """
     return _sha256(f"[{_quote(tag)},{_plain(obj)}]")
 
@@ -176,36 +195,39 @@ def _sha256(text: str) -> str:
 
 
 class _Layout:
-    """How to encode one dataclass type: its sorted field ``names``, a
-    ``values`` getter in that order, the tagged form's ``prefix``, a
-    generated ``fields(obj, encode)`` that builds the JSON object of the
-    fields, and — while every instance seen held only JSON leaves — the
-    generated ``value_key(obj) -> (class, v1, type(v1), ...)``."""
+    """How to encode one dataclass type: the tagged form's ``prefix``,
+    a generated ``text(obj, encode)`` that builds the whole tagged text
+    with ``encode`` for each field, and a generated ``leaf_text(obj,
+    table)`` that encodes every field through the leaf table (a
+    ``KeyError`` names a field that is not an exact leaf).  ``flat``
+    holds while every frozen instance seen held only exact leaves."""
 
-    __slots__ = ("names", "values", "fields", "prefix", "frozen",
-                 "value_key")
+    __slots__ = ("prefix", "text", "leaf_text", "frozen", "flat")
 
     def __init__(self, cls: type) -> None:
-        names = tuple(sorted(field.name for field in dataclasses.fields(cls)))
-        self.names = names
-        self.values = attrgetter(*names) if len(names) > 1 else \
-            (lambda obj: tuple(getattr(obj, name) for name in names))
+        names = sorted(field.name for field in dataclasses.fields(cls))
         # Key order mirrors sort_keys: "__dataclass__" < "fields".
         self.prefix = (f'{{"{DATACLASS_TAG}":{json.dumps(type_path(cls))},'
                        f'"fields":')
         self.frozen = cls.__dataclass_params__.frozen
-        # Both hot functions are generated (as namedtuple and dataclasses
-        # generate theirs): one f-string builds the fields object, and the
-        # value key is one flat tuple, which hashes in a third of the time
-        # of nested (values, types) tuples.  Field names are identifiers.
+        self.flat = self.frozen
+        # Both are generated (as namedtuple and dataclasses generate
+        # theirs), so a dataclass's text is one f-string.  Field names
+        # are identifiers; their quoted forms and the prefix come in
+        # through the scope.
         scope = {f"q{i}": json.dumps(name) for i, name in enumerate(names)}
-        scope.update(cls=cls, type=type)
-        body = ",".join(f"{{q{i}}}:{{encode(obj.{name})}}"
-                        for i, name in enumerate(names))
-        self.fields = eval(f'lambda obj, encode: f"{{{{{body}}}}}"', scope)
-        key = "".join(f"obj.{name}, type(obj.{name}), " for name in names)
-        self.value_key = eval(f"lambda obj: (cls, {key})", scope) \
-            if self.frozen else None
+        scope["p"] = self.prefix
+
+        def source(field_text: str) -> str:
+            body = ",".join(f"{{q{i}}}:{{{field_text.format(name)}}}"
+                            for i, name in enumerate(names))
+            return 'f"{p}{{' + body + '}}}}"'
+
+        self.text = eval(f"lambda obj, encode: {source('encode(obj.{})')}",
+                         scope)
+        self.leaf_text = eval(
+            f"lambda obj, table: {source('table[type(obj.{0})](obj.{0})')}",
+            scope)
 
 
 def _layout(cls: type) -> _Layout:
@@ -215,44 +237,18 @@ def _layout(cls: type) -> _Layout:
     return layout
 
 
-def _value_text(obj: Any, layout: _Layout, key: tuple | None) -> str | None:
-    """Canonical text of a frozen dataclass that missed the value cache
-    under ``key`` (``None``: unhashable); ``None`` when a field is not a
-    JSON leaf."""
-    values = layout.values(obj)
-    if key is None or not _LEAF_TYPES.issuperset(map(type, values)):
-        layout.value_key = None
-        return None
-    if 0.0 in values and any(type(value) is float and not value
-                             for value in values):
-        # -0.0 == 0.0 and both hash alike, but they encode apart: values
-        # with a float zero key on their reprs, so no plain key hits them.
-        key = (type(obj), repr(values))
-        text = _by_value.get(key)
-        if text is not None:
-            return text
-    text = layout.prefix + _sorted_json(dict(zip(layout.names, values))) + "}"
-    if len(_by_value) >= VALUE_CACHE_MAX_ENTRIES:
-        _by_value.clear()
-    _by_value[key] = text
-    return text
-
-
 def _encode_dataclass(obj: Any, layout: _Layout) -> str:
     """Canonical text of a dataclass the identity cache does not hold."""
     if not (_enabled and layout.frozen):
-        return layout.prefix + layout.fields(obj, _encode) + "}"
+        return layout.text(obj, _encode)
     text = None
-    if layout.value_key is not None:
-        key = layout.value_key(obj)
+    if layout.flat:
         try:
-            text = _by_value.get(key)
-        except TypeError:  # an unhashable field, so not a leaf
-            key = None
-        if text is None:
-            text = _value_text(obj, layout, key)
+            text = layout.leaf_text(obj, _LEAF_TEXT)
+        except KeyError:  # a field that is not an exact leaf
+            layout.flat = False
     if text is None:
-        text = layout.prefix + layout.fields(obj, _encode) + "}"
+        text = layout.text(obj, _encode)
         if len(text) < IDENTITY_CACHE_MIN_CHARS:
             return text
     if len(_by_identity) >= FINGERPRINT_CACHE_MAX_ENTRIES:
@@ -264,17 +260,18 @@ def _encode_dataclass(obj: Any, layout: _Layout) -> str:
 def _plain(obj: Any) -> str:
     layout = _layouts.get(type(obj))
     if layout is None:
-        if type(obj) in _LEAF_TYPES:
-            return json.dumps(obj)
+        leaf = _LEAF_TEXT.get(type(obj))
+        if leaf is not None:
+            return leaf(obj)
         if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
             raise TypeError(f"plain_key covers dataclasses of JSON leaves, "
                             f"not {type(obj).__name__} value {obj!r}")
         layout = _layout(type(obj))
-    if _enabled and layout.value_key is not None:
+    if _enabled and layout.flat:
         text = _encode(obj)
-        if layout.value_key is not None:
+        if layout.flat:
             return text[len(layout.prefix):-1]
-    return layout.fields(obj, _plain)
+    return layout.text(obj, _plain)[len(layout.prefix):-1]
 
 
 def _encode(obj: Any) -> str:
@@ -285,9 +282,11 @@ def _encode(obj: Any) -> str:
     layout = _layouts.get(cls)
     if layout is not None:
         return _encode_dataclass(obj, layout)
-    if cls is str:
-        return _quote(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    leaf = _LEAF_TEXT.get(cls)
+    if leaf is not None:
+        return leaf(obj)
+    if isinstance(obj, (bool, int, float, str)):
+        # A leaf subclass (an IntEnum, say): json.dumps's own text.
         return json.dumps(obj)
     if isinstance(obj, enum.Enum):
         # Key order mirrors sort_keys: "__enum__" < "name".

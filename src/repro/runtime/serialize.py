@@ -18,8 +18,8 @@ file cannot name arbitrary importable types.
 
 Canonical text — the sorted, minimally separated JSON of the lowering —
 is what :func:`dumps` writes and what every content key hashes; the
-encoder that builds it, with its by-value and by-identity text caches,
-is :func:`repro.runtime.keys.canonical`.  :func:`to_jsonable` itself
+encoder that builds it, with its leaf table and identity text cache, is
+:func:`repro.runtime.keys.canonical`.  :func:`to_jsonable` itself
 always returns a fresh tree — callers of ``to_dict()`` may freely mutate
 the result.
 """

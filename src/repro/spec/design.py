@@ -72,14 +72,18 @@ def _check_keys(section: str, data: Mapping[str, Any],
 def _checked_float(name: str, value: Any, minimum: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    require(value >= minimum, f"{name} must be >= {minimum}, got {value!r}")
+    if not value >= minimum:  # NaN fails too
+        raise ConfigurationError(
+            f"{name} must be >= {minimum}, got {value!r}")
     return float(value)
 
 
 def _checked_int(name: str, value: Any, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    require(value >= minimum, f"{name} must be >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(
+            f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -498,7 +502,7 @@ class DesignSpec:
         equal knobs share one fingerprint however they were built, which
         is what makes spec-keyed caches survive a restart.  The key is
         ``stable_key("repro.spec.DesignSpec", self.to_jsonable())``,
-        built from the key encoder's value-cached section text.
+        built from the key encoder's cached section text.
         """
         from repro.runtime.keys import plain_key
 

@@ -25,7 +25,7 @@ spec's content fingerprint plus the base PDK's content hash — *not* on
 object identity — so equal specs share work no matter where they came
 from, and the key scheme matches what the evaluation engine writes to
 disk.  Both come from the one key encoder (:mod:`repro.runtime.keys`):
-the fingerprint from value-cached section text, the PDK's hash from its
+the fingerprint from cached section text, the PDK's hash from its
 identity cache, so neither re-walks the PDK on a hit.  Only the tech x
 CS stage below it keys on the base PDK's identity.  ``pdk=None`` means
 the shared default PDK object (:func:`~repro.tech.pdk.foundry_m3d_pdk`

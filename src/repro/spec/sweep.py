@@ -335,27 +335,35 @@ def _expand(base: DesignSpec, zipped: Axes, grid: Axes,
             first = first_invalid_change(base, changes)
             raise (error if first is None else first) from None
 
-    def walk(depth: int) -> Iterator[DesignSpec]:
-        for position in range(len(levels[depth][0][1])):
-            positions[depth] = position
-            for index, name, values in sets[depth]:
+    # An odometer over the levels: after each point the innermost level
+    # that can still move advances, and it and every level inside it
+    # (reset to their first value) apply their values, clear the memos
+    # they own and build their sections, outermost first.
+    sizes = [len(axes[0][1]) for axes in levels]
+    depth = 0
+    while True:
+        for level in range(depth, last + 1):
+            position = positions[level]
+            for index, name, values in sets[level]:
                 current[index][name] = values[position]
-            for memo in clears[depth]:
+            for memo in clears[level]:
                 memo.clear()
-            for index, memo in builds[depth]:
+            for index, memo in builds[level]:
                 if memo is None:
-                    sections[index] = build(index, depth)
+                    sections[index] = build(index, level)
                 else:
                     section = memo.get(position)
                     if section is None:
-                        section = memo[position] = build(index, depth)
+                        section = memo[position] = build(index, level)
                     sections[index] = section
-            if depth == last:
-                yield DesignSpec(*sections)
-            else:
-                yield from walk(depth + 1)
-
-    yield from walk(0)
+        yield DesignSpec(*sections)
+        depth = last
+        while positions[depth] + 1 == sizes[depth]:
+            if depth == 0:
+                return
+            positions[depth] = 0
+            depth -= 1
+        positions[depth] += 1
 
 
 def _merge(base: dict[str, Any], overlay: Mapping[str, Any]) -> dict[str, Any]:

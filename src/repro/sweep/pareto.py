@@ -29,11 +29,11 @@ checks the invariants on randomized objective sets).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from math import isfinite
 from typing import Any, Iterable, Iterator
 
-from repro.errors import require
+from repro.errors import ConfigurationError
 
 __all__ = ["ParetoFrontier", "dominates", "exhaustive_frontier"]
 
@@ -96,7 +96,8 @@ class ParetoFrontier:
         if not feasible:
             self._infeasible += 1
             return False
-        require(math.isfinite(x) and math.isfinite(y),
+        if not (isfinite(x) and isfinite(y)):
+            raise ConfigurationError(
                 f"frontier objectives must be finite, got ({x!r}, {y!r})")
         pos = bisect_right(self._xs, x)
         if pos > 0:

@@ -400,6 +400,80 @@ def test_pack_point_rejects_what_the_row_schema_cannot_express():
                    foundry_m3d_pdk())
 
 
+def _shared_section_chunk() -> "tuple[list[DesignSpec], set[int]]":
+    """One chunk whose points share section objects as a sweep's do, and
+    the indices of the points the row schema cannot express.
+
+    * ``small`` serves two networks; ResNet-18's weights do not fit it.
+    * ``shared`` appears under batch 1 and batch 4 (and an equal but
+      distinct arch object beside it).
+    * ``wide`` puts the precision over the writeback bus.
+    """
+    tech = TechSpec()
+    small = ArchSpec(capacity_bits=8 * MEGABYTE)
+    shared = ArchSpec(capacity_bits=64 * MEGABYTE, tier_pairs=2)
+    wide = ArchSpec(capacity_bits=512 * MEGABYTE, precision_bits=256)
+    resnet = WorkloadSpec(network="resnet18")
+    mobilenet = WorkloadSpec(network="mobilenet_v1")
+    resnet4 = WorkloadSpec(network="resnet18", batch=4)
+    specs = [
+        DesignSpec(tech=tech, arch=small, workload=resnet),
+        DesignSpec(tech=tech, arch=small, workload=mobilenet),
+        DesignSpec(tech=tech, arch=shared, workload=resnet),
+        DesignSpec(tech=tech, arch=shared, workload=resnet4),
+        DesignSpec(tech=tech, arch=shared, workload=mobilenet),
+        DesignSpec(tech=tech, arch=wide, workload=resnet),
+        DesignSpec(tech=tech, arch=wide, workload=mobilenet),
+        DesignSpec(tech=tech, arch=ArchSpec(capacity_bits=64 * MEGABYTE,
+                                            tier_pairs=2), workload=resnet4),
+        DesignSpec(tech=tech, arch=small, workload=mobilenet),
+    ]
+    return specs, {0, 5, 6}
+
+
+def _scalar_outcome(spec: DesignSpec):
+    """``evaluate_spec(spec)``, or the diagnostic it raises."""
+    try:
+        return evaluate_spec(spec)
+    except ReproError as error:
+        return (type(error), str(error))
+
+
+def test_batch_packing_of_shared_designs_matches_scalar(monkeypatch):
+    """Points sharing a design within one batch each get the scalar
+    result, and exactly the points the row schema cannot express take
+    the scalar fallback, with its diagnostic."""
+    import repro.batch.kernel as kernel_module
+
+    specs, unsupported = _shared_section_chunk()
+    expected = [_scalar_outcome(spec) for spec in specs]
+    assert {index for index, outcome in enumerate(expected)
+            if isinstance(outcome, tuple)} == unsupported
+
+    # Unpatched, the first unsupported point raises its scalar diagnostic.
+    with pytest.raises(ReproError) as raised:
+        BatchKernel().evaluate_specs(specs)
+    assert (type(raised.value), str(raised.value)) == expected[0]
+
+    # Recording the fallback's diagnostics shows every point's outcome.
+    fallen: list[DesignSpec] = []
+
+    def recorded(spec, *args, **kwargs):
+        fallen.append(spec)
+        return _scalar_outcome(spec)
+
+    monkeypatch.setattr(kernel_module, "evaluate_spec", recorded)
+    before = _batch_counter("fallback_scalar")
+    results = BatchKernel().evaluate_specs(specs)
+    assert _batch_counter("fallback_scalar") - before == len(unsupported)
+    assert fallen == [specs[index] for index in sorted(unsupported)]
+    for index, (result, outcome) in enumerate(zip(results, expected)):
+        if index in unsupported:
+            assert result == outcome
+        else:
+            _assert_close(result, outcome)
+
+
 # --- wired call sites ------------------------------------------------------------
 
 

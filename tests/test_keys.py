@@ -31,6 +31,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 from typing import Any
 
@@ -229,11 +230,34 @@ class _Mixed:
     b: Any = None
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+#: Exact leaves plus leaf subclasses, which the encoder's exact-type leaf
+#: table must not capture: each encodes as ``json.dumps`` does.
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, False, "1", ""]),
-    st.text(max_size=8))
+    st.text(max_size=8),
+    st.integers().map(_Int),
+    st.floats(allow_nan=True, allow_infinity=True).map(_Float),
+    st.text(max_size=4).map(_Str),
+    st.sampled_from(list(_Level)))
 
 _SECTIONS = st.one_of(
     st.builds(TechSpec,
@@ -294,9 +318,16 @@ def _reference(obj) -> str:
 @settings(max_examples=300, deadline=None)
 @given(obj=_OBJECTS)
 def test_canonical_text_is_the_sorted_json_of_the_lowering(obj):
-    assert dumps(obj) == _reference(obj)
-    # Twice: the second encoding may be served from the encoder's caches.
-    assert dumps(obj) == _reference(obj)
+    reference = _reference(obj)
+    for cached in (True, False):
+        previous = keys.set_fingerprint_cache(cached)
+        try:
+            assert dumps(obj) == reference
+            # Twice: the second encoding may be served from the identity
+            # cache.
+            assert dumps(obj) == reference
+        finally:
+            keys.set_fingerprint_cache(previous)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,11 +396,10 @@ def test_the_serving_path_loads_no_numpy():
 
 def test_threads_sharing_the_encoder_get_exact_keys(monkeypatch):
     """The server computes keys on its event loop and its executor
-    threads at once.  With tiny cache bounds (so clears race lookups)
-    and a short switch interval, every thread still gets the reference
-    key of every call."""
+    threads at once.  With a tiny identity-cache bound (so clears race
+    lookups) and a short switch interval, every thread still gets the
+    reference key of every call."""
     monkeypatch.setattr(keys, "FINGERPRINT_CACHE_MAX_ENTRIES", 8)
-    monkeypatch.setattr(keys, "VALUE_CACHE_MAX_ENTRIES", 8)
     pdk = foundry_m3d_pdk()
     calls = [(spec,) for spec in SPECS] + [(spec, pdk) for spec in SPECS[:8]]
 

@@ -10,6 +10,10 @@ rename, removal, or addition fails CI and forces a deliberate decision
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,22 @@ def test_serve_entry_points_are_complete():
     assert callable(repro.ServeClient)
     assert callable(repro.serve.serve)
     assert repro.serve.API_VERSION == "v1"
+
+
+def test_import_repro_leaves_the_serve_stack_unloaded():
+    """The serve names resolve on first use, so ``import repro`` does not
+    load the HTTP server; the lazily resolved names are the serve
+    package's own objects."""
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "print('repro.serve.app' in sys.modules)\n"
+        "print(repro.ReproServer is repro.serve.ReproServer)\n")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_evaluation_entry_points_share_signature_contract():
