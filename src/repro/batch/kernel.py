@@ -223,8 +223,16 @@ class BatchKernel:
         """
         results: list = [None] * len(calls)
         packed, fallback = self._pack_calls(calls)
-        relaxed = [(index, point, *relaxed_rows(point.row_m3d))
-                   for index, point in packed]
+        # The points of one design share an interned M3D row: relax each
+        # distinct row once, so the relaxations are shared objects too.
+        relaxations: dict[int, tuple] = {}
+        relaxed = []
+        for index, point in packed:
+            pair = relaxations.get(id(point.row_m3d))
+            if pair is None:
+                pair = relaxations[id(point.row_m3d)] = \
+                    relaxed_rows(point.row_m3d)
+            relaxed.append((index, point, *pair))
         totals, delta_hits = _delta_evaluate(
             (point.workload_key, (point.row_2d, timing, energy))
             for _, point, timing, energy in relaxed)

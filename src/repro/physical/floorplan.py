@@ -12,18 +12,23 @@ The floorplan is band-based, mirroring the paper's Fig. 2 layouts:
   remaining silicon as whitespace.
 
 Every floorplan is validated: blocks must stay on the die and must not
-overlap any other block that occupies a shared tier.
+overlap any block that shares a tier (a sort-and-sweep per tier).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 from repro.errors import FloorplanError, require
 from repro.tech.pdk import PDK
 from repro.arch.accelerator import AcceleratorDesign
-from repro.physical.netlist import BlockKind, Netlist
+from repro.physical.netlist import BlockKind, Net, Netlist
+
+#: Edge tolerance of the overlap and containment tests, metres.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class Rect:
         """Centroid (x, y)."""
         return (self.x + self.width / 2.0, self.y + self.height / 2.0)
 
-    def overlaps(self, other: "Rect", tolerance: float = 1e-9) -> bool:
+    def overlaps(self, other: "Rect", tolerance: float = TOLERANCE) -> bool:
         """True when the two rectangles share interior area."""
         return not (
             self.x + self.width <= other.x + tolerance
@@ -65,7 +70,7 @@ class Rect:
             or other.y + other.height <= self.y + tolerance
         )
 
-    def contains(self, other: "Rect", tolerance: float = 1e-9) -> bool:
+    def contains(self, other: "Rect", tolerance: float = TOLERANCE) -> bool:
         """True when ``other`` lies inside this rectangle."""
         return (
             other.x >= self.x - tolerance
@@ -108,12 +113,39 @@ class Floorplan:
     placements: tuple[PlacedBlock, ...] = field(default_factory=tuple)
     is_m3d: bool = False
 
-    def placed(self, name: str) -> PlacedBlock:
-        """Look up a placement by block name."""
+    # Name index and net-HPWL memo: one dict each, built on first use and
+    # not fields, so ``==``, ``repr``, pickles and content keys skip them.
+    @cached_property
+    def _by_name(self) -> dict[str, PlacedBlock]:
+        index: dict[str, PlacedBlock] = {}
         for block in self.placements:
-            if block.name == name:
-                return block
-        raise KeyError(f"no placed block named {name!r}")
+            index.setdefault(block.name, block)
+        return index
+
+    @cached_property
+    def _hpwl_memo(self) -> dict[int, tuple[Net, float]]:
+        return {}  # id(net) -> (net, HPWL); the pinned net keeps its id
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("_by_name", "_hpwl_memo")}
+
+    def placed(self, name: str) -> PlacedBlock:
+        """Look up a placement by block name (the first, if repeated)."""
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no placed block named {name!r}") from None
+
+    def net_hpwl(self, net: Net) -> float:
+        """Half-perimeter wirelength of ``net``'s block centres, metres."""
+        entry = self._hpwl_memo.get(id(net))
+        if entry is None:
+            xs, ys = zip(*[self.placed(name).rect.center
+                           for name in (net.driver, *net.sinks)])
+            entry = self._hpwl_memo[id(net)] = \
+                (net, (max(xs) - min(xs)) + (max(ys) - min(ys)))
+        return entry[1]
 
     def on_tier(self, tier: str) -> tuple[PlacedBlock, ...]:
         """All blocks blocking the named tier."""
@@ -138,13 +170,35 @@ class Floorplan:
             if not self.die.contains(block.rect):
                 raise FloorplanError(
                     f"{self.name}: block {block.name} extends beyond the die")
-        for i, first in enumerate(self.placements):
-            for second in self.placements[i + 1:]:
-                shared = first.tiers & second.tiers
-                if shared and first.rect.overlaps(second.rect):
-                    raise FloorplanError(
-                        f"{self.name}: {first.name} overlaps {second.name} "
-                        f"on tier(s) {sorted(shared)}")
+        by_tier: dict[str, list[int]] = {}
+        for index, block in enumerate(self.placements):
+            for tier in block.tiers:
+                by_tier.setdefault(tier, []).append(index)
+        pairs = [(members[i], members[j]) for members in by_tier.values()
+                 for i, j in overlapping_pairs(
+                     [self.placements[k].rect for k in members])]
+        if pairs:
+            i, j = min(pairs)  # the first pair in placement order
+            first, second = self.placements[i], self.placements[j]
+            raise FloorplanError(
+                f"{self.name}: {first.name} overlaps {second.name} "
+                f"on tier(s) {sorted(first.tiers & second.tiers)}")
+
+
+def overlapping_pairs(rects: list[Rect]) -> Iterator[tuple[int, int]]:
+    """Every index pair ``(i, j)``, ``i < j``, of overlapping rectangles,
+    in no set order: a sweep by left edge that retires a rectangle once the
+    entering left edge passes its right edge (within the tolerance)."""
+    lefts = [rect.x for rect in rects]
+    active: list[int] = []
+    for j in sorted(range(len(rects)), key=lefts.__getitem__):
+        edge = lefts[j] + TOLERANCE
+        active = [i for i in active
+                  if not rects[i].x + rects[i].width <= edge]
+        for i in active:
+            if rects[i].overlaps(rects[j]):
+                yield (i, j) if i < j else (j, i)
+        active.append(j)
 
 
 def _band(y: float, height: float, die_width: float) -> Rect:
@@ -196,26 +250,18 @@ def build_floorplan(netlist: Netlist, design: AcceleratorDesign,
     cs_area = sum(area for _, area in cs_blocks) + sum(a for _, a in buf_blocks)
     placements: list[PlacedBlock] = []
 
-    if design.is_m3d:
-        # RRAM + CNFET tiers: arrays band at the top of the die.  These do
-        # NOT block silicon, so the Si bands below restart from the die top.
-        h_arrays = arrays_area / width
-        band_arrays = _band(die.height - h_arrays, h_arrays, width)
-        placements += _pack_row(rram_blocks, band_arrays,
-                                frozenset({"rram", "cnfet"}),
-                                BlockKind.RRAM_MACRO)
-        # Si tier: peripheral blockages at the top edge, under the arrays.
-        h_perif = perif_area / width
-        band_perif = _band(die.height - h_perif, h_perif, width)
-    else:
-        # 2D: arrays fully block Si; stack bands top-down.
-        h_arrays = arrays_area / width
-        band_arrays = _band(die.height - h_arrays, h_arrays, width)
-        placements += _pack_row(rram_blocks, band_arrays,
-                                frozenset({"rram", "si_cmos"}),
-                                BlockKind.RRAM_MACRO)
-        h_perif = perif_area / width
-        band_perif = _band(die.height - h_arrays - h_perif, h_perif, width)
+    # Arrays band at the top of the die.  M3D arrays (RRAM + CNFET tiers) do
+    # NOT block silicon, so the Si bands restart from the die top, under
+    # them; 2D arrays fully block Si, so the bands stack below them.
+    h_arrays = arrays_area / width
+    band_arrays = _band(die.height - h_arrays, h_arrays, width)
+    placements += _pack_row(
+        rram_blocks, band_arrays,
+        frozenset({"rram", "cnfet" if design.is_m3d else "si_cmos"}),
+        BlockKind.RRAM_MACRO)
+    si_top = die.height if design.is_m3d else die.height - h_arrays
+    h_perif = perif_area / width
+    band_perif = _band(si_top - h_perif, h_perif, width)
     placements += _pack_row(perif_blocks, band_perif,
                             frozenset({"si_cmos"}), BlockKind.LOGIC)
 

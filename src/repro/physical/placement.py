@@ -9,27 +9,16 @@ the paper's flow [4] perform the analogous tier-aware optimization).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import require
 from repro.physical.floorplan import Floorplan, PlacedBlock, Rect
 from repro.physical.netlist import Netlist
-
-
-def _hpwl(points: list[tuple[float, float]]) -> float:
-    """Half-perimeter wirelength of a set of pin points."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
 def total_hpwl(floorplan: Floorplan, netlist: Netlist) -> float:
     """Total inter-block HPWL, weighted by net bus width (metre-bits)."""
     total = 0.0
     for net in netlist.nets:
-        points = [floorplan.placed(net.driver).rect.center]
-        points += [floorplan.placed(sink).rect.center for sink in net.sinks]
-        total += _hpwl(points) * net.width_bits
+        total += floorplan.net_hpwl(net) * net.width_bits
     return total
 
 
@@ -83,17 +72,15 @@ def legalize_floorplan(floorplan: Floorplan, netlist: Netlist) -> Floorplan:
     band_h = slots[0][1].rect.height
     x = min(min(cs.rect.x, buf.rect.x) for _, cs, buf in slots)
     moved: dict[str, Rect] = {}
-    for cs_name, cs_block, buf_block in ordered:
-        moved[cs_name] = Rect(x=x, y=band_y, width=cs_block.rect.width,
-                              height=band_h)
-        x += cs_block.rect.width
-        moved[f"{cs_name}_buf"] = Rect(x=x, y=band_y,
-                                       width=buf_block.rect.width,
-                                       height=band_h)
-        x += buf_block.rect.width
+    for _, *slot_blocks in ordered:
+        for block in slot_blocks:
+            moved[block.name] = Rect(x=x, y=band_y, width=block.rect.width,
+                                     height=band_h)
+            x += block.rect.width
 
     new_placements = tuple(
-        replace(block, rect=moved[block.name]) if block.name in moved else block
+        PlacedBlock(block.name, moved[block.name], block.tiers, block.kind)
+        if block.name in moved else block
         for block in floorplan.placements
     )
     result = Floorplan(name=floorplan.name, die=floorplan.die,

@@ -24,7 +24,7 @@ from repro.errors import require
 from repro.tech import constants
 from repro.tech.pdk import PDK
 from repro.arch.accelerator import AcceleratorDesign
-from repro.physical.floorplan import Floorplan
+from repro.physical.floorplan import Floorplan, overlapping_pairs
 from repro.physical.netlist import BlockKind, Netlist
 
 #: Share of the RRAM read energy dissipated inside the cell array
@@ -136,40 +136,32 @@ def analyze_power(
             control = lib.energy_for_gates(design.cs.control_gates) * freq
             leak = lib.leakage_for_gates(block.gate_count)
             power = compute + control + leak
-            per_tier["si_cmos"] += power
         elif block.kind == BlockKind.SRAM_MACRO:
             stream_bits = design.cs.array.rows * precision
             dynamic = (stream_bits * constants.SRAM_ENERGY_PER_BIT * freq
                        * activity.cs_compute)
             leak = block.bits * constants.SRAM_LEAKAGE_PER_BIT
             power = dynamic + leak
-            per_tier["si_cmos"] += power
         elif block.name.startswith("perif"):
             dynamic = channel_rate * perif_share
             channel_dynamic[block.name] = dynamic
             leak = lib.leakage_for_gates(block.gate_count)
             power = dynamic + lib.energy_for_gates(block.gate_count) * freq + leak
-            per_tier["si_cmos"] += power
         elif block.kind == BlockKind.RRAM_MACRO:
-            power = channel_rate * cell_share
-            if design.is_m3d:
-                access = power * ACCESS_FET_ENERGY_FRACTION
-                per_tier["cnfet"] += access
-                per_tier["rram"] += power - access
-            else:
-                # 2D: the access FET is silicon, under the array.
-                access = power * ACCESS_FET_ENERGY_FRACTION
-                per_tier["si_cmos"] += access
-                per_tier["rram"] += power - access
+            power = per_block[block.name] = channel_rate * cell_share
+            # The access FET: CNFET in M3D, silicon under the array in 2D.
+            access = power * ACCESS_FET_ENERGY_FRACTION
+            per_tier["cnfet" if design.is_m3d else "si_cmos"] += access
+            per_tier["rram"] += power - access
+            continue
         elif block.kind == BlockKind.IO:
             die_span = (floorplan.die.width + floorplan.die.height) / 2.0
             dynamic = (design.writeback_bus_bits * freq * activity.writeback_bus
                        * constants.WIRE_ENERGY_PER_BIT_MM * (die_span / 1e-3))
             power = dynamic + lib.leakage_for_gates(block.gate_count)
-            per_tier["si_cmos"] += power
         else:
             power = lib.leakage_for_gates(block.gate_count)
-            per_tier["si_cmos"] += power
+        per_tier["si_cmos"] += power
         per_block[block.name] = power
 
     # Power density per Si region, with overlapping upper-tier power stacked
@@ -177,14 +169,20 @@ def analyze_power(
     # its private buffer form one thermal region (one CS "slot"), matching
     # the granularity heat spreads over in practice.
     density: dict[str, float] = {}
+    si_blocks = [p for p in floorplan.placements if "si_cmos" in p.tiers]
+    regions: dict[str, list] = {}
+    for placed in si_blocks:
+        regions.setdefault(placed.name.removesuffix("_buf"), []).append(placed)
     upper_blocks = [p for p in floorplan.placements
                     if p.kind == BlockKind.RRAM_MACRO and floorplan.is_m3d]
-    regions: dict[str, list] = {}
-    for placed in floorplan.placements:
-        if "si_cmos" not in placed.tiers:
-            continue
-        region = placed.name.removesuffix("_buf")
-        regions.setdefault(region, []).append(placed)
+    stacked: dict[str, set[int]] = {}  # region -> indices of upper blocks
+    n_si = len(si_blocks)
+    if upper_blocks:
+        rects = [p.rect for p in si_blocks + upper_blocks]
+        for i, j in overlapping_pairs(rects):
+            if i < n_si <= j:
+                region = si_blocks[i].name.removesuffix("_buf")
+                stacked.setdefault(region, set()).add(j - n_si)
     for region, members in regions.items():
         power = sum(per_block[m.name] for m in members)
         area = sum(m.rect.area for m in members)
@@ -194,9 +192,9 @@ def analyze_power(
         local = (power - strip_power) / area
         if strip_power > 0:
             local += strip_power / CHANNEL_STRIP_AREA
-        for upper in upper_blocks:
-            if any(m.rect.overlaps(upper.rect) for m in members):
-                local += per_block[upper.name] / upper.rect.area
+        for k in sorted(stacked.get(region, ())):
+            upper = upper_blocks[k]
+            local += per_block[upper.name] / upper.rect.area
         density[region] = local
     # 2D arrays are themselves Si blockages carrying their access-FET power.
     if not floorplan.is_m3d:

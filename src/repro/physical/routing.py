@@ -52,15 +52,6 @@ class RoutingResult:
         return self.inter_block_wirelength + self.intra_block_wirelength
 
 
-def _net_hpwl(floorplan: Floorplan, netlist: Netlist, net_name: str) -> float:
-    net = next(n for n in netlist.nets if n.name == net_name)
-    points = [floorplan.placed(net.driver).rect.center]
-    points += [floorplan.placed(s).rect.center for s in net.sinks]
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-
 def intra_block_wirelength(gate_count: float, area: float) -> float:
     """Donath-style intra-block wirelength estimate, metres.
 
@@ -81,14 +72,12 @@ def route(floorplan: Floorplan, netlist: Netlist) -> RoutingResult:
     buffers = 0
     ilvs = 0
     for net in netlist.nets:
-        length = _net_hpwl(floorplan, netlist, net.name)
+        length = floorplan.net_hpwl(net)
         inter += length * net.width_bits
         buffers += int(length / BUFFER_SPACING) * net.width_bits
-        tiers = {netlist.block(net.driver).tier}
-        tiers.update(netlist.block(s).tier for s in net.sinks)
-        crossings = len(tiers) - 1
-        if crossings > 0:
-            ilvs += crossings * net.width_bits
+        crossings = len({netlist.block(name).tier
+                         for name in (net.driver, *net.sinks)}) - 1
+        ilvs += crossings * net.width_bits
 
     intra = sum(
         intra_block_wirelength(block.gate_count, block.area)

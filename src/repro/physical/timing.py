@@ -76,14 +76,7 @@ def buffered_wire_delay(length: float) -> float:
 
 def longest_net_length(floorplan: Floorplan, netlist: Netlist) -> float:
     """Longest inter-block net HPWL, metres."""
-    longest = 0.0
-    for net in netlist.nets:
-        points = [floorplan.placed(net.driver).rect.center]
-        points += [floorplan.placed(s).rect.center for s in net.sinks]
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        longest = max(longest, (max(xs) - min(xs)) + (max(ys) - min(ys)))
-    return longest
+    return max(map(floorplan.net_hpwl, netlist.nets), default=0.0)
 
 
 def analyze_timing(

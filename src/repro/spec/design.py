@@ -298,7 +298,9 @@ class FlowSpec:
     def __post_init__(self) -> None:
         for name in ("activity_cs", "activity_channel", "activity_bus"):
             value = _checked_float(f"flow.{name}", getattr(self, name), 0.0)
-            require(value <= 1.0, f"flow.{name} must be <= 1, got {value!r}")
+            if value > 1.0:
+                raise ConfigurationError(
+                    f"flow.{name} must be <= 1, got {value!r}")
             object.__setattr__(self, name, value)
         if self.frequency_mhz is not None:
             value = _checked_float("flow.frequency_mhz",

@@ -215,6 +215,29 @@ def test_bound_calls_reuse_the_baseline_rows_for_evaluation():
     assert hits >= len(specs)
 
 
+def test_bound_calls_relax_each_distinct_m3d_row_once(monkeypatch):
+    import repro.batch.kernel as kernel_module
+
+    relaxed = []
+
+    def counting(row):
+        relaxed.append(row)
+        return relaxed_rows(row)
+
+    monkeypatch.setattr(kernel_module, "relaxed_rows", counting)
+    # Two networks per design: each design's two points share its
+    # sections, so they share one interned M3D row.
+    specs = list(SweepSpec(base=DesignSpec(), grid={
+        "arch.capacity_mb": [32, 64, 96],
+        "workload.network": ["resnet18", "mobilenet_v1"]}).iter_specs())
+    bounds = BatchKernel().bound_calls([((spec,), {}) for spec in specs])
+    assert len(relaxed) == 3
+    assert len({id(row) for row in relaxed}) == 3
+    for spec, bound in zip(specs, bounds):
+        assert _bound_tuple(bound) == pytest.approx(
+            _bound_tuple(spec_bounds(spec)), rel=REL, abs=0.0)
+
+
 def test_bound_keys_match_the_generic_call_key():
     spec = DesignSpec(arch=ArchSpec(tier_pairs=2))
     other = scaled_pdk(foundry_m3d_pdk(), 1.5)
