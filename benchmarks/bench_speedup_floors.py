@@ -21,6 +21,7 @@ Run: ``PYTHONPATH=src python -m pytest -q benchmarks/bench_speedup_floors.py``
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from _reporting import report_table
@@ -31,7 +32,8 @@ import repro.batch.kernel  # noqa: F401
 from repro.core.dse import joint_grid_sweep
 from repro.experiments.reporting import format_table, times
 from repro.runtime.engine import EvaluationEngine
-from repro.runtime.keys import clear_fingerprint_cache, set_fingerprint_cache
+import repro.runtime.keys as keys
+from repro.runtime.keys import clear_fingerprint_cache
 from repro.runtime.memo import reset_memoization, set_memoization
 from repro.spec import ArchSpec, DesignSpec, TechSpec, evaluate_specs
 from repro.spec.evaluate import evaluate_spec, spec_calls
@@ -63,6 +65,25 @@ def _cold_state() -> None:
     clear_fingerprint_cache()
 
 
+class _StoresNothing(dict):
+    """An identity cache that never keeps an entry."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+@contextlib.contextmanager
+def _fingerprint_cache_off():
+    """Run with the key encoder's identity cache storing nothing, so
+    every encoding is a fresh build (the text is identical either way)."""
+    saved = keys._by_identity
+    keys._by_identity = _StoresNothing()
+    try:
+        yield
+    finally:
+        keys._by_identity = saved
+
+
 def _best_of(repeats: int, run) -> float:
     """Minimum wall time of ``repeats`` runs: on a shared machine the
     least noisy estimator of the code's own cost."""
@@ -80,13 +101,13 @@ def legacy_seconds(calls: list, repeats: int) -> float:
     def run() -> None:
         _cold_state()
         set_memoization(False)
-        set_fingerprint_cache(False)
         try:
-            EvaluationEngine(jobs=1).map(evaluate_spec, calls,
-                                         stage="legacy.evaluate", dedup=False)
+            with _fingerprint_cache_off():
+                EvaluationEngine(jobs=1).map(
+                    evaluate_spec, calls, stage="legacy.evaluate",
+                    dedup=False)
         finally:
             set_memoization(True)
-            set_fingerprint_cache(True)
             _cold_state()
 
     return _best_of(repeats, run)

@@ -21,12 +21,12 @@
    combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
    with the exact ratio arithmetic of ``compare_designs``.
 
-The kernel plugs into ``EvaluationEngine.map_batched`` as the batch
-executor for the ``spec.evaluate`` / ``sweep.evaluate`` stages — cache
-keys, dedup and counters stay identical to the scalar path, so a batch
-run warms the same cache a scalar run reads and vice versa.
-:meth:`BatchKernel.bound_calls` is the executor of the pruned sweep's
-``sweep.bounds`` stage the same way: it runs each point's 2D row and the
+:meth:`BatchKernel.evaluate_calls` is the ``batch_fn`` of
+``EvaluationEngine.map`` for the ``spec.evaluate`` / ``sweep.evaluate``
+stages — cache keys, dedup and counters stay identical to the scalar
+path, so a batch run warms the same cache a scalar run reads and vice
+versa.  :meth:`BatchKernel.bound_calls` is the ``batch_fn`` of the
+pruned sweep's ``sweep.bounds`` stage the same way: it runs each point's 2D row and the
 two relaxed M3D rows of :func:`~repro.sweep.bounds.relaxed_rows` through
 the same delta evaluation (counted as ``batch.bound_points`` /
 ``batch.bound_delta_hits`` / ``batch.bound_fallback_scalar``), so the
@@ -58,7 +58,7 @@ from repro.runtime.cache import MISSING
 from repro.runtime.keys import stable_key
 from repro.runtime.memo import add_counts
 from repro.spec.design import DesignSpec
-from repro.spec.evaluate import SpecEvaluation, evaluate_spec, spec_calls
+from repro.spec.evaluate import SpecEvaluation, evaluate_spec
 from repro.sweep.bounds import (
     PointBounds,
     point_bounds,
@@ -160,17 +160,12 @@ class BatchKernel:
         return pdk is self.base or pdk is self.pdk or (
             isinstance(pdk, PDK) and stable_key(pdk) == stable_key(self.base))
 
-    def evaluate_specs(
-            self, specs: Sequence[DesignSpec]) -> "list[SpecEvaluation]":
-        """Evaluate specs directly (no engine cache involved)."""
-        return self.evaluate_calls(spec_calls(specs, self.pdk))
-
     def evaluate_calls(
             self,
             calls: "Sequence[tuple[tuple, dict]]") -> "list[SpecEvaluation]":
         """Evaluate normalized ``(args, kwargs)`` ``evaluate_spec`` calls.
 
-        This is the ``batch_fn`` the engine's ``map_batched`` invokes for
+        This is the ``batch_fn`` :meth:`EvaluationEngine.map` invokes for
         cache-missing calls.  Results are positional; calls the kernel
         cannot take (unexpected shape, mismatched PDK, unsupported spec)
         evaluate through scalar ``evaluate_spec`` — errors those specs

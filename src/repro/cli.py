@@ -29,31 +29,16 @@ import argparse
 import contextlib
 import sys
 import time
-from typing import Callable
 
 import repro.experiments  # noqa: F401  (imports populate the registry)
 from repro.experiments.registry import (
-    Experiment,
     ExperimentContext,
     all_experiments,
+    experiment_names,
     get_experiment,
     registry_markdown,
 )
 from repro.experiments.reporting import format_table
-
-
-def _compat_runner(exp: Experiment) -> Callable[[], str]:
-    def runner() -> str:
-        return exp.run_formatted()
-    return runner
-
-
-#: Experiment name -> (description, zero-arg runner).  Deprecated
-#: compatibility view of the registry; new code should use
-#: :func:`repro.experiments.registry.all_experiments`.
-EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
-    exp.name: (exp.summary, _compat_runner(exp)) for exp in all_experiments()
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,11 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist completed chunks under DIR; re-running the same "
-             "sweep resumes after the last flushed chunk")
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="flush checkpoint records every N chunks (default 1 = "
-             "strongest durability)")
+             "sweep resumes after the last completed chunk")
     parser.add_argument(
         "--prune", action="store_true",
         help="skip grid points certifiably dominated on (footprint, EDP "
@@ -177,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'serve': how long a SIGTERM drain waits for in-flight "
              "requests and open streams before exiting (default 10)")
     return parser
-
-
-def available_experiments() -> tuple[str, ...]:
-    """Names accepted on the command line."""
-    return tuple(EXPERIMENTS)
 
 
 def _fail(args: argparse.Namespace, error: "BaseException | str",
@@ -257,8 +233,8 @@ def _main(argv: list[str] | None = None) -> int:
             print(registry_markdown())
             return 0
         print("available experiments:")
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"  {name:10s} {description}")
+        for exp in all_experiments():
+            print(f"  {exp.name:10s} {exp.summary}")
         print("  all        run every experiment")
         print("  eval       evaluate one design spec (--spec spec.json)")
         print("  flow       staged physical flow on one spec (--spec "
@@ -268,9 +244,10 @@ def _main(argv: list[str] | None = None) -> int:
         print("  report     full reproduction report (tables + validation)")
         print("  serve      HTTP evaluation server (/v1 API; see --port)")
         return 0
+    known = experiment_names()
     if names == ["all"]:
-        names = list(EXPERIMENTS)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+        names = list(known)
+    unknown = [name for name in names if name not in known]
     if unknown:
         return _fail(args, f"unknown experiment(s): {', '.join(unknown)}; "
                            f"try 'python -m repro list'")
@@ -473,8 +450,7 @@ def _run_spec_command(command: str, args: argparse.Namespace, engine,
                 result = run_streaming_sweep(
                     sweep, engine=engine, chunk_size=chunk_size,
                     prune=args.prune, checkpoint=args.checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every, batch=batch,
-                    physical=args.physical,
+                    batch=batch, physical=args.physical,
                     max_failures=args.max_failures)
                 evaluations = result.evaluations
                 kind = "Streaming sweep" if streaming else "Sweep evaluation"

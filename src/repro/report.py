@@ -8,27 +8,27 @@ document.  Useful for diffing after any model change.
 
 from __future__ import annotations
 
-from repro.tech.pdk import PDK, foundry_m3d_pdk
+import repro.experiments  # noqa: F401  (imports populate the registry)
+from repro.experiments.registry import ExperimentContext, all_experiments
+from repro.tech.pdk import PDK
 from repro.validate import format_validation, run_validation
 
 
 def build_report(pdk: PDK | None = None) -> str:
     """Assemble the full reproduction report."""
-    pdk = pdk if pdk is not None else foundry_m3d_pdk()
-    from repro.cli import EXPERIMENTS
-
+    ctx = ExperimentContext.create(pdk=pdk)
     sections: list[str] = [
         "reproduction report — Ultra-Dense 3D Physical Design "
         "(DATE 2023)",
         "=" * 72,
     ]
-    for name, (description, runner) in EXPERIMENTS.items():
+    for exp in all_experiments():
         sections.append("")
-        sections.append(f"--- {name}: {description} ---")
-        sections.append(runner())
+        sections.append(f"--- {exp.name}: {exp.summary} ---")
+        sections.append(exp.run_formatted(ctx))
     sections.append("")
     sections.append("--- validation ---")
-    sections.append(format_validation(run_validation(pdk)))
+    sections.append(format_validation(run_validation(ctx.pdk)))
     return "\n".join(sections)
 
 

@@ -36,8 +36,6 @@ from repro.runtime.engine import (
 from repro.runtime.keys import (
     call_key,
     clear_fingerprint_cache,
-    fingerprint_cache_enabled,
-    set_fingerprint_cache,
     stable_key,
 )
 from repro.runtime.memo import (
@@ -98,9 +96,7 @@ __all__ = [
     "shutdown_pool",
     "clear_fingerprint_cache",
     "dumps",
-    "fingerprint_cache_enabled",
     "from_jsonable",
     "loads",
-    "set_fingerprint_cache",
     "to_jsonable",
 ]

@@ -211,7 +211,8 @@ class EvaluationEngine:
 
     def map(self, fn: Callable[..., Any], calls: Iterable[Any],
             stage: str | None = None, jobs: int | None = None,
-            dedup: bool = True, on_error: str = "raise") -> list:
+            dedup: bool = True, on_error: str = "raise",
+            batch_fn: "Callable[[list], list] | None" = None) -> list:
         """Evaluate ``fn`` over ``calls``, returning results in order.
 
         Each element of ``calls`` is a ``dict`` (keyword arguments), a
@@ -225,47 +226,26 @@ class EvaluationEngine:
         sweeps thread their ``jobs`` argument through here rather than
         mutating the (shared) engine.
 
+        ``batch_fn``, when given, evaluates the cache-missing calls in one
+        ``batch_fn(pending_calls)`` invocation instead of per-call
+        dispatch: it receives their normalized ``(args, kwargs)`` tuples
+        in order and must return one result per call — e.g. the
+        vectorized spec kernel
+        (:meth:`repro.batch.kernel.BatchKernel.evaluate_calls`).  It runs
+        in-process; the batch itself is the parallelism.  Keys, dedup,
+        counters and ordering are those of the per-call path, so a
+        batched run warms exactly the cache entries a scalar run would.
+
         ``on_error`` selects the failure contract: ``"raise"`` (the
         default) re-raises the first failed call's exception in input
         order; ``"record"`` enables **partial-results mode** — each
         failed call yields an :class:`~repro.errors.EvaluationFailure`
         in its result slot (never cached, shared by dedup followers)
-        while every other call still returns its value.
+        while every other call still returns its value.  A ``batch_fn``
+        that raises in this mode falls back to supervised per-call
+        dispatch, which isolates the failing point(s) instead of losing
+        the whole batch.
         """
-        return self._map(fn, calls, stage=stage, jobs=jobs, dedup=dedup,
-                         on_error=on_error)
-
-    def map_batched(self, fn: Callable[..., Any], calls: Iterable[Any],
-                    batch_fn: Callable[[list], list],
-                    stage: str | None = None, dedup: bool = True,
-                    on_error: str = "raise") -> list:
-        """Like :meth:`map`, but cache-missing calls evaluate through one
-        ``batch_fn(pending_calls)`` invocation instead of per-call
-        dispatch.
-
-        ``batch_fn`` receives the normalized ``(args, kwargs)`` tuples of
-        the calls that missed the cache (in order) and must return one
-        result per call — e.g. the vectorized spec kernel
-        (:class:`repro.batch.kernel.BatchKernel.evaluate_calls`).  It
-        runs in-process: the batch itself is the parallelism, so there
-        is no ``jobs`` fan-out.
-
-        Cache keys, dedup behavior, stage counters and result ordering
-        are identical to :meth:`map` with the same ``fn`` — a batched
-        run warms exactly the cache entries a scalar run would, and
-        vice versa.
-
-        With ``on_error="record"`` a batch-kernel exception falls back
-        to supervised scalar dispatch, which isolates the failing
-        point(s) instead of losing the whole chunk.
-        """
-        return self._map(fn, calls, stage=stage, jobs=None, dedup=dedup,
-                         executor=batch_fn, on_error=on_error)
-
-    def _map(self, fn: Callable[..., Any], calls: Iterable[Any],
-             stage: str | None, jobs: int | None, dedup: bool,
-             executor: "Callable[[list], list] | None" = None,
-             on_error: str = "raise") -> list:
         require(on_error in ("raise", "record"),
                 f"on_error must be 'raise' or 'record', got {on_error!r}")
         specs = [self._normalize(item) for item in calls]
@@ -277,7 +257,7 @@ class EvaluationEngine:
         with _span("engine.map", stage=tally.name,
                    calls=len(specs)) as map_span:
             results = self._map_body(fn, specs, tally, jobs, dedup,
-                                     executor=executor, on_error=on_error)
+                                     batch_fn, on_error)
             elapsed = time.perf_counter() - start
             tally.wall_time += elapsed
             if map_span:
@@ -292,9 +272,9 @@ class EvaluationEngine:
     def _map_body(self, fn: Callable[..., Any],
                   specs: "list[tuple[tuple, dict]]", tally: "_MutableStage",
                   jobs: int | None, dedup: bool,
-                  executor: "Callable[[list], list] | None" = None,
-                  on_error: str = "raise") -> list:
-        """The cache/dedup/evaluate core of :meth:`map`/:meth:`map_batched`."""
+                  batch_fn: "Callable[[list], list] | None",
+                  on_error: str) -> list:
+        """The cache/dedup/evaluate core of :meth:`map`."""
         keys: list[str | None] = []
         for args, kwargs in specs:
             if self.cache is None and not dedup:
@@ -333,9 +313,9 @@ class EvaluationEngine:
         if pending:
             pending_specs = [specs[i] for i in pending]
             evaluated: "list | None" = None
-            if executor is not None:
+            if batch_fn is not None:
                 try:
-                    evaluated = executor(pending_specs)
+                    evaluated = batch_fn(pending_specs)
                 except Exception:
                     if on_error != "record":
                         raise
@@ -344,9 +324,9 @@ class EvaluationEngine:
                     evaluated = None
                 if evaluated is not None:
                     require(len(evaluated) == len(pending),
-                            "batch executor must return one result per call")
+                            "batch_fn must return one result per call")
             if evaluated is not None:
-                # The executor returned a value per call: cache and
+                # batch_fn returned a value per call: cache and
                 # place them directly.
                 tally.evaluated += len(pending)
                 cache = self.cache
@@ -403,12 +383,6 @@ class EvaluationEngine:
             .inc(tally.failures - before[4])
         registry.histogram("repro_engine_stage_seconds", stage=stage) \
             .observe(elapsed)
-
-    def call(self, fn: Callable[..., Any], *args: Any,
-             stage: str | None = None, **kwargs: Any) -> Any:
-        """Evaluate a single call through the cache (never the pool)."""
-        return self.map(fn, [(tuple(args), dict(kwargs))],
-                        stage=stage, jobs=1)[0]
 
     def report(self) -> RunReport:
         """Snapshot of the per-stage counters accumulated so far.

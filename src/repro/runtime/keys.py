@@ -38,10 +38,8 @@ engine's result cache, the server's cache probe, pool task tokens),
   (:func:`repro.tech.pdk.foundry_m3d_pdk`), so its 12 KB text is encoded
   about once per process, not once per call.
 
-:func:`set_fingerprint_cache` turns the identity cache off (benchmarks'
-uncached arm); the text is identical either way.  The module imports nothing
-heavier than :mod:`hashlib` and :mod:`json`: ``repro serve`` loads no
-numpy.
+The module imports nothing heavier than :mod:`hashlib` and :mod:`json`:
+``repro serve`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -68,9 +66,7 @@ __all__ = [
     "call_key",
     "canonical",
     "clear_fingerprint_cache",
-    "fingerprint_cache_enabled",
     "plain_key",
-    "set_fingerprint_cache",
     "stable_key",
 ]
 
@@ -116,25 +112,6 @@ _by_identity: dict[int, list] = {}
 
 #: class -> its _Layout.
 _layouts: dict[type, "_Layout"] = {}
-
-#: Whether the identity cache serves and stores (see set_fingerprint_cache).
-_enabled = True
-
-
-def set_fingerprint_cache(enabled: bool) -> bool:
-    """Enable/disable the identity cache; returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    if not enabled:
-        clear_fingerprint_cache()
-    return previous
-
-
-def fingerprint_cache_enabled() -> bool:
-    """Whether :func:`canonical` caches text by identity."""
-    return _enabled
-
 
 def clear_fingerprint_cache() -> None:
     """Drop the identity cache (releases the pinned objects)."""
@@ -239,7 +216,7 @@ def _layout(cls: type) -> _Layout:
 
 def _encode_dataclass(obj: Any, layout: _Layout) -> str:
     """Canonical text of a dataclass the identity cache does not hold."""
-    if not (_enabled and layout.frozen):
+    if not layout.frozen:
         return layout.text(obj, _encode)
     text = None
     if layout.flat:
@@ -267,7 +244,7 @@ def _plain(obj: Any) -> str:
             raise TypeError(f"plain_key covers dataclasses of JSON leaves, "
                             f"not {type(obj).__name__} value {obj!r}")
         layout = _layout(type(obj))
-    if _enabled and layout.flat:
+    if layout.flat:
         text = _encode(obj)
         if layout.flat:
             return text[len(layout.prefix):-1]

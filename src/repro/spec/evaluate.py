@@ -336,15 +336,14 @@ def evaluate_specs(
     engine = engine if engine is not None else default_engine()
     if physical:
         return tuple(map_physical(engine, list(specs), pdk, jobs=jobs))
-    calls = spec_calls(specs, pdk)
-    if not batch:
-        return tuple(engine.map(evaluate_spec, calls, stage="spec.evaluate",
-                                jobs=jobs))
-    from repro.batch.kernel import BatchKernel
+    batch_fn = None
+    if batch:
+        from repro.batch.kernel import BatchKernel
 
-    return tuple(engine.map_batched(
-        evaluate_spec, calls, batch_fn=BatchKernel(pdk).evaluate_calls,
-        stage="spec.evaluate"))
+        batch_fn = BatchKernel(pdk).evaluate_calls
+    return tuple(engine.map(evaluate_spec, spec_calls(specs, pdk),
+                            stage="spec.evaluate", jobs=jobs,
+                            batch_fn=batch_fn))
 
 
 def format_spec_evaluations(

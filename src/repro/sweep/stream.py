@@ -17,9 +17,10 @@ grid is walked as a *stream*:
    *certifiably* dominates is skipped — provably without changing the
    final frontier (see DESIGN.md Sec. 10);
 4. completed chunks persist as atomic checkpoint records
-   (:mod:`repro.sweep.checkpoint`); re-running the same sweep replays
-   them instead of re-evaluating, so a SIGKILLed sweep resumes exactly
-   where its last flushed chunk left off;
+   (:mod:`repro.sweep.checkpoint`), each stored as soon as its chunk
+   completes; re-running the same sweep replays them instead of
+   re-evaluating, so a SIGKILLed sweep resumes exactly after its last
+   completed chunk;
 5. per-chunk progress lands in the obs metrics registry
    (``repro_sweep_chunks_total``, ``repro_sweep_points_total{status}``,
    ``repro_sweep_frontier_size``, ``repro_sweep_chunk_seconds``) and a
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from repro.errors import EvaluationFailure, PermanentError, require
+from repro.errors import EvaluationFailure, PermanentError
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
 from repro.runtime.engine import EvaluationEngine, default_engine
@@ -166,7 +167,6 @@ def stream_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     prune: bool = False,
     checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
-    checkpoint_every: int = 1,
     frontier: ParetoFrontier | None = None,
     batch: bool = False,
     physical: bool = False,
@@ -177,22 +177,21 @@ def stream_sweep(
     ``checkpoint`` is a :class:`~repro.sweep.checkpoint.SweepCheckpoint`
     or a directory path (the store inside it is keyed by the sweep's
     content, the PDK, ``chunk_size``, and ``prune``, so unrelated runs
-    never cross-contaminate).  ``checkpoint_every`` sets the flush
-    cadence in chunks — 1 (the default) persists every chunk as soon as
-    it completes, so a killed run re-evaluates nothing that finished.
-    ``frontier`` lets a caller share/inspect the incremental frontier;
-    by default a fresh one is built.  Pruning decisions are certified
+    never cross-contaminate).  Each chunk's record is stored as soon as
+    the chunk completes, so a killed run re-evaluates nothing that
+    finished.  ``frontier`` lets a caller share/inspect the incremental
+    frontier; by default a fresh one is built.  Pruning decisions are certified
     against the frontier as of the *previous* chunks, which is exactly
     what replay reproduces — resumed runs prune identically.
 
     ``batch=True`` evaluates each chunk's survivors — and, with
     ``prune``, bounds the whole chunk first — as one vectorized kernel
-    call (:class:`repro.batch.kernel.BatchKernel`, shared across chunks
-    so delta-evaluation spans the whole sweep) instead of per-point
-    scalar dispatch; points the kernel cannot express fall back to
-    scalar evaluation inside the batch.  Cache keys and
-    checkpoint records match the scalar path, and results agree with it
-    within 1e-9.
+    call (the ``batch_fn`` of :meth:`EvaluationEngine.map`:
+    :class:`repro.batch.kernel.BatchKernel`'s ``evaluate_calls`` and
+    ``bound_calls``) instead of per-point scalar dispatch; points the
+    kernel cannot express fall back to scalar evaluation inside the
+    batch.  Cache keys and checkpoint records match the scalar path, and
+    results agree with it within 1e-9.
 
     ``physical=True`` attaches every evaluated point's chip summary
     (``evaluate_spec(..., physical=True)``, evaluated through
@@ -213,12 +212,11 @@ def stream_sweep(
     chunks *and* in the checkpoint records, so a resumed run retries
     exactly the failed points and nothing else — and raises
     :class:`~repro.errors.PermanentError` only once the budget is
-    exceeded (the breaching chunk's record is flushed first, so no
+    exceeded (the breaching chunk's record is already stored, so no
     completed work is lost); a negative value means unlimited.  With
     ``prune``, a point whose bound fails is kept rather than pruned, so
     it is recorded exactly as an unpruned sweep records it.
     """
-    require(checkpoint_every >= 1, "checkpoint_every must be >= 1")
     engine = engine if engine is not None else default_engine()
     frontier = frontier if frontier is not None else ParetoFrontier()
     kernel = None
@@ -233,13 +231,8 @@ def stream_sweep(
         store = SweepCheckpoint.for_sweep(
             checkpoint, sweep, pdk=pdk, chunk_size=chunk_size, prune=prune,
             physical=physical)
-    pending: list[ChunkRecord] = []
     on_error = "raise" if max_failures == 0 else "record"
     failed_total = 0
-
-    def flush() -> None:
-        while pending:
-            store.store(pending.pop(0))
 
     def split(specs, raw):
         """Separate engine results into evaluations and spec-annotated
@@ -254,13 +247,14 @@ def stream_sweep(
         return tuple(evaluations), tuple(failures)
 
     def evaluate(specs) -> list:
-        """Engine results for ``specs``, one per spec (the scalar path)."""
+        """Engine results for ``specs``, one per spec."""
         if physical:
             return map_physical(engine, specs, pdk, jobs=jobs,
                                 stage="sweep", on_error=on_error)
         return engine.map(evaluate_spec, spec_calls(specs, pdk),
                           stage="sweep.evaluate", jobs=jobs,
-                          on_error=on_error)
+                          on_error=on_error,
+                          batch_fn=kernel.evaluate_calls if kernel else None)
 
     def retry_failures(record: ChunkRecord) -> ChunkRecord:
         """Resume path: re-evaluate only a record's failed points.
@@ -292,121 +286,97 @@ def stream_sweep(
         return replace(record, evaluations=tuple(ordered),
                        failures=tuple(still_failed))
 
-    try:
-        for index, chunk in enumerate(sweep.chunks(chunk_size)):
-            start = time.perf_counter()
-            record = None
-            if store is not None:  # only the store reads the chunk hash
-                specs_hash = chunk_hash(chunk)
-                record = store.get(index, specs_hash)
-            with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
-                if record is not None:
-                    if record.failures:
-                        record = retry_failures(record)
-                        if store is not None:
-                            pending.append(record)
-                            if len(pending) >= checkpoint_every:
-                                flush()
-                    evaluations = record.evaluations
-                    pruned = record.pruned
-                    failures = record.failures
-                else:
-                    survivors = chunk
-                    pruned = 0
-                    if prune and len(frontier):
-                        if kernel is not None:
-                            bounds = engine.map_batched(
-                                spec_bounds, spec_calls(chunk, pdk),
-                                batch_fn=kernel.bound_calls,
-                                stage="sweep.bounds", on_error=on_error)
+    for index, chunk in enumerate(sweep.chunks(chunk_size)):
+        start = time.perf_counter()
+        record = None
+        if store is not None:  # only the store reads the chunk hash
+            specs_hash = chunk_hash(chunk)
+            record = store.get(index, specs_hash)
+        with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
+            if record is not None:
+                if record.failures:
+                    record = retry_failures(record)
+                    store.store(record)
+                evaluations = record.evaluations
+                pruned = record.pruned
+                failures = record.failures
+            else:
+                survivors = chunk
+                pruned = 0
+                if prune and len(frontier):
+                    bounds = engine.map(
+                        spec_bounds, spec_calls(chunk, pdk),
+                        stage="sweep.bounds", jobs=jobs, on_error=on_error,
+                        batch_fn=kernel.bound_calls if kernel else None)
+                    kept = []
+                    for spec, bound in zip(chunk, bounds):
+                        # A point whose bound failed (partial-results
+                        # mode) has no certificate: it survives, and
+                        # sweep.evaluate records it as unpruned
+                        # sweeps do.
+                        if isinstance(bound, EvaluationFailure) or \
+                                frontier.certified_dominator(
+                                    bound.footprint,
+                                    bound.edp_benefit_ub) is None:
+                            kept.append(spec)
                         else:
-                            bounds = engine.map(
-                                spec_bounds, spec_calls(chunk, pdk),
-                                stage="sweep.bounds", jobs=jobs,
-                                on_error=on_error)
-                        kept = []
-                        for spec, bound in zip(chunk, bounds):
-                            # A point whose bound failed (partial-results
-                            # mode) has no certificate: it survives, and
-                            # sweep.evaluate records it as unpruned
-                            # sweeps do.
-                            if isinstance(bound, EvaluationFailure) or \
-                                    frontier.certified_dominator(
-                                        bound.footprint,
-                                        bound.edp_benefit_ub) is None:
-                                kept.append(spec)
-                            else:
-                                pruned += 1
-                        survivors = tuple(kept)
-                    if not survivors:
-                        evaluations = ()
-                        failures = ()
-                    elif kernel is not None:
-                        raw = engine.map_batched(
-                            evaluate_spec, spec_calls(survivors, pdk),
-                            batch_fn=kernel.evaluate_calls,
-                            stage="sweep.evaluate", on_error=on_error)
-                        evaluations, failures = split(survivors, raw)
-                    else:
-                        evaluations, failures = split(survivors,
-                                                      evaluate(survivors))
-                    if store is not None:
-                        pending.append(ChunkRecord(
-                            index=index, specs_hash=specs_hash,
-                            pruned=pruned, evaluations=evaluations,
-                            failures=failures))
-                        if len(pending) >= checkpoint_every:
-                            flush()
-                infeasible = 0
-                for evaluation in evaluations:
-                    feasible = evaluation.is_feasible
-                    infeasible += not feasible
-                    frontier.add(evaluation.footprint,
-                                 evaluation.edp_benefit, evaluation,
-                                 feasible=feasible)
-                if sp:
-                    sp.set(pruned=pruned, evaluated=len(evaluations),
-                           infeasible=infeasible, failed=len(failures),
-                           resumed=record is not None,
-                           frontier=len(frontier))
-            elapsed = time.perf_counter() - start
-            failed_total += len(failures)
-            if _obs_enabled():
-                registry = _metrics_registry()
-                status = "resumed" if record is not None else "computed"
-                registry.counter("repro_sweep_chunks_total",
-                                 status=status).inc()
-                registry.counter("repro_sweep_points_total",
-                                 status=status).inc(len(evaluations))
-                registry.counter("repro_sweep_points_total",
-                                 status="pruned").inc(pruned)
-                if infeasible:
-                    registry.counter("repro_sweep_points_total",
-                                     status="infeasible").inc(infeasible)
-                if failures:
-                    registry.counter("repro_sweep_points_total",
-                                     status="failed").inc(len(failures))
-                registry.gauge("repro_sweep_frontier_size") \
-                    .set(len(frontier))
-                registry.histogram("repro_sweep_chunk_seconds") \
-                    .observe(elapsed)
-            if max_failures > 0 and failed_total > max_failures:
-                # Flush the breaching chunk's record first: the failed
-                # points are on disk, so a resume retries exactly them.
+                            pruned += 1
+                    survivors = tuple(kept)
+                if survivors:
+                    evaluations, failures = split(survivors,
+                                                  evaluate(survivors))
+                else:
+                    evaluations = failures = ()
                 if store is not None:
-                    flush()
-                raise PermanentError(
-                    f"sweep exceeded --max-failures={max_failures}: "
-                    f"{failed_total} point(s) failed; last: "
-                    f"{failures[-1].error_type}: {failures[-1].message}")
-            yield SweepChunk(
-                index=index, size=len(chunk), evaluations=evaluations,
-                pruned=pruned, resumed=record is not None,
-                frontier_size=len(frontier), seconds=elapsed,
-                infeasible=infeasible, failures=failures)
-    finally:
-        if store is not None:
-            flush()
+                    store.store(ChunkRecord(
+                        index=index, specs_hash=specs_hash,
+                        pruned=pruned, evaluations=evaluations,
+                        failures=failures))
+            infeasible = 0
+            for evaluation in evaluations:
+                feasible = evaluation.is_feasible
+                infeasible += not feasible
+                frontier.add(evaluation.footprint,
+                             evaluation.edp_benefit, evaluation,
+                             feasible=feasible)
+            if sp:
+                sp.set(pruned=pruned, evaluated=len(evaluations),
+                       infeasible=infeasible, failed=len(failures),
+                       resumed=record is not None,
+                       frontier=len(frontier))
+        elapsed = time.perf_counter() - start
+        failed_total += len(failures)
+        if _obs_enabled():
+            registry = _metrics_registry()
+            status = "resumed" if record is not None else "computed"
+            registry.counter("repro_sweep_chunks_total",
+                             status=status).inc()
+            registry.counter("repro_sweep_points_total",
+                             status=status).inc(len(evaluations))
+            registry.counter("repro_sweep_points_total",
+                             status="pruned").inc(pruned)
+            if infeasible:
+                registry.counter("repro_sweep_points_total",
+                                 status="infeasible").inc(infeasible)
+            if failures:
+                registry.counter("repro_sweep_points_total",
+                                 status="failed").inc(len(failures))
+            registry.gauge("repro_sweep_frontier_size") \
+                .set(len(frontier))
+            registry.histogram("repro_sweep_chunk_seconds") \
+                .observe(elapsed)
+        if max_failures > 0 and failed_total > max_failures:
+            # The breaching chunk's record is already stored: a resume
+            # retries exactly its failed points.
+            raise PermanentError(
+                f"sweep exceeded --max-failures={max_failures}: "
+                f"{failed_total} point(s) failed; last: "
+                f"{failures[-1].error_type}: {failures[-1].message}")
+        yield SweepChunk(
+            index=index, size=len(chunk), evaluations=evaluations,
+            pruned=pruned, resumed=record is not None,
+            frontier_size=len(frontier), seconds=elapsed,
+            infeasible=infeasible, failures=failures)
 
 
 def run_streaming_sweep(
@@ -417,7 +387,6 @@ def run_streaming_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     prune: bool = False,
     checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
-    checkpoint_every: int = 1,
     collect: bool = True,
     batch: bool = False,
     physical: bool = False,
@@ -445,7 +414,7 @@ def run_streaming_sweep(
     for chunk in stream_sweep(
             sweep, pdk=pdk, engine=engine, jobs=jobs,
             chunk_size=chunk_size, prune=prune, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, frontier=frontier,
+            frontier=frontier,
             batch=batch, physical=physical, max_failures=max_failures):
         chunks += 1
         points += chunk.size

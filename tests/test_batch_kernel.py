@@ -48,6 +48,7 @@ from repro.spec import (
     resolve,
     scaled_pdk,
 )
+from repro.spec.evaluate import spec_calls
 from repro.sweep import run_streaming_sweep
 from repro.tech.pdk import foundry_m3d_pdk
 from repro.units import MEGABYTE
@@ -297,9 +298,9 @@ def test_random_spec_parity(spec):
         scalar = evaluate_spec(spec)
     except ReproError:
         with pytest.raises(ReproError):
-            kernel.evaluate_specs([spec])
+            kernel.evaluate_calls(spec_calls([spec]))
         return
-    batched, = kernel.evaluate_specs([spec])
+    batched, = kernel.evaluate_calls(spec_calls([spec]))
     _assert_close(batched, scalar)
 
 
@@ -391,7 +392,7 @@ def test_unsupported_spec_raises_the_scalar_diagnostic():
     with pytest.raises(ReproError):
         evaluate_spec(spec)
     with pytest.raises(ReproError):
-        BatchKernel().evaluate_specs([spec])
+        BatchKernel().evaluate_calls(spec_calls([spec]))
 
 
 def test_pack_point_rejects_what_the_row_schema_cannot_express():
@@ -452,7 +453,7 @@ def test_batch_packing_of_shared_designs_matches_scalar(monkeypatch):
 
     # Unpatched, the first unsupported point raises its scalar diagnostic.
     with pytest.raises(ReproError) as raised:
-        BatchKernel().evaluate_specs(specs)
+        BatchKernel().evaluate_calls(spec_calls(specs))
     assert (type(raised.value), str(raised.value)) == expected[0]
 
     # Recording the fallback's diagnostics shows every point's outcome.
@@ -464,7 +465,7 @@ def test_batch_packing_of_shared_designs_matches_scalar(monkeypatch):
 
     monkeypatch.setattr(kernel_module, "evaluate_spec", recorded)
     before = _batch_counter("fallback_scalar")
-    results = BatchKernel().evaluate_specs(specs)
+    results = BatchKernel().evaluate_calls(spec_calls(specs))
     assert _batch_counter("fallback_scalar") - before == len(unsupported)
     assert fallen == [specs[index] for index in sorted(unsupported)]
     for index, (result, outcome) in enumerate(zip(results, expected)):

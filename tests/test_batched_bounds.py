@@ -35,6 +35,7 @@ from repro.spec import (
     WorkloadSpec,
     scaled_pdk,
 )
+from repro.spec.evaluate import spec_calls
 from repro.sweep import run_streaming_sweep, spec_bounds, stream_sweep
 from repro.sweep.bounds import UNBOUNDED_CS, relaxed_rows
 from repro.tech.pdk import foundry_m3d_pdk
@@ -172,7 +173,7 @@ def test_bound_calls_match_scalar_spec_bounds(parity_specs):
 def test_bound_calls_are_admissible_against_the_kernel(parity_specs):
     kernel = BatchKernel()
     bounds = kernel.bound_calls([((spec,), {}) for spec in parity_specs])
-    evaluations = kernel.evaluate_specs(parity_specs)
+    evaluations = kernel.evaluate_calls(spec_calls(parity_specs))
     for bound, evaluation in zip(bounds, evaluations):
         assert bound.footprint == evaluation.footprint
         assert bound.speedup_ub >= evaluation.speedup
@@ -208,7 +209,7 @@ def test_bound_calls_reuse_the_baseline_rows_for_evaluation():
     kernel = BatchKernel()
     kernel.bound_calls([((spec,), {}) for spec in specs])
     before = _batch_counters()
-    kernel.evaluate_specs(specs)
+    kernel.evaluate_calls(spec_calls(specs))
     after = _batch_counters()
     hits = after["delta_hits"] - before.get("delta_hits", 0)
     # Every 2D row was evaluated by the bound pass.

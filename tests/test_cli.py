@@ -2,19 +2,22 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, available_experiments, main
+from repro.cli import main
+from repro.experiments.registry import all_experiments, experiment_names
 
 
 def test_every_paper_artifact_has_a_cli_entry():
-    names = set(available_experiments())
+    names = set(experiment_names())
     for required in ("casestudy", "fig5", "table1", "fig7", "fig8", "fig9",
                      "fig10c", "obs8", "fig10d", "obs3", "obs10", "folding"):
         assert required in names
 
 
-def test_cli_mirrors_the_registry():
-    from repro.experiments.registry import experiment_names
-    assert available_experiments() == experiment_names()
+def test_cli_mirrors_the_registry(capsys):
+    assert main(["list"]) == 0
+    listed = [line.split()[0] for line in
+              capsys.readouterr().out.splitlines()[1:]]
+    assert tuple(listed[:len(experiment_names())]) == experiment_names()
 
 
 def test_list_is_default(capsys):
@@ -91,9 +94,9 @@ def test_table1_spec_without_the_stem_layers_exits_2(tmp_path, capsys):
 
 
 def test_descriptions_are_nonempty():
-    for name, (description, runner) in EXPERIMENTS.items():
-        assert description, name
-        assert callable(runner), name
+    for exp in all_experiments():
+        assert exp.summary, exp.name
+        assert callable(exp.run), exp.name
 
 
 def test_list_markdown(capsys):

@@ -319,15 +319,9 @@ def _reference(obj) -> str:
 @given(obj=_OBJECTS)
 def test_canonical_text_is_the_sorted_json_of_the_lowering(obj):
     reference = _reference(obj)
-    for cached in (True, False):
-        previous = keys.set_fingerprint_cache(cached)
-        try:
-            assert dumps(obj) == reference
-            # Twice: the second encoding may be served from the identity
-            # cache.
-            assert dumps(obj) == reference
-        finally:
-            keys.set_fingerprint_cache(previous)
+    keys.clear_fingerprint_cache()
+    assert dumps(obj) == reference  # a fresh build
+    assert dumps(obj) == reference  # served from the identity cache
 
 
 @settings(max_examples=100, deadline=None)

@@ -51,7 +51,7 @@ from repro.runtime import (
     stable_key,
     to_jsonable,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EvaluationFailure
 from repro.experiments.reporting import format_run_report
 from repro.spec import SpecEvaluation, WorkloadSpec, evaluate_spec
 from repro.sweep import run_streaming_sweep
@@ -83,6 +83,30 @@ def _boom(x):
 
 def _type_name(value):
     return type(value).__name__
+
+
+def _fragile_square(x):
+    if x < 0:
+        raise ValueError(f"negative input {x}")
+    return x * x
+
+
+def _batch_squares(seen: list):
+    """A ``batch_fn`` for ``_square`` that records the calls it gets."""
+
+    def batch(calls):
+        seen.extend(calls)
+        return [args[0] * args[0] for args, _ in calls]
+
+    return batch
+
+
+def _unreachable_batch(calls):
+    raise AssertionError(f"batch_fn reached with {calls}")
+
+
+def _raise_runtime_error(calls):
+    raise RuntimeError("kernel died")
 
 
 @pytest.fixture
@@ -341,12 +365,13 @@ class TestEvaluationEngine:
 
     def test_single_call_api_memoizes(self):
         engine = EvaluationEngine(jobs=4)
-        assert engine.call(_add, 1, 2, offset=3) == 6
-        assert engine.call(_add, 1, 2, offset=3) == 6
+        call = ((1, 2), {"offset": 3})
+        assert engine.map(_add, [call], jobs=1) == [6]
+        assert engine.map(_add, [call], jobs=1) == [6]
         report = engine.report()
         assert report.cache_hits == 1
         assert report.evaluated == 1
-        assert engine.jobs == 4  # call() restores the worker count
+        assert engine.jobs == 4  # the jobs override is per map
 
     def test_report_aggregates_and_stage_lookup(self):
         engine = EvaluationEngine()
@@ -371,6 +396,66 @@ class TestEvaluationEngine:
     def test_rejects_negative_jobs(self):
         with pytest.raises(ConfigurationError):
             EvaluationEngine(jobs=-1)
+
+
+class TestBatchFn:
+    def test_batch_fn_sees_only_the_misses_in_order(self):
+        engine = EvaluationEngine()
+        engine.map(_square, [2], stage="warm")
+        seen: list = []
+        results = engine.map(_square, [3, 2, 5, 3, 4], stage="s",
+                             batch_fn=_batch_squares(seen))
+        assert results == [9, 4, 25, 9, 16]
+        # 2 is a cache hit and the second 3 a dedup follower.
+        assert seen == [((3,), {}), ((5,), {}), ((4,), {})]
+        stage = engine.report().stage("s")
+        assert (stage.calls, stage.cache_hits, stage.dedup_hits,
+                stage.cache_misses, stage.evaluated) == (5, 1, 1, 3, 3)
+
+    def test_batch_results_enter_the_cache(self):
+        engine = EvaluationEngine()
+        engine.map(_square, [3, 5], batch_fn=_batch_squares([]))
+        assert engine.map(_square, [5, 3],
+                          batch_fn=_unreachable_batch) == [25, 9]
+        assert engine.map(_square, [3]) == [9]
+        assert engine.report().cache_hits == 3
+
+    def test_dedup_followers_never_reach_batch_fn_without_a_cache(self):
+        engine = EvaluationEngine(use_cache=False)
+        seen: list = []
+        assert engine.map(_square, [4, 4, 4],
+                          batch_fn=_batch_squares(seen)) == [16, 16, 16]
+        assert seen == [((4,), {})]
+
+    @pytest.mark.parametrize("on_error", ["raise", "record"])
+    def test_a_wrong_length_return_raises(self, on_error):
+        engine = EvaluationEngine()
+        with pytest.raises(ConfigurationError, match="one result per call"):
+            engine.map(_square, [1, 2], on_error=on_error,
+                       batch_fn=lambda calls: calls[:1])
+
+    def test_a_raising_batch_fn_propagates_by_default(self):
+        engine = EvaluationEngine()
+        with pytest.raises(RuntimeError, match="kernel died"):
+            engine.map(_fragile_square, [1, -1],
+                       batch_fn=_raise_runtime_error)
+
+    def test_record_mode_falls_back_to_supervised_dispatch(self):
+        engine = EvaluationEngine(jobs=1)
+        results = engine.map(_fragile_square, [1, -1, 2, -1], stage="s",
+                             on_error="record",
+                             batch_fn=_raise_runtime_error)
+        assert results[0] == 1 and results[2] == 4
+        failure = results[1]
+        assert isinstance(failure, EvaluationFailure)
+        assert "negative input -1" in failure.message
+        assert results[3] is failure  # a dedup follower shares it
+        stage = engine.report().stage("s")
+        assert stage.failures == 1
+        assert stage.evaluated == 3
+        # Failures are never cached; the good points are.
+        assert engine.map(_fragile_square, [1, 2],
+                          batch_fn=_unreachable_batch) == [1, 4]
 
 
 class TestMemoTables:
@@ -520,20 +605,14 @@ class TestDedupAndPool:
 
 class TestFingerprintCache:
     def test_dumps_matches_uncached_reference(self, pdk):
-        from repro.runtime import (
-            clear_fingerprint_cache,
-            set_fingerprint_cache,
-        )
+        from repro.runtime import clear_fingerprint_cache
 
-        previous = set_fingerprint_cache(False)
-        try:
-            reference = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-            set_fingerprint_cache(True)
-            clear_fingerprint_cache()
-            cold = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-            warm = dumps([pdk, resnet18(), {"k": (1, 2.5)}])
-        finally:
-            set_fingerprint_cache(previous)
+        value = [pdk, resnet18(), {"k": (1, 2.5)}]
+        reference = json.dumps(to_jsonable(value), sort_keys=True,
+                               separators=(",", ":"))
+        clear_fingerprint_cache()
+        cold = dumps(value)
+        warm = dumps(value)
         assert cold == reference
         assert warm == reference
 
