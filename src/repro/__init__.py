@@ -75,9 +75,7 @@ from repro.core import (
 )
 from repro.physical import (
     FlowOutcome,
-    run_flow,
     run_staged_flow,
-    run_staged_flows,
 )
 from repro.runtime import (
     EvaluationEngine,
@@ -149,10 +147,8 @@ __all__ = [
     "speedup",
     "edp_benefit",
     "analyze_network",
-    "run_flow",
     "FlowOutcome",
     "run_staged_flow",
-    "run_staged_flows",
     "EvaluationEngine",
     "ResultCache",
     "configure",

@@ -351,14 +351,14 @@ def _run_flow_command(args: argparse.Namespace, engine,
     """Run the ``flow`` pseudo-command: the staged physical flow.
 
     Resolves ``--spec`` into the 2D baseline / M3D design pair, drives
-    both through :func:`~repro.physical.flow.run_staged_flows` with the
+    each through :func:`~repro.physical.flow.run_staged_flow` with the
     spec's ``flow`` section (every stage dispatched through the engine
     as ``flow.<stage>``, so ``--cache-dir`` makes re-runs incremental),
-    and prints per-design feasibility.  Infeasible designs are reported
-    rows, not errors.
+    and prints per-design feasibility.  Infeasible designs, including a
+    design whose flow failed at a stage, are reported rows, not errors.
     """
     from repro.errors import ReproError
-    from repro.physical.flow import run_staged_flows
+    from repro.physical.flow import run_staged_flow
     from repro.spec import load_design_spec
     from repro.spec.resolve import resolve
     from repro.units import to_mm2
@@ -368,9 +368,9 @@ def _run_flow_command(args: argparse.Namespace, engine,
     try:
         spec = load_design_spec(args.spec)
         point = resolve(spec)
-        outcomes = run_staged_flows(
-            (point.baseline, point.m3d), point.pdk, flow=spec.flow,
-            engine=engine)
+        outcomes = [run_staged_flow(design, point.pdk, flow=spec.flow,
+                                    engine=engine)
+                    for design in (point.baseline, point.m3d)]
     except (OSError, ValueError, ReproError) as error:
         return _fail(args, error, prefix=f"bad --spec {args.spec}: ")
     rows = []

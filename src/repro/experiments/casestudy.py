@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
-from repro.physical.flow import FlowOutcome, run_staged_flows
+from repro.physical.flow import FlowOutcome, run_staged_flow
 from repro.spec.resolve import resolve
 from repro.units import MEGABYTE, to_mm2, to_mw
 
@@ -94,20 +94,20 @@ def casestudy_experiment(ctx: ExperimentContext,
                          capacity_bits: int | None = None) -> CaseStudyResult:
     """Run the flow on the 2D baseline and the iso-footprint M3D design.
 
-    Both designs go through the staged pipeline
-    (:func:`~repro.physical.flow.run_staged_flows`) with the spec's
+    Each design goes through the staged pipeline
+    (:func:`~repro.physical.flow.run_staged_flow`) with the spec's
     ``flow`` section, dispatched stage by stage through the evaluation
     engine — a warm cache (memory or ``--cache-dir``) serves repeat runs
-    per stage, and ``jobs`` >= 2 runs the two designs concurrently
-    within each stage.  ``strict=True`` keeps the historical abort on a
-    timing miss.  ``capacity_bits`` (if given) overrides the context
-    spec's capacity.
+    per stage.  ``strict=True`` keeps the historical abort on a timing
+    miss.  ``capacity_bits`` (if given) overrides the context spec's
+    capacity.
     """
     changes = {} if capacity_bits is None \
         else {"arch.capacity_bits": capacity_bits}
     spec = ctx.design_spec(changes)
     point = resolve(spec, ctx.pdk)
-    baseline, m3d = run_staged_flows(
-        (point.baseline, point.m3d), point.pdk, flow=spec.flow,
-        engine=ctx.engine, jobs=ctx.jobs, strict=True)
+    baseline, m3d = (
+        run_staged_flow(design, point.pdk, flow=spec.flow,
+                        engine=ctx.engine, strict=True)
+        for design in (point.baseline, point.m3d))
     return CaseStudyResult(baseline=baseline, m3d=m3d)

@@ -26,10 +26,12 @@ from repro.tech.rram import RRAMArray
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
     DEFAULT_FREQUENCY_HZ,
+    DEFAULT_POOL_LANES,
     DEFAULT_WRITEBACK_BUS_BITS,
     derive_parallel_cs_count,
     peripheral_area,
 )
+from repro.arch.systolic import pool_tiles, scalar_ops
 from repro.arch.table2 import ArchitectureSpec, table_ii_architectures
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.experiments.reporting import format_table, percent, times
@@ -94,9 +96,10 @@ def _analytical_eval(arch: ArchitectureSpec, network: Network, n_cs: int,
     total_energy = 0.0
     for layer in network.layers:
         if layer.kind == LayerKind.POOL:
-            tiles = max(1, math.ceil(layer.out_channels / 16))
+            lanes = DEFAULT_POOL_LANES
+            tiles = pool_tiles(scalar_ops, layer.out_channels, lanes)
             used = min(n_cs, tiles)
-            compute = layer.macs / 16 / used
+            compute = layer.macs / lanes / used
         else:
             nest = loop_nest_of(layer)
             util = cost_model.utilization(nest)

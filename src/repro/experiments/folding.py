@@ -82,9 +82,8 @@ def folding_experiment(
     spec = ctx.design_spec(changes)
     point = resolve(spec, ctx.pdk)
 
-    flow_2d = run_staged_flow(
-        point.baseline, point.pdk, flow=spec.flow,
-        engine=ctx.engine, jobs=ctx.jobs, strict=True)
+    flow_2d = run_staged_flow(point.baseline, point.pdk, flow=spec.flow,
+                              engine=ctx.engine, strict=True)
     baseline = flow_2d.design
 
     # Folded footprint: the memory tier and the logic tier overlap.

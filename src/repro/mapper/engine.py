@@ -27,9 +27,11 @@ from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
     DEFAULT_FREQUENCY_HZ,
+    DEFAULT_POOL_LANES,
     DEFAULT_WRITEBACK_BUS_BITS,
 )
 from repro.arch.memory import MemoryKind
+from repro.arch.systolic import pool_tiles, scalar_ops
 from repro.arch.table2 import ArchitectureSpec
 from repro.mapper.cost import CostModel, LoopOrder, MappingCost, Tiling
 from repro.mapper.loopnest import LoopNest, loop_nest_of
@@ -339,9 +341,10 @@ class MapperEngine:
         return (layer.output_elements * self.precision_bits
                 / self.writeback_bus_bits)
 
-    def map_pool(self, layer: Layer, lanes: int = 16) -> LayerMapping:
+    def map_pool(self, layer: Layer) -> LayerMapping:
         """Pooling on the per-CS vector units (no MAC mapping involved)."""
-        tiles = max(1, math.ceil(layer.out_channels / lanes))
+        lanes = DEFAULT_POOL_LANES
+        tiles = pool_tiles(scalar_ops, layer.out_channels, lanes)
         used = min(self.n_cs, tiles)
         cycles = max(layer.macs / lanes / used, self._writeback_cycles(layer))
         dynamic = (layer.input_elements + layer.output_elements) \

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.errors import require
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import AcceleratorDesign
+from repro.arch.systolic import pool_tiles, scalar_ops
 from repro.workloads.layers import Layer, LayerKind
 from repro.workloads.models import Network
 
@@ -197,7 +198,7 @@ class TileLevelSimulator:
         """Pooling uses the closed-form vector-unit model (no tiles)."""
         design = self.design
         lanes = design.pool_lanes
-        tiles = max(1, math.ceil(layer.out_channels / lanes))
+        tiles = pool_tiles(scalar_ops, layer.out_channels, lanes)
         used = min(design.n_cs, tiles)
         compute = layer.macs * self.batch / lanes / used
         drain = (layer.output_elements * self.batch

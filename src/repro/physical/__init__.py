@@ -31,9 +31,7 @@ from repro.physical.flow import (
     FLOW_STAGES,
     FlowFeasibility,
     FlowOutcome,
-    run_flow,
     run_staged_flow,
-    run_staged_flows,
 )
 
 __all__ = [
@@ -64,7 +62,5 @@ __all__ = [
     "FLOW_STAGES",
     "FlowFeasibility",
     "FlowOutcome",
-    "run_flow",
     "run_staged_flow",
-    "run_staged_flows",
 ]

@@ -1,4 +1,4 @@
-"""Flow drivers: the Fig. 4b pipeline as a staged, cacheable pipeline.
+"""The Fig. 4b pipeline as a staged, cacheable flow over one design.
 
 The physical flow is a sequence of **named stages**, each a pure
 module-level function over the artifacts of the stages before it::
@@ -6,8 +6,8 @@ module-level function over the artifacts of the stages before it::
     synthesize -> floorplan -> legalize -> route -> clock -> congestion
                -> timing -> power -> thermal -> quality
 
-:func:`run_staged_flows` drives any number of designs through the stages,
-optionally dispatching every stage call through a
+:func:`run_staged_flow` drives one design through the stages, optionally
+dispatching every stage call through a
 :class:`~repro.runtime.engine.EvaluationEngine` under the stage names
 ``flow.<stage>``.  Because each stage function receives its upstream
 artifacts *as arguments* and the engine keys calls by a content hash of
@@ -16,22 +16,23 @@ artifacts *as arguments* and the engine keys calls by a content hash of
 floorplan-shaping knob leaves ``flow.synthesize`` warm and re-runs only
 the stages downstream of the floorplan — incremental invalidation falls
 out of content addressing, with no explicit dependency graph to maintain.
+Callers with a 2D/M3D pair run the flow once per design.
 
 Which stages run, and with what knobs, comes from the spec layer's
 :class:`~repro.spec.design.FlowSpec` section.  Instead of aborting on a
-timing miss, each design yields a :class:`FlowOutcome` whose
+timing miss or a stage error, the run yields a :class:`FlowOutcome` whose
 :class:`FlowFeasibility` carries per-check results (timing slack,
 routability, power density, thermal headroom), so infeasible sweep points
 are reportable results rather than exceptions.  ``strict=True`` restores
-the historical mid-flow abort — :func:`run_flow`, the legacy single-design
-entry point, is a thin strict wrapper that reproduces the original
-pipeline (and its timing-failure exception) bit-for-bit.
+the historical mid-flow abort; with
+``FlowSpec(clock=False, congestion=False, thermal=False)`` it reproduces
+the original pipeline and its timing-failure exception bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.arch.accelerator import AcceleratorDesign
 from repro.errors import ReproError, require
@@ -46,7 +47,7 @@ from repro.physical.power import ActivityFactors, PowerReport, analyze_power
 from repro.physical.routing import RoutingResult, route
 from repro.physical.thermal import ThermalReport, analyze_thermal
 from repro.physical.timing import TimingResult, analyze_timing
-from repro.spec.design import FlowSpec
+from repro.spec.design import FlowSpec, violated_checks
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
 #: Stage names in execution order (the ``flow.<stage>`` engine stages).
@@ -111,16 +112,9 @@ class FlowFeasibility:
         ``+``-joined names of the violated checks."""
         if self.failed_stage is not None:
             return f"failed:{self.failed_stage}"
-        reasons = []
-        if not self.timing_met:
-            reasons.append("timing")
-        if not self.routable:
-            reasons.append("routing")
-        if not self.power_density_ok:
-            reasons.append("density")
-        if not self.thermal_ok:
-            reasons.append("thermal")
-        return "+".join(reasons) if reasons else "ok"
+        return violated_checks(self.timing_met, self.routable,
+                               self.power_density_ok,
+                               self.thermal_ok) or "ok"
 
 
 @dataclass(frozen=True)
@@ -180,40 +174,23 @@ class FlowOutcome:
         return self.feasibility.feasible
 
 
-class _Slot:
-    """Mutable per-design state while the stages advance."""
-
-    __slots__ = ("design", "netlist", "floorplan", "routing", "clock",
-                 "congestion", "timing", "power", "thermal", "quality",
-                 "error", "failed_stage")
-
-    def __init__(self, design: AcceleratorDesign) -> None:
-        self.design = design
-        self.netlist = None
-        self.floorplan = None
-        self.routing = None
-        self.clock = None
-        self.congestion = None
-        self.timing = None
-        self.power = None
-        self.thermal = None
-        self.quality = None
-        self.error: str | None = None
-        self.failed_stage: str | None = None
 
 
-def _feasibility(slot: _Slot, flow: FlowSpec) -> FlowFeasibility:
-    if slot.error is not None:
-        return FlowFeasibility(
-            timing_met=False, timing_slack=0.0, routable=False,
-            track_utilization=0.0, ilv_utilization=0.0,
-            power_density_ok=False, peak_power_density=0.0,
-            thermal_ok=False, thermal_headroom_k=0.0,
-            failed_stage=slot.failed_stage)
-    timing = slot.timing
-    congestion = slot.congestion
-    thermal = slot.thermal
-    peak_density = slot.power.peak_power_density
+def _failed(stage: str) -> FlowFeasibility:
+    """The feasibility of a flow that stopped at ``stage``."""
+    return FlowFeasibility(
+        timing_met=False, timing_slack=0.0, routable=False,
+        track_utilization=0.0, ilv_utilization=0.0,
+        power_density_ok=False, peak_power_density=0.0,
+        thermal_ok=False, thermal_headroom_k=0.0, failed_stage=stage)
+
+
+def _feasibility(flow: FlowSpec, timing: TimingResult,
+                 congestion: CongestionReport | None, power: PowerReport,
+                 thermal: ThermalReport | None) -> FlowFeasibility:
+    """The checks of a completed flow; a check whose stage did not run
+    reports its neutral value."""
+    peak_density = power.peak_power_density
     return FlowFeasibility(
         timing_met=timing.meets_target,
         timing_slack=timing.slack,
@@ -231,151 +208,96 @@ def _feasibility(slot: _Slot, flow: FlowSpec) -> FlowFeasibility:
     )
 
 
-def run_staged_flows(
-    designs: Iterable[AcceleratorDesign],
-    pdk: PDK | None = None,
-    flow: FlowSpec | None = None,
-    engine=None,
-    jobs: int | None = None,
-    strict: bool = False,
-) -> tuple[FlowOutcome, ...]:
-    """Drive ``designs`` through the staged flow, one stage at a time.
-
-    Each stage runs across all designs before the next starts; with an
-    ``engine``, the calls go through ``engine.map`` under the stage name
-    ``flow.<stage>`` (parallel across designs via ``jobs``, cached and
-    counted per stage).  ``engine=None`` executes the stage functions
-    directly — the uncached path the legacy :func:`run_flow` uses.
-
-    ``strict=True`` restores the historical abort: a timing miss raises
-    :class:`~repro.errors.ConfigurationError` with the legacy message
-    right after the timing stage, and any stage error propagates.  In the
-    default non-strict mode a single-design run converts a stage
-    exception into an infeasible :class:`FlowOutcome` (the sweep path);
-    a multi-design stage error still propagates, since the engine batch
-    cannot attribute it to one design.
-    """
-    pdk = pdk if pdk is not None else foundry_m3d_pdk()
-    flow = flow if flow is not None else FlowSpec()
-    slots = [_Slot(design) for design in designs]
-    override = flow.frequency_hz
-    activity = ActivityFactors(cs_compute=flow.activity_cs,
-                               weight_channel=flow.activity_channel,
-                               writeback_bus=flow.activity_bus)
-
-    def frequency(slot: _Slot) -> float:
-        return override if override is not None else slot.design.frequency_hz
-
-    def dispatch(stage: str, fn: Callable, attr: str,
-                 call_for: Callable[[_Slot], tuple]) -> None:
-        active = [slot for slot in slots if slot.error is None]
-        if not active:
-            return
-        calls = [call_for(slot) for slot in active]
-        with _span(f"flow.{stage}", designs=len(calls)):
-            try:
-                if engine is None:
-                    results: Sequence = [fn(*call) for call in calls]
-                else:
-                    results = engine.map(fn, calls, stage=f"flow.{stage}",
-                                         jobs=jobs)
-            except ReproError as error:
-                if strict or len(active) > 1:
-                    raise
-                active[0].error = str(error)
-                active[0].failed_stage = stage
-                return
-        for slot, result in zip(active, results):
-            setattr(slot, attr, result)
-
-    dispatch("synthesize", synthesize, "netlist",
-             lambda s: (s.design, pdk))
-    dispatch("floorplan", build_floorplan, "floorplan",
-             lambda s: (s.netlist, s.design, pdk, flow.aspect_ratio))
-    if flow.legalize:
-        dispatch("legalize", legalize_floorplan, "floorplan",
-                 lambda s: (s.floorplan, s.netlist))
-    dispatch("route", route, "routing",
-             lambda s: (s.floorplan, s.netlist))
-    if flow.clock:
-        dispatch("clock", synthesize_clock_tree, "clock",
-                 lambda s: (s.floorplan, s.netlist, frequency(s)))
-    if flow.congestion:
-        dispatch("congestion", congestion_report, "congestion",
-                 lambda s: (s.floorplan, s.routing, s.design))
-    dispatch("timing", analyze_timing, "timing",
-             lambda s: (s.floorplan, s.netlist, pdk, frequency(s)))
-    if strict:
-        for slot in slots:
-            require(slot.timing.meets_target,
-                    f"{slot.design.name}: failed timing at "
-                    f"{frequency(slot) / 1e6:.0f} MHz "
-                    f"(critical path {slot.timing.critical_path * 1e9:.2f} ns)")
-    dispatch("power", analyze_power, "power",
-             lambda s: (s.floorplan, s.netlist, s.design, pdk, activity,
-                        override))
-    if flow.thermal:
-        dispatch("thermal", analyze_thermal, "thermal",
-                 lambda s: (s.floorplan, s.power, flow.thermal_grid,
-                            flow.max_rise_k))
-    dispatch("quality", placement_quality, "quality",
-             lambda s: (s.floorplan, s.netlist))
-
-    outcomes = tuple(
-        FlowOutcome(
-            design=slot.design, flow=flow,
-            feasibility=_feasibility(slot, flow),
-            netlist=slot.netlist, floorplan=slot.floorplan,
-            routing=slot.routing, clock=slot.clock,
-            congestion=slot.congestion, timing=slot.timing,
-            power=slot.power, thermal=slot.thermal, quality=slot.quality,
-            error=slot.error)
-        for slot in slots)
-    if _obs_enabled():
-        counters = _metrics_registry()
-        for outcome in outcomes:
-            status = "feasible" if outcome.feasible else "infeasible"
-            counters.counter("repro_flow_outcomes_total", status=status).inc()
-            if outcome.thermal is not None:
-                counters.histogram(
-                    "repro_flow_thermal_residual",
-                    buckets=THERMAL_RESIDUAL_BUCKETS,
-                ).observe(outcome.thermal.residual)
-    return outcomes
-
-
 def run_staged_flow(
     design: AcceleratorDesign,
     pdk: PDK | None = None,
     flow: FlowSpec | None = None,
     engine=None,
-    jobs: int | None = None,
     strict: bool = False,
 ) -> FlowOutcome:
-    """Single-design convenience wrapper over :func:`run_staged_flows`."""
-    (outcome,) = run_staged_flows((design,), pdk, flow=flow, engine=engine,
-                                  jobs=jobs, strict=strict)
-    return outcome
+    """Drive ``design`` through the staged flow, one stage after another.
 
+    With an ``engine``, each stage call goes through ``engine.map`` under
+    the stage name ``flow.<stage>`` (cached and counted per stage);
+    ``engine=None`` calls the stage functions directly.
 
-def run_flow(
-    design: AcceleratorDesign,
-    pdk: PDK | None = None,
-    activity: ActivityFactors | None = None,
-) -> FlowOutcome:
-    """Run the legacy physical design flow on ``design``.
-
-    Strict compatibility path over the staged pipeline: same stages the
-    historical flow ran (clock/congestion/thermal off), same direct
-    execution (no engine), and the same
-    :class:`~repro.errors.ConfigurationError` on a timing miss.  The
-    returned outcome is complete: strict mode raises instead of
-    recording a failed stage.
+    A stage that raises :class:`~repro.errors.ReproError` ends the run
+    with an infeasible :class:`FlowOutcome` whose ``failed_stage`` names
+    it.  ``strict=True`` restores the historical abort instead: the
+    error propagates, and a timing miss raises
+    :class:`~repro.errors.ConfigurationError` right after the timing
+    stage.
     """
-    flow = FlowSpec(clock=False, congestion=False, thermal=False)
-    if activity is not None:
-        flow = replace(flow,
-                       activity_cs=activity.cs_compute,
-                       activity_channel=activity.weight_channel,
-                       activity_bus=activity.writeback_bus)
-    return run_staged_flow(design, pdk, flow=flow, strict=True)
+    pdk = pdk if pdk is not None else foundry_m3d_pdk()
+    flow = flow if flow is not None else FlowSpec()
+    override = flow.frequency_hz
+    frequency = override if override is not None else design.frequency_hz
+    activity = ActivityFactors(cs_compute=flow.activity_cs,
+                               weight_channel=flow.activity_channel,
+                               writeback_bus=flow.activity_bus)
+    artifacts: dict[str, object] = {}
+    stage = ""
+
+    def run(name: str, artifact: str, fn: Callable, *args):
+        nonlocal stage
+        stage = name
+        with _span(f"flow.{name}"):
+            if engine is None:
+                result = fn(*args)
+            else:
+                (result,) = engine.map(fn, [args], stage=f"flow.{name}")
+        artifacts[artifact] = result
+        return result
+
+    try:
+        netlist = run("synthesize", "netlist", synthesize, design, pdk)
+        floorplan = run("floorplan", "floorplan", build_floorplan,
+                        netlist, design, pdk, flow.aspect_ratio)
+        if flow.legalize:
+            floorplan = run("legalize", "floorplan", legalize_floorplan,
+                            floorplan, netlist)
+        routing = run("route", "routing", route, floorplan, netlist)
+        if flow.clock:
+            run("clock", "clock", synthesize_clock_tree,
+                floorplan, netlist, frequency)
+        congestion = None
+        if flow.congestion:
+            congestion = run("congestion", "congestion", congestion_report,
+                             floorplan, routing, design)
+        timing = run("timing", "timing", analyze_timing,
+                     floorplan, netlist, pdk, frequency)
+        if strict:
+            require(timing.meets_target,
+                    f"{design.name}: failed timing at "
+                    f"{frequency / 1e6:.0f} MHz "
+                    f"(critical path {timing.critical_path * 1e9:.2f} ns)")
+        power = run("power", "power", analyze_power,
+                    floorplan, netlist, design, pdk, activity, override)
+        thermal = None
+        if flow.thermal:
+            thermal = run("thermal", "thermal", analyze_thermal,
+                          floorplan, power, flow.thermal_grid,
+                          flow.max_rise_k)
+        run("quality", "quality", placement_quality, floorplan, netlist)
+    except ReproError as error:
+        if strict:
+            raise
+        outcome = FlowOutcome(design=design, flow=flow,
+                              feasibility=_failed(stage), error=str(error),
+                              **artifacts)
+    else:
+        outcome = FlowOutcome(
+            design=design, flow=flow,
+            feasibility=_feasibility(flow, timing, congestion, power,
+                                     thermal),
+            **artifacts)
+    if _obs_enabled():
+        counters = _metrics_registry()
+        status = "feasible" if outcome.feasible else "infeasible"
+        counters.counter("repro_flow_outcomes_total", status=status).inc()
+        if outcome.thermal is not None:
+            counters.histogram(
+                "repro_flow_thermal_residual",
+                buckets=THERMAL_RESIDUAL_BUCKETS,
+            ).observe(outcome.thermal.residual)
+    return outcome

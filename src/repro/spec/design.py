@@ -259,9 +259,9 @@ class FlowSpec:
     the design itself: switching-activity factors, an optional target
     frequency override, die shaping, per-stage toggles, and the
     feasibility budgets the :class:`~repro.physical.flow.FlowOutcome`
-    checks against.  The defaults reproduce the legacy ``run_flow``
-    physical results bit-identically (plus the clock / congestion /
-    thermal stages the legacy flow never ran).
+    checks against.  The defaults reproduce the legacy flow's physical
+    results bit-identically (plus the clock / congestion / thermal
+    stages the legacy flow never ran).
 
     Attributes:
         activity_cs: CS compute-logic switching activity (Sec. III-C).
@@ -362,6 +362,15 @@ _SECTIONS: tuple[tuple[str, type], ...] = (
 #: Each section class's field names, in declaration order.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls)) for _, cls in _SECTIONS}
+
+
+def violated_checks(timing_met: bool, routable: bool,
+                    power_density_ok: bool, thermal_ok: bool) -> str:
+    """The ``+``-joined names of the failed flow checks, in the order
+    timing, routing, density, thermal (``""`` when every check passed)."""
+    return "+".join(name for name, ok in (
+        ("timing", timing_met), ("routing", routable),
+        ("density", power_density_ok), ("thermal", thermal_ok)) if not ok)
 
 
 def field_paths() -> tuple[str, ...]:

@@ -32,7 +32,13 @@ from repro.perf.compare import BenefitReport, compare_designs
 from repro.perf.simulator import simulate
 from repro.runtime.engine import EvaluationEngine, default_engine
 from repro.runtime.serialize import from_jsonable, to_jsonable
-from repro.spec.design import ArchSpec, DesignSpec, FlowSpec, TechSpec
+from repro.spec.design import (
+    ArchSpec,
+    DesignSpec,
+    FlowSpec,
+    TechSpec,
+    violated_checks,
+)
 from repro.spec.resolve import resolve, resolve_chips
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.units import MEGABYTE
@@ -108,16 +114,9 @@ class PhysicalSummary:
             return "ok"
         if self.failed_stage is not None:
             return f"failed:{self.failed_stage}"
-        reasons = []
-        if not self.timing_met:
-            reasons.append("timing")
-        if not self.routable:
-            reasons.append("routing")
-        if not self.power_density_ok:
-            reasons.append("density")
-        if not self.thermal_ok:
-            reasons.append("thermal")
-        return "+".join(reasons) if reasons else "infeasible"
+        return violated_checks(self.timing_met, self.routable,
+                               self.power_density_ok,
+                               self.thermal_ok) or "infeasible"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from repro.tech import foundry_m3d_pdk
 from repro.arch import baseline_2d_design, m3d_design
 from repro.experiments import ExperimentContext
 from repro.perf import compare_designs, simulate
+from repro.spec import FlowSpec
 from repro.workloads import resnet18
 
 
@@ -40,6 +41,14 @@ def baseline(pdk):
 def m3d(pdk):
     """The Sec. II iso-footprint M3D design (64 MB, 8 CSs)."""
     return m3d_design(pdk)
+
+
+@pytest.fixture(scope="session")
+def legacy_flow():
+    """The flow section of the original pipeline: no clock, congestion or
+    thermal stage (run it with ``strict=True`` for the original timing
+    abort)."""
+    return FlowSpec(clock=False, congestion=False, thermal=False)
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,19 @@ def test_table1_spec_without_the_stem_layers_exits_2(tmp_path, capsys):
     assert "network 'alexnet' has no 'POOL' layer" in err
 
 
+def test_flow_reports_a_failing_stage_as_a_row(tmp_path, capsys):
+    """At delta 4 the M3D RRAM banks do not fit the die: the flow prints
+    that design's failed stage as its row and still exits 0."""
+    spec_file = tmp_path / "delta4.json"
+    spec_file.write_text('{"tech": {"delta": 4.0}}')
+    assert main(["flow", "--spec", str(spec_file), "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    (m3d_row,) = [line for line in out.splitlines()
+                  if line.startswith("M3D")]
+    assert m3d_row.split()[-1] == "failed:floorplan"
+    assert "feasible designs: 1/2" in out
+
+
 def test_descriptions_are_nonempty():
     for exp in all_experiments():
         assert exp.summary, exp.name

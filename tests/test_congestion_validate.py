@@ -3,14 +3,15 @@
 import pytest
 
 from repro.physical.congestion import congestion_report
-from repro.physical.flow import run_flow
+from repro.physical.flow import run_staged_flow
 from repro.arch import m3d_design
 from repro.validate import Check, format_validation
 
 
 @pytest.fixture(scope="module")
-def flows(pdk, baseline, m3d):
-    return run_flow(baseline, pdk), run_flow(m3d, pdk)
+def flows(pdk, baseline, m3d, legacy_flow):
+    return tuple(run_staged_flow(design, pdk, flow=legacy_flow, strict=True)
+                 for design in (baseline, m3d))
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +44,12 @@ def test_2d_ilv_utilization_negligible(reports):
     assert report_2d.ilv_utilization < 0.01
 
 
-def test_coarse_pitch_saturates_ilvs(pdk):
+def test_coarse_pitch_saturates_ilvs(pdk, legacy_flow):
     """Coarsening the ILV pitch pushes the array into the via-limited
     regime: utilization pegs at 1 (every site used)."""
     coarse = pdk.with_ilv_pitch_factor(1.5)
-    flow = run_flow(m3d_design(coarse), coarse)
+    flow = run_staged_flow(m3d_design(coarse), coarse, flow=legacy_flow,
+                           strict=True)
     report = congestion_report(flow.floorplan, flow.routing, flow.design)
     assert report.ilv_utilization == pytest.approx(1.0, abs=0.01)
 

@@ -10,7 +10,7 @@ from repro.core.thermal import ThermalStack, vertical_conductance
 from repro.experiments import run_experiment
 from repro.experiments.folding import format_folding
 from repro.physical.floorplan import Floorplan, PlacedBlock, Rect
-from repro.physical.flow import run_flow
+from repro.physical.flow import run_staged_flow
 from repro.physical.netlist import BlockKind
 from repro.physical.power import PowerReport
 from repro.physical.thermal_map import (
@@ -30,8 +30,9 @@ def folding(ctx):
 
 
 @pytest.fixture(scope="module")
-def flows(pdk, baseline, m3d):
-    return run_flow(baseline, pdk), run_flow(m3d, pdk)
+def flows(pdk, baseline, m3d, legacy_flow):
+    return tuple(run_staged_flow(design, pdk, flow=legacy_flow, strict=True)
+                 for design in (baseline, m3d))
 
 
 @pytest.fixture(scope="module")

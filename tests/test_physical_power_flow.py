@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.physical.flow import run_flow
+from repro.physical.flow import run_staged_flow
 from repro.physical.power import ActivityFactors, analyze_power
 from repro.physical.floorplan import build_floorplan
 from repro.physical.netlist import synthesize
@@ -11,13 +11,13 @@ from repro.units import to_mw
 
 
 @pytest.fixture(scope="module")
-def flow_2d(pdk, baseline):
-    return run_flow(baseline, pdk)
+def flow_2d(pdk, baseline, legacy_flow):
+    return run_staged_flow(baseline, pdk, flow=legacy_flow, strict=True)
 
 
 @pytest.fixture(scope="module")
-def flow_m3d(pdk, m3d):
-    return run_flow(m3d, pdk)
+def flow_m3d(pdk, m3d, legacy_flow):
+    return run_staged_flow(m3d, pdk, flow=legacy_flow, strict=True)
 
 
 def test_flow_iso_footprint(flow_2d, flow_m3d):
@@ -100,8 +100,8 @@ def test_m3d_inter_block_wl_larger_but_distributed(flow_2d, flow_m3d):
         > flow_2d.routing.inter_block_wirelength
 
 
-def test_flow_rejects_timing_failure(pdk, baseline):
+def test_flow_rejects_timing_failure(pdk, baseline, legacy_flow):
     from dataclasses import replace
     fast = replace(baseline, frequency_hz=10e9)
     with pytest.raises(ConfigurationError, match="failed timing"):
-        run_flow(fast, pdk)
+        run_staged_flow(fast, pdk, flow=legacy_flow, strict=True)

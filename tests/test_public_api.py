@@ -35,9 +35,8 @@ PUBLIC_API = frozenset({
     # analytical core
     "simulate", "compare_designs", "Workload", "DesignPoint",
     "execution_time", "energy", "speedup", "edp_benefit", "analyze_network",
-    "run_flow",
     # staged physical flow
-    "FlowOutcome", "run_staged_flow", "run_staged_flows",
+    "FlowOutcome", "run_staged_flow",
     # runtime
     "EvaluationEngine", "ResultCache", "configure", "default_engine",
     "pmap", "stable_key",

@@ -2,9 +2,9 @@
 
 Pins the four tentpole guarantees of the staged pipeline:
 
-* the legacy ``run_flow`` (and the experiments built on it) is
-  bit-identical through the staged core, including its historical
-  timing-failure exception under ``strict=True``;
+* the legacy flow (``legacy_flow``: no clock, congestion or thermal
+  stage) is the original stage-call pipeline bit for bit, including its
+  historical timing-failure exception under ``strict=True``;
 * every stage is independently cached — editing one ``FlowSpec`` knob
   re-runs exactly the stages downstream of it, proven by the engine's
   per-stage ``RunReport`` counters;
@@ -25,10 +25,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, prometheus_text, trace, use_registry
-from repro.physical import run_flow, run_staged_flow, run_staged_flows
+from repro.physical import run_staged_flow
 from repro.physical.floorplan import build_floorplan
 from repro.physical.netlist import synthesize
-from repro.physical.placement import legalize_floorplan
+from repro.physical.placement import legalize_floorplan, placement_quality
+from repro.physical.power import ActivityFactors, analyze_power
+from repro.physical.routing import route
+from repro.physical.timing import analyze_timing
 from repro.runtime.engine import EvaluationEngine
 from repro.spec import DesignSpec, FlowSpec, evaluate_spec, evaluate_specs
 from repro.spec.design import ArchSpec
@@ -38,8 +41,6 @@ from repro.sweep.pareto import ParetoFrontier
 from repro.sweep.stream import run_streaming_sweep
 from repro.units import MEGABYTE
 
-#: The FlowSpec matching what the legacy ``run_flow`` pipeline ran.
-LEGACY_FLOW = FlowSpec(clock=False, congestion=False, thermal=False)
 #: The artifacts the legacy pipeline produced.
 LEGACY_ARTIFACTS = ("design", "netlist", "floorplan", "routing", "timing",
                     "power", "quality")
@@ -90,19 +91,35 @@ def test_flow_fields_are_sweepable_axes():
 # --- legacy equivalence (strict path) --------------------------------------
 
 
-def test_staged_flow_matches_legacy_run_flow(pdk, baseline, m3d):
+def test_staged_flow_matches_direct_stage_calls(pdk, baseline, m3d,
+                                                legacy_flow):
+    """The legacy flow is the original pipeline: each stage called once,
+    on its upstream artifacts, at the design's own frequency."""
+    activity = ActivityFactors(cs_compute=legacy_flow.activity_cs,
+                               weight_channel=legacy_flow.activity_channel,
+                               writeback_bus=legacy_flow.activity_bus)
     for design in (baseline, m3d):
-        legacy = run_flow(design, pdk)
-        outcome = run_staged_flow(design, pdk, flow=LEGACY_FLOW, strict=True)
-        assert legacy == outcome
-        assert legacy.feasible and legacy.error is None
-        assert (legacy.clock, legacy.congestion, legacy.thermal) == \
+        outcome = run_staged_flow(design, pdk, flow=legacy_flow, strict=True)
+        netlist = synthesize(design, pdk)
+        floorplan = legalize_floorplan(
+            build_floorplan(netlist, design, pdk, 1.0), netlist)
+        assert outcome.netlist == netlist
+        assert outcome.floorplan == floorplan
+        assert outcome.routing == route(floorplan, netlist)
+        assert outcome.timing == analyze_timing(floorplan, netlist, pdk,
+                                                design.frequency_hz)
+        assert outcome.power == analyze_power(floorplan, netlist, design,
+                                              pdk, activity, None)
+        assert outcome.quality == placement_quality(floorplan, netlist)
+        assert outcome.feasible and outcome.error is None
+        assert (outcome.clock, outcome.congestion, outcome.thermal) == \
             (None, None, None)
 
 
-def test_extra_stages_leave_legacy_artifacts_identical(pdk, m3d):
+def test_extra_stages_leave_legacy_artifacts_identical(pdk, m3d,
+                                                       legacy_flow):
     """Clock/congestion/thermal are new outputs, not perturbations."""
-    legacy = run_flow(m3d, pdk)
+    legacy = run_staged_flow(m3d, pdk, flow=legacy_flow, strict=True)
     outcome = run_staged_flow(m3d, pdk, flow=FlowSpec(), strict=True)
     for artifact in LEGACY_ARTIFACTS:
         assert getattr(outcome, artifact) == getattr(legacy, artifact)
@@ -112,25 +129,31 @@ def test_extra_stages_leave_legacy_artifacts_identical(pdk, m3d):
 
 
 def test_engine_dispatch_matches_direct_execution(pdk, baseline, m3d):
-    direct = run_staged_flows((baseline, m3d), pdk, flow=FlowSpec())
-    engined = run_staged_flows((baseline, m3d), pdk, flow=FlowSpec(),
-                               engine=EvaluationEngine(jobs=1))
-    assert direct == engined
+    engine = EvaluationEngine(jobs=1)
+    for design in (baseline, m3d):
+        direct = run_staged_flow(design, pdk, flow=FlowSpec())
+        engined = run_staged_flow(design, pdk, flow=FlowSpec(),
+                                  engine=engine)
+        assert direct == engined
+    counters = _flow_counters(engine)
+    assert len(counters) == 10
+    assert all(counts == (0, 2) for counts in counters.values()), counters
 
 
-def test_strict_timing_failure_keeps_legacy_exception(pdk, baseline):
+def test_strict_timing_failure_keeps_legacy_exception(pdk, baseline,
+                                                      legacy_flow):
     fast = replace(baseline, frequency_hz=10e9)
-    with pytest.raises(ConfigurationError) as legacy:
-        run_flow(fast, pdk)
     with pytest.raises(ConfigurationError) as staged:
-        run_staged_flows((fast,), pdk, flow=LEGACY_FLOW, strict=True)
-    assert str(staged.value) == str(legacy.value)
-    assert "failed timing at 10000 MHz" in str(legacy.value)
+        run_staged_flow(fast, pdk, flow=legacy_flow, strict=True)
+    timing = run_staged_flow(fast, pdk, flow=legacy_flow).timing
+    assert str(staged.value) == (
+        f"{fast.name}: failed timing at 10000 MHz "
+        f"(critical path {timing.critical_path * 1e9:.2f} ns)")
 
 
-def test_nonstrict_timing_failure_is_a_result(pdk, baseline):
+def test_nonstrict_timing_failure_is_a_result(pdk, baseline, legacy_flow):
     fast = replace(baseline, frequency_hz=10e9)
-    outcome = run_staged_flow(fast, pdk, flow=LEGACY_FLOW)
+    outcome = run_staged_flow(fast, pdk, flow=legacy_flow)
     assert not outcome.feasible
     assert not outcome.feasibility.timing_met
     assert outcome.feasibility.timing_slack < 0
@@ -175,7 +198,7 @@ def _flow_counters(engine):
 
 def _run_with_knobs(pdk, design, cache_dir, flow):
     engine = EvaluationEngine(jobs=1, cache_dir=cache_dir)
-    run_staged_flows((design,), pdk, flow=flow, engine=engine)
+    run_staged_flow(design, pdk, flow=flow, engine=engine)
     return _flow_counters(engine)
 
 
@@ -187,9 +210,9 @@ def test_cold_run_evaluates_every_stage(pdk, m3d, tmp_path):
 
 def test_identical_rerun_hits_every_stage(pdk, m3d, tmp_path):
     cold_engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
-    cold = run_staged_flows((m3d,), pdk, flow=FlowSpec(), engine=cold_engine)
+    cold = run_staged_flow(m3d, pdk, flow=FlowSpec(), engine=cold_engine)
     engine = EvaluationEngine(jobs=1, cache_dir=tmp_path)
-    warm = run_staged_flows((m3d,), pdk, flow=FlowSpec(), engine=engine)
+    warm = run_staged_flow(m3d, pdk, flow=FlowSpec(), engine=engine)
     counters = _flow_counters(engine)
     assert all(counts == (1, 0) for counts in counters.values()), counters
     assert warm == cold
