@@ -8,8 +8,10 @@ purity three ways:
   call (function name + every argument field), in memory and optionally
   on disk, so re-runs and overlapping sweeps skip evaluation entirely;
 * **parallelism** — cache-missing points evaluate on a deterministic
-  process pool (:func:`repro.runtime.pmap.pmap_outcomes`) with ordered
+  process pool (:func:`repro.runtime.pmap.dispatch`) with ordered
   results, so ``jobs=N`` is observably identical to serial;
+  :meth:`EvaluationEngine.submit` returns while they run, and
+  :meth:`EvaluationEngine.map` is ``submit(...).result()``;
 * **instrumentation** — per-stage wall time and hit/miss counters
   accumulate into a :class:`RunReport`, printable via
   :func:`repro.experiments.reporting.format_run_report`.
@@ -21,6 +23,7 @@ from ``--jobs`` / ``--cache-dir`` / ``--no-cache``.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -38,7 +41,13 @@ from repro.obs.trace import (
 from repro.runtime.cache import MISSING, ResultCache
 from repro.runtime.keys import call_key
 from repro.runtime.memo import CounterStats, MemoStats, counter_stats, memo_stats
-from repro.runtime.pmap import DEFAULT_RETRY_POLICY, RetryPolicy, pmap_outcomes
+from repro.runtime.pmap import (
+    DEFAULT_RETRY_POLICY,
+    Dispatch,
+    RetryPolicy,
+    TaskOutcome,
+    dispatch,
+)
 
 
 @dataclass(frozen=True)
@@ -208,6 +217,9 @@ class EvaluationEngine:
             self.cache = ResultCache(max_memory_entries=max_memory_entries,
                                      directory=cache_dir)
         self._stages: dict[str, _MutableStage] = {}
+        #: Submissions not yet joined whose calls a later submission may
+        #: share (see :meth:`submit`).
+        self._unfinished: list[MapHandle] = []
 
     def map(self, fn: Callable[..., Any], calls: Iterable[Any],
             stage: str | None = None, jobs: int | None = None,
@@ -215,15 +227,45 @@ class EvaluationEngine:
             batch_fn: "Callable[[list], list] | None" = None) -> list:
         """Evaluate ``fn`` over ``calls``, returning results in order.
 
+        ``submit(...).result()``; see :meth:`submit` for the arguments.
+        """
+        name = stage if stage is not None else fn.__qualname__
+        with _span("engine.map", stage=name) as map_span:
+            handle = self.submit(fn, calls, stage=name, jobs=jobs,
+                                 dedup=dedup, on_error=on_error,
+                                 batch_fn=batch_fn)
+            results = handle.result()
+            if map_span:
+                map_span.set(calls=handle.calls,
+                             cache_hits=handle.cache_hits,
+                             dedup_hits=handle.dedup_hits,
+                             evaluated=handle.evaluated)
+        return results
+
+    def submit(self, fn: Callable[..., Any], calls: Iterable[Any],
+               stage: str | None = None, jobs: int | None = None,
+               dedup: bool = True, on_error: str = "raise",
+               batch_fn: "Callable[[list], list] | None" = None,
+               ) -> "MapHandle":
+        """Start evaluating ``fn`` over ``calls``; the returned handle's
+        :meth:`~MapHandle.result` gives the results in order.
+
         Each element of ``calls`` is a ``dict`` (keyword arguments), a
         ``tuple`` (positional arguments), or any other value (a single
-        positional argument).  Cached results are returned without
-        evaluation; with ``dedup`` (the default), content-identical calls
-        within the batch evaluate once and share the result; the rest run
-        through the process pool or serially, then enter the cache.
+        positional argument).  Keys, cache lookups and dedup happen
+        here, and the first cache-missing calls are on the process pool
+        when this returns (:func:`repro.runtime.pmap.dispatch`); serial
+        and ``batch_fn`` evaluation waits for :meth:`MapHandle.result`.
+        Cached results are returned without evaluation; with ``dedup``
+        (the default), content-identical calls within the batch evaluate
+        once and share the result; the rest run through the process pool
+        or serially, then enter the cache.  A cacheable call whose key an
+        earlier, unfinished submission to this engine evaluates shares
+        that evaluation and counts as a cache hit: it is the cache entry
+        that submission is about to write.
 
-        ``jobs`` overrides the engine's worker count for this map only —
-        sweeps thread their ``jobs`` argument through here rather than
+        ``jobs`` overrides the engine's worker count for this batch only
+        — sweeps thread their ``jobs`` argument through here rather than
         mutating the (shared) engine.
 
         ``batch_fn``, when given, evaluates the cache-missing calls in one
@@ -240,149 +282,32 @@ class EvaluationEngine:
         default) re-raises the first failed call's exception in input
         order; ``"record"`` enables **partial-results mode** — each
         failed call yields an :class:`~repro.errors.EvaluationFailure`
-        in its result slot (never cached, shared by dedup followers)
-        while every other call still returns its value.  A ``batch_fn``
-        that raises in this mode falls back to supervised per-call
-        dispatch, which isolates the failing point(s) instead of losing
-        the whole batch.
+        in its result slot (never cached, shared by dedup followers and
+        by later submissions that share the call) while every other call
+        still returns its value.  A ``batch_fn`` that raises in this mode
+        falls back to supervised per-call dispatch, which isolates the
+        failing point(s) instead of losing the whole batch.
         """
         require(on_error in ("raise", "record"),
                 f"on_error must be 'raise' or 'record', got {on_error!r}")
-        specs = [self._normalize(item) for item in calls]
-        tally = self._stage(stage if stage is not None else fn.__qualname__)
         start = time.perf_counter()
-        tally.calls += len(specs)
-        before = (tally.cache_hits, tally.dedup_hits, tally.evaluated,
-                  tally.retries, tally.failures)
-        with _span("engine.map", stage=tally.name,
-                   calls=len(specs)) as map_span:
-            results = self._map_body(fn, specs, tally, jobs, dedup,
-                                     batch_fn, on_error)
-            elapsed = time.perf_counter() - start
-            tally.wall_time += elapsed
-            if map_span:
-                map_span.set(cache_hits=tally.cache_hits - before[0],
-                             dedup_hits=tally.dedup_hits - before[1],
-                             evaluated=tally.evaluated - before[2])
-        if _obs_enabled():
-            self._record_metrics(tally.name, len(specs), before,
-                                 tally, elapsed)
-        return results
-
-    def _map_body(self, fn: Callable[..., Any],
-                  specs: "list[tuple[tuple, dict]]", tally: "_MutableStage",
-                  jobs: int | None, dedup: bool,
-                  batch_fn: "Callable[[list], list] | None",
-                  on_error: str) -> list:
-        """The cache/dedup/evaluate core of :meth:`map`."""
-        keys: list[str | None] = []
-        for args, kwargs in specs:
-            if self.cache is None and not dedup:
-                keys.append(None)
-                continue
-            try:
-                keys.append(call_key(fn, args, kwargs))
-            except TypeError:
-                keys.append(None)
-
-        results: list[Any] = [MISSING] * len(specs)
-        pending: list[int] = []
-        first_seen: dict[str, int] = {}
-        followers: dict[int, list[int]] = {}
-        for index, key in enumerate(keys):
-            if key is not None:
-                if self.cache is not None:
-                    cached = self.cache.get(key)
-                    if cached is not MISSING:
-                        results[index] = cached
-                        tally.cache_hits += 1
-                        continue
-                if dedup:
-                    owner = first_seen.get(key)
-                    if owner is not None:
-                        followers.setdefault(owner, []).append(index)
-                        tally.dedup_hits += 1
-                        continue
-                    first_seen[key] = index
-                if self.cache is not None:
-                    tally.cache_misses += 1
-            else:
-                tally.uncacheable += 1
-            pending.append(index)
-
-        if pending:
-            pending_specs = [specs[i] for i in pending]
-            evaluated: "list | None" = None
-            if batch_fn is not None:
-                try:
-                    evaluated = batch_fn(pending_specs)
-                except Exception:
-                    if on_error != "record":
-                        raise
-                    # The vectorized kernel died on the whole chunk;
-                    # supervised scalar dispatch isolates the bad point.
-                    evaluated = None
-                if evaluated is not None:
-                    require(len(evaluated) == len(pending),
-                            "batch_fn must return one result per call")
-            if evaluated is not None:
-                # batch_fn returned a value per call: cache and
-                # place them directly.
-                tally.evaluated += len(pending)
-                cache = self.cache
-                for index, value in zip(pending, evaluated):
-                    if cache is not None and keys[index] is not None:
-                        cache.put(keys[index], value)
-                    results[index] = value
-                    for follower in followers.get(index, ()):
-                        results[follower] = value
-                return results
-            report = pmap_outcomes(
-                fn, pending_specs, jobs=self.jobs if jobs is None else jobs,
-                policy=self.retry_policy)
-            tally.retries += report.retries
-            tally.pool_deaths += report.pool_deaths
-            outcomes = report.outcomes
-            if on_error == "raise":
-                for outcome in outcomes:
-                    if outcome.error is not None:
-                        raise outcome.error
-            tally.evaluated += len(pending)
-            for index, outcome in zip(pending, outcomes):
-                if outcome.ok:
-                    value = outcome.value
-                    if keys[index] is not None and self.cache is not None:
-                        self.cache.put(keys[index], value)
-                else:
-                    # Failures are never cached: a retried run must
-                    # re-evaluate, not replay the failure.
-                    value = EvaluationFailure.from_exception(
-                        outcome.error, retries=outcome.retries,
-                        pool_deaths=outcome.pool_deaths)
-                    tally.failures += 1
-                results[index] = value
-                for follower in followers.get(index, ()):
-                    results[follower] = value
-
-        return results
-
-    @staticmethod
-    def _record_metrics(stage: str, calls: int, before: tuple,
-                        tally: "_MutableStage", elapsed: float) -> None:
-        registry = _metrics_registry()
-        registry.counter("repro_engine_calls_total", stage=stage).inc(calls)
-        registry.counter("repro_engine_cache_hits_total", stage=stage) \
-            .inc(tally.cache_hits - before[0])
-        registry.counter("repro_engine_dedup_hits_total", stage=stage) \
-            .inc(tally.dedup_hits - before[1])
-        registry.counter("repro_engine_evaluated_total", stage=stage) \
-            .inc(tally.evaluated - before[2])
-        registry.counter("repro_retries_total", stage=stage) \
-            .inc(tally.retries - before[3])
-        registry.counter("repro_task_failures_total", stage=stage) \
-            .inc(tally.failures - before[4])
-        registry.histogram("repro_engine_stage_seconds", stage=stage) \
-            .observe(elapsed)
+        tally = self._stage(stage if stage is not None else fn.__qualname__)
+        handle = MapHandle(self, fn, tally, on_error, batch_fn,
+                           self.jobs if jobs is None else jobs)
+        try:
+            handle.plan(calls, dedup)
+            if self.cache is not None and handle.owned:
+                self._unfinished.append(handle)
+            if handle.pending and batch_fn is None:
+                handle.dispatch = dispatch(
+                    fn, [handle.specs[index] for index in handle.pending],
+                    jobs=handle.jobs, policy=self.retry_policy)
+        except BaseException:
+            handle._release()
+            raise
+        handle.count_submission(+1)
+        handle.add_time(time.perf_counter() - start)
+        return handle
 
     def report(self) -> RunReport:
         """Snapshot of the per-stage counters accumulated so far.
@@ -423,6 +348,268 @@ class EvaluationEngine:
         if isinstance(item, tuple):
             return item, {}
         return (item,), {}
+
+
+class MapHandle:
+    """One :meth:`EvaluationEngine.submit`: its calls, keys and counts,
+    and the evaluation still running for it.
+
+    :meth:`result` finishes the evaluation (the supervised loop of
+    :meth:`repro.runtime.pmap.Dispatch.join`, or the serial /
+    ``batch_fn`` run), fills the cache and returns the results in input
+    order.  :meth:`cancel` abandons a submission nobody will join.
+    """
+
+    def __init__(self, engine: "EvaluationEngine", fn: Callable[..., Any],
+                 tally: "_MutableStage", on_error: str,
+                 batch_fn: "Callable[[list], list] | None",
+                 jobs: int) -> None:
+        self.engine = engine
+        self.fn = fn
+        self.tally = tally
+        self.on_error = on_error
+        self.batch_fn = batch_fn
+        self.jobs = jobs
+        self.specs: list[tuple[tuple, dict]] = []
+        self.keys: list[str | None] = []
+        self.results: list[Any] = []
+        #: Indices this submission evaluates, in input order.
+        self.pending: list[int] = []
+        #: In-batch dedup: owner index -> follower indices.
+        self.followers: dict[int, list[int]] = {}
+        #: ``(index, owner handle, owner index)`` of shared calls.
+        self.shared: list[tuple[int, "MapHandle", int]] = []
+        #: key -> index of the call that evaluates it: the dedup table,
+        #: and what later submissions share while this one is unfinished.
+        self.owned: dict[str, int] = {}
+        self.dispatch: Dispatch | None = None
+        self.calls = self.cache_hits = self.dedup_hits = 0
+        self.cache_misses = self.uncacheable = 0
+        self.evaluated = self.retries = self.pool_deaths = 0
+        self.failures = 0
+        self.elapsed = 0.0
+        #: index -> TaskOutcome of each failed call, once settled.
+        self._failures: dict[int, TaskOutcome] | None = None
+        self._error: BaseException | None = None
+        self._cancelled = False
+        self._lock = threading.Lock()
+
+    @property
+    def tasks(self) -> int:
+        """Calls this submission evaluates itself (the rest are hits)."""
+        return len(self.pending)
+
+    def plan(self, calls: Iterable[Any], dedup: bool) -> None:
+        """Key every call and sort it into a cache hit, a share of an
+        earlier submission, a dedup follower or a call to evaluate."""
+        fn = self.fn
+        cache = self.engine.cache
+        earlier = tuple(self.engine._unfinished) if cache is not None else ()
+        normalize = EvaluationEngine._normalize
+        self.specs = specs = [normalize(item) for item in calls]
+        self.results = results = [MISSING] * len(specs)
+        keys, pending, followers = self.keys, self.pending, self.followers
+        owned = self.owned
+        hits = dedup_hits = misses = uncacheable = 0
+        for index, (args, kwargs) in enumerate(specs):
+            key = None
+            if cache is not None or dedup:
+                try:
+                    key = call_key(fn, args, kwargs)
+                except TypeError:
+                    pass
+            keys.append(key)
+            if key is None:
+                uncacheable += 1
+                pending.append(index)
+                continue
+            if cache is not None:
+                cached = cache.get(key)
+                if cached is not MISSING:
+                    results[index] = cached
+                    hits += 1
+                    continue
+                if earlier:
+                    owner = next((other for other in earlier
+                                  if key in other.owned), None)
+                    if owner is not None:
+                        self.shared.append((index, owner, owner.owned[key]))
+                        hits += 1
+                        continue
+            if dedup:
+                owner_index = owned.get(key)
+                if owner_index is not None:
+                    followers.setdefault(owner_index, []).append(index)
+                    dedup_hits += 1
+                    continue
+            if cache is not None:
+                misses += 1
+            owned.setdefault(key, index)
+            pending.append(index)
+        self.cache_hits, self.dedup_hits = hits, dedup_hits
+        self.cache_misses, self.uncacheable = misses, uncacheable
+
+    def result(self) -> list:
+        """The results in input order (see :meth:`EvaluationEngine.submit`
+        for the failure contract)."""
+        # Each submission charges its own evaluation time to its stage.
+        self._settle()
+        for _, owner, _ in self.shared:
+            owner._settle()
+        start = time.perf_counter()
+        try:
+            results = list(self.results)
+            failures = dict(self._failures)
+            for index, owner, owner_index in self.shared:
+                failure = owner._failures.get(owner_index)
+                if failure is None:
+                    results[index] = owner.results[owner_index]
+                else:
+                    failures[index] = failure
+            if failures and self.on_error == "raise":
+                raise failures[min(failures)].error
+            for index, outcome in failures.items():
+                results[index] = EvaluationFailure.from_exception(
+                    outcome.error, retries=outcome.retries,
+                    pool_deaths=outcome.pool_deaths)
+            for owner_index, indices in self.followers.items():
+                for index in indices:
+                    results[index] = results[owner_index]
+        finally:
+            self.add_time(time.perf_counter() - start)
+        if _obs_enabled():
+            self._record_metrics()
+        return results
+
+    def cancel(self) -> None:
+        """Abandon an unfinished submission: no task of it stays queued
+        or running, and its counts leave the stage."""
+        with self._lock:
+            if self._failures is not None or self._cancelled \
+                    or self._error is not None:
+                return
+            self._cancelled = True
+            if self.dispatch is not None:
+                self.dispatch.cancel()
+            self._release()
+            self.count_submission(-1)
+
+    def _settle(self) -> None:
+        if self._failures is not None:
+            return
+        with self._lock:
+            if self._error is not None:
+                raise self._error
+            if self._failures is not None:
+                return
+            require(not self._cancelled,
+                    "a cancelled submission has no results")
+            if not self.pending:
+                self._failures = {}
+                return
+            start = time.perf_counter()
+            try:
+                self._failures = self._evaluate()
+            except BaseException as error:
+                self._error = error
+                raise
+            finally:
+                self._release()
+                self.add_time(time.perf_counter() - start)
+
+    def _evaluate(self) -> dict[int, TaskOutcome]:
+        """Run the pending calls, place their values in :attr:`results`
+        and the cache; the failed calls' outcomes by index."""
+        pending = self.pending
+        if not pending:
+            return {}
+        tally = self.tally
+        values = None
+        if self.batch_fn is not None:
+            pending_specs = [self.specs[index] for index in pending]
+            try:
+                values = self.batch_fn(pending_specs)
+            except Exception:
+                if self.on_error != "record":
+                    raise
+                # The vectorized kernel died on the whole chunk;
+                # supervised scalar dispatch isolates the bad point.
+                self.dispatch = dispatch(
+                    self.fn, pending_specs, jobs=self.jobs,
+                    policy=self.engine.retry_policy)
+            else:
+                require(len(values) == len(pending),
+                        "batch_fn must return one result per call")
+        failures: dict[int, TaskOutcome] = {}
+        if values is None:
+            report = self.dispatch.join()
+            self.dispatch = None
+            self.retries += report.retries
+            self.pool_deaths += report.pool_deaths
+            tally.retries += report.retries
+            tally.pool_deaths += report.pool_deaths
+            values = []
+            for index, outcome in zip(pending, report.outcomes):
+                values.append(outcome.value)
+                if not outcome.ok:
+                    failures[index] = outcome
+        results = self.results
+        for index, value in zip(pending, values):
+            results[index] = value
+        if failures and self.on_error == "raise":
+            return failures
+        self.evaluated += len(pending)
+        tally.evaluated += len(pending)
+        self.failures += len(failures)
+        tally.failures += len(failures)
+        keys, cache = self.keys, self.engine.cache
+        if cache is not None:
+            for index, value in zip(pending, values):
+                # Failures are never cached: a retried run must
+                # re-evaluate, not replay the failure.
+                if keys[index] is not None and index not in failures:
+                    cache.put(keys[index], value)
+        return failures
+
+    def _release(self) -> None:
+        """Stop offering this submission's keys to later submissions."""
+        try:
+            self.engine._unfinished.remove(self)
+        except ValueError:
+            pass
+
+    def count_submission(self, sign: int) -> None:
+        """Add (or, for a cancelled submission, remove) the counts
+        :meth:`EvaluationEngine.submit` makes."""
+        self.calls = len(self.specs)
+        tally = self.tally
+        tally.calls += sign * self.calls
+        tally.cache_hits += sign * self.cache_hits
+        tally.dedup_hits += sign * self.dedup_hits
+        tally.cache_misses += sign * self.cache_misses
+        tally.uncacheable += sign * self.uncacheable
+
+    def add_time(self, seconds: float) -> None:
+        self.elapsed += seconds
+        self.tally.wall_time += seconds
+
+    def _record_metrics(self) -> None:
+        registry = _metrics_registry()
+        stage = self.tally.name
+        registry.counter("repro_engine_calls_total", stage=stage) \
+            .inc(self.calls)
+        registry.counter("repro_engine_cache_hits_total", stage=stage) \
+            .inc(self.cache_hits)
+        registry.counter("repro_engine_dedup_hits_total", stage=stage) \
+            .inc(self.dedup_hits)
+        registry.counter("repro_engine_evaluated_total", stage=stage) \
+            .inc(self.evaluated)
+        registry.counter("repro_retries_total", stage=stage) \
+            .inc(self.retries)
+        registry.counter("repro_task_failures_total", stage=stage) \
+            .inc(self.failures)
+        registry.histogram("repro_engine_stage_seconds", stage=stage) \
+            .observe(self.elapsed)
 
 
 _default_engine: EvaluationEngine | None = None

@@ -34,10 +34,17 @@ per task** so one bad task cannot take down a million-point sweep:
 :func:`pmap_outcomes` exposes the supervised result as per-task
 :class:`TaskOutcome` records (value *or* error, plus retry/death
 counts) so the engine can run in partial-results mode; :func:`pmap`
-keeps the classic raise-on-first-error contract.
+keeps the classic raise-on-first-error contract.  It is
+``dispatch(...).join()``: :func:`dispatch` puts the first tasks on the
+pool and returns, and :meth:`Dispatch.join` runs the supervised loop to
+completion, so a caller can work while a batch runs.  Several batches
+may share the pool; a pool death is handled by every batch that had
+tasks on it, and only the first one replaces the pool.
 
 Workers are persistent: the executor is reused while ``(jobs, fault
-plan)`` are unchanged.  When observability is on in the parent
+plan)`` are unchanged.  A new pool is ready when it is handed out:
+every worker has started and run its initializer (a rendezvous of
+``jobs`` tasks on a barrier).  When observability is on in the parent
 (:mod:`repro.obs`), each task ships its span tree and metric snapshot
 back alongside its result.
 """
@@ -51,7 +58,12 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -176,7 +188,7 @@ class _Task:
     """Supervisor-side state for one in-flight call."""
 
     __slots__ = ("index", "payload", "retries", "pool_deaths",
-                 "crash_claims", "transient_claims", "deadline")
+                 "crash_claims", "transient_claims", "deadline", "pool")
 
     def __init__(self, index: int, payload: tuple) -> None:
         self.index = index
@@ -186,6 +198,7 @@ class _Task:
         self.crash_claims = 0
         self.transient_claims = 0
         self.deadline: float | None = None
+        self.pool: ProcessPoolExecutor | None = None
 
 
 def default_jobs() -> int:
@@ -193,16 +206,36 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _init_worker(plan_json: str | None) -> None:
-    """Pool initializer: marks the worker, installs the fault plan if any.
+def _init_worker(plan_json: str | None, barrier=None) -> None:
+    """Pool initializer: marks the worker, installs the fault plan if any,
+    and keeps the pool's readiness barrier for :func:`_rendezvous`.
 
     Shipping the plan through the initializer is what lets a
     programmatically installed :class:`~repro.faults.FaultPlan` reach
     forkserver workers, which do not inherit parent-process state.
     """
+    global _ready_barrier
     faults.mark_worker()
     if plan_json is not None:
         faults.install_plan(faults.FaultPlan.from_json(plan_json))
+    _ready_barrier = barrier
+
+
+#: Worker side: the barrier :func:`_rendezvous` waits on.
+_ready_barrier = None
+
+#: Seconds a new pool may take to start every worker.
+_READY_TIMEOUT = 60.0
+
+
+def _rendezvous() -> int:
+    """Readiness task: hold this worker until every worker holds one.
+
+    A worker runs one task at a time, so ``jobs`` of these passing a
+    ``jobs``-party barrier ran on ``jobs`` distinct, started workers.
+    """
+    _ready_barrier.wait(timeout=_READY_TIMEOUT)
+    return os.getpid()
 
 
 def _apply(payload: tuple) -> tuple[Any, tuple | None]:
@@ -249,42 +282,67 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
+def inflight_limit(jobs: int, policy: RetryPolicy) -> int:
+    """Tasks the dispatcher keeps submitted to a ``jobs``-worker pool.
+
+    With deadlines, in-flight == workers so "submitted" means "started"
+    and a deadline measures run time; without them a 2x overfill keeps
+    workers from starving between completions.
+    """
+    return jobs if policy.task_timeout else jobs * 2
+
+
 def _acquire_pool(jobs: int, plan_json: str | None) -> ProcessPoolExecutor:
     """The persistent executor for ``(jobs, plan)``, creating or
-    replacing it as needed."""
+    replacing it as needed.
+
+    A new pool is *ready* when this returns: every worker has started
+    and run :func:`_init_worker`.  Task deadlines therefore measure run
+    time, not cold start (a fresh forkserver pool takes a sizeable
+    fraction of a second to spawn its workers; charging that to the
+    first tasks would time them out, and each timeout's teardown would
+    meet another cold pool), and the first batch spreads over every
+    worker instead of queueing behind the one that happened to start.
+    A context that cannot build the barrier raises one of
+    ``_POOL_FAILURES``, which the dispatcher turns into a serial run.
+    """
     global _pool, _pool_token
     token = (jobs, plan_json)
-    if _pool is not None and token == _pool_token:
+    if _pool is not None and token == _pool_token \
+            and not getattr(_pool, "_broken", False):
         return _pool
     shutdown_pool()
+    context = _pool_context()
+    barrier = context.Barrier(jobs)
     pool = ProcessPoolExecutor(
         max_workers=jobs,
-        mp_context=_pool_context(),
+        mp_context=context,
         initializer=_init_worker,
-        initargs=(plan_json,))
+        initargs=(plan_json, barrier))
     _pool = pool
     _pool_token = token
+    try:
+        futures = [pool.submit(_rendezvous) for _ in range(jobs)]
+        wait(futures, timeout=_READY_TIMEOUT)
+    except BrokenProcessPool:
+        # A worker died while starting: the first real task meets the
+        # broken pool and the dispatcher respawns it.
+        pass
+    except KeyboardInterrupt:
+        _terminate_pool_processes(pool)
+        shutdown_pool(wait=False)
+        raise
     return pool
 
 
-def _noop() -> None:
-    return None
+def _retire_pool(pool: ProcessPoolExecutor) -> None:
+    """Retire ``pool`` if it is still the live one.
 
-
-def _warm_pool(pool: ProcessPoolExecutor, jobs: int) -> None:
-    """Block until the pool is actually executing work.
-
-    Task deadlines must measure *run* time, not cold-start: a fresh
-    forkserver pool takes a sizeable fraction of a second to spawn its
-    workers, and charging that to whichever tasks were submitted first
-    produces spurious timeouts — and, because each timeout tears the
-    pool down, a livelock in which every retry meets another cold pool.
-    Warming is once per pool object and never touches the fault ledger.
+    Several batches can have tasks on one pool; whichever sees it die
+    first replaces it, and the others must not retire the replacement.
     """
-    if getattr(pool, "_repro_warmed", False):
-        return
-    wait([pool.submit(_noop) for _ in range(jobs)], timeout=60.0)
-    pool._repro_warmed = True
+    if _pool is pool:
+        shutdown_pool(wait=False)
 
 
 def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -403,6 +461,22 @@ def pmap_outcomes(fn: Callable[..., Any],
     for tasks that (eventually) succeeded, the final classified
     exception for tasks that did not.  Batch-level pool-death and
     timeout counts ride on the returned :class:`DispatchReport`.
+    ``dispatch(...).join()``: the one supervised path.
+    """
+    return dispatch(fn, calls, jobs=jobs, policy=policy).join()
+
+
+def dispatch(fn: Callable[..., Any],
+             calls: Sequence[tuple[tuple, dict]],
+             jobs: int = 1,
+             policy: RetryPolicy | None = None) -> "Dispatch":
+    """Start a supervised map; :meth:`Dispatch.join` finishes it.
+
+    The first tasks (up to :func:`inflight_limit`) are on the pool when
+    this returns, so the caller can do other work while they run.  The
+    serial cases of :func:`pmap_outcomes` (``jobs=1``, one call, an
+    unpicklable ``fn``) evaluate at :meth:`Dispatch.join`, in the
+    joining process.
     """
     if jobs <= 0:
         jobs = default_jobs()
@@ -424,103 +498,174 @@ def pmap_outcomes(fn: Callable[..., Any],
     payloads = [(fn, args, kwargs, observe, tokens[i])
                 for i, (args, kwargs) in enumerate(calls)]
     if jobs == 1 or len(payloads) <= 1:
-        return _run_serial(payloads, policy)
+        return Dispatch(payloads, policy)
     try:
         pickle.dumps(fn)
     except Exception:
         # Unpicklable callables (lambdas, closures) can never cross the
         # process boundary — run serially rather than failing every task.
-        return _run_serial(payloads, policy)
-    with _span("pmap.batch", calls=len(payloads), jobs=jobs):
-        return _supervise(fn, payloads, jobs, policy, plan, tracer, observe)
+        return Dispatch(payloads, policy)
+    supervisor = _Supervisor(fn, payloads, jobs, policy, plan, tracer,
+                             observe)
+    supervisor.pump()
+    return Dispatch(payloads, policy, supervisor)
 
 
-def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
-               jobs: int, policy: RetryPolicy, plan, tracer,
-               observe: bool) -> DispatchReport:
-    """The supervised dispatch loop (see module docstring)."""
-    report = DispatchReport()
-    report.outcomes = [TaskOutcome() for _ in payloads]
-    merge_into = _metrics_registry() if observe else None
-    plan_json = plan.to_json() if plan is not None else None
+class Dispatch:
+    """One supervised batch between :func:`dispatch` and :meth:`join`."""
 
-    tasks = [_Task(index, payload)
-             for index, payload in enumerate(payloads)]
-    pending: deque[_Task] = deque(tasks)
-    waiting: list[tuple[float, int, _Task]] = []  # (ready_at, seq, task)
-    solo: deque[_Task] = deque()
-    inflight: dict[Any, _Task] = {}
-    seq = 0
-    # With deadlines enabled, in-flight == workers so "submitted" means
-    # "started" and the deadline measures actual run time; without them
-    # a 2x overfill keeps workers from starving between wait() wakeups.
-    max_inflight = jobs if policy.task_timeout else jobs * 2
+    def __init__(self, payloads: Sequence[tuple], policy: RetryPolicy,
+                 supervisor: "_Supervisor | None" = None) -> None:
+        self._payloads = payloads
+        self._policy = policy
+        self._supervisor = supervisor
+        self._report: DispatchReport | None = None
 
-    def fail(task: _Task, error: BaseException) -> None:
-        outcome = report.outcomes[task.index]
+    def join(self) -> DispatchReport:
+        """Run the supervised loop to completion (once; later calls
+        return the same report)."""
+        if self._report is None:
+            supervisor = self._supervisor
+            if supervisor is None:
+                self._report = _run_serial(self._payloads, self._policy)
+            else:
+                with _span("pmap.batch", calls=len(self._payloads),
+                           jobs=supervisor.jobs):
+                    self._report = supervisor.run()
+            self._supervisor = None
+        return self._report
+
+    def cancel(self) -> None:
+        """Abandon the batch: cancel queued tasks, wait out running ones.
+
+        Leaves no task of this batch on a worker; the batch cannot be
+        joined afterwards.
+        """
+        supervisor, self._supervisor = self._supervisor, None
+        if supervisor is not None:
+            supervisor.cancel()
+        self._payloads = ()
+
+
+class _Supervisor:
+    """The supervised dispatch loop of one batch (see module docstring)."""
+
+    def __init__(self, fn: Callable[..., Any], payloads: Sequence[tuple],
+                 jobs: int, policy: RetryPolicy, plan, tracer,
+                 observe: bool) -> None:
+        self.fn = fn
+        self.jobs = jobs
+        self.policy = policy
+        self.plan = plan
+        self.plan_json = plan.to_json() if plan is not None else None
+        self.tracer = tracer
+        self.merge_into = _metrics_registry() if observe else None
+        self.report = DispatchReport(
+            outcomes=[TaskOutcome() for _ in payloads])
+        self.tasks = [_Task(index, payload)
+                      for index, payload in enumerate(payloads)]
+        self.pending: deque[_Task] = deque(self.tasks)
+        # (ready_at, seq, task)
+        self.waiting: list[tuple[float, int, _Task]] = []
+        self.solo: deque[_Task] = deque()
+        self.inflight: dict[Any, _Task] = {}
+        self.seq = 0
+        self.max_inflight = inflight_limit(jobs, policy)
+
+    def fail(self, task: _Task, error: BaseException) -> None:
+        outcome = self.report.outcomes[task.index]
         outcome.error = error
         outcome.value = None
         outcome.retries = task.retries
         outcome.pool_deaths = task.pool_deaths
 
-    def succeed(task: _Task, value: Any) -> None:
-        outcome = report.outcomes[task.index]
+    def succeed(self, task: _Task, value: Any) -> None:
+        outcome = self.report.outcomes[task.index]
         outcome.value = value
         outcome.error = None
         outcome.retries = task.retries
         outcome.pool_deaths = task.pool_deaths
 
-    def requeue_transient(task: _Task, error: BaseException) -> None:
-        nonlocal seq
+    def requeue_transient(self, task: _Task, error: BaseException) -> None:
+        plan, policy = self.plan, self.policy
         if plan is not None and task.payload[4] is not None:
             # Keep the ledger mirror current so a later pool death does
             # not re-charge this (already delivered) injected transient.
             task.transient_claims = plan.claim_count(
                 "task.transient", task.payload[4])
         if task.retries >= policy.max_retries:
-            fail(task, error)
+            self.fail(task, error)
             return
         task.retries += 1
         delay = policy.backoff(task.index, task.retries)
-        seq += 1
-        heapq.heappush(waiting,
-                       (time.monotonic() + delay, seq, task))
+        self.seq += 1
+        heapq.heappush(self.waiting,
+                       (time.monotonic() + delay, self.seq, task))
 
-    def submit(task: _Task, queue: deque) -> bool:
-        pool = _acquire_pool(jobs, plan_json)
+    def submit(self, task: _Task, queue: deque) -> bool:
         try:
-            if policy.task_timeout is not None:
-                _warm_pool(pool, jobs)
+            pool = _acquire_pool(self.jobs, self.plan_json)
+        except BaseException:
+            # Back in its queue, so a serial drain still runs it.
+            queue.appendleft(task)
+            raise
+        try:
             future = pool.submit(_apply, task.payload)
         except BrokenProcessPool:
             # The pool died between completions; requeue uncharged and
             # let the in-flight futures (if any) surface the death.
             queue.appendleft(task)
-            if not inflight:
-                shutdown_pool(wait=False)
+            if not self.inflight:
+                _retire_pool(pool)
             return False
-        if policy.task_timeout is not None:
-            task.deadline = time.monotonic() + policy.task_timeout
-        inflight[future] = task
+        if self.policy.task_timeout is not None:
+            task.deadline = time.monotonic() + self.policy.task_timeout
+        task.pool = pool
+        self.inflight[future] = task
         return True
 
-    def drain_serially() -> None:
+    def pump(self) -> bool:
+        """Submit what the in-flight limit allows; False when the pool
+        could not be had and the batch was finished serially."""
+        try:
+            if self.solo:
+                # Solo tasks run strictly alone: let in-flight work
+                # drain, then dispatch one at a time so the next pool
+                # death is unambiguously theirs; normal work resumes
+                # only once the solo queue is empty.
+                if not self.inflight:
+                    self.submit(self.solo.popleft(), self.solo)
+            else:
+                while self.pending \
+                        and len(self.inflight) < self.max_inflight:
+                    if not self.submit(self.pending.popleft(),
+                                       self.pending):
+                        break
+        except _POOL_FAILURES:
+            shutdown_pool(wait=False)
+            self.drain_serially()
+            return False
+        return True
+
+    def drain_serially(self) -> None:
         # No pool available at all (sandbox) — finish everything in
         # this process with the serial retry loop.
         leftovers = sorted(
-            list(pending) + [task for _, _, task in waiting] + list(solo)
-            + list(inflight.values()), key=lambda task: task.index)
-        pending.clear()
-        waiting.clear()
-        solo.clear()
-        inflight.clear()
-        serial = _run_serial([task.payload for task in leftovers], policy)
+            list(self.pending) + [task for _, _, task in self.waiting]
+            + list(self.solo) + list(self.inflight.values()),
+            key=lambda task: task.index)
+        self.pending.clear()
+        self.waiting.clear()
+        self.solo.clear()
+        self.inflight.clear()
+        serial = _run_serial([task.payload for task in leftovers],
+                             self.policy)
         for task, outcome in zip(leftovers, serial.outcomes):
             outcome.retries += task.retries
             outcome.pool_deaths += task.pool_deaths
-            report.outcomes[task.index] = outcome
+            self.report.outcomes[task.index] = outcome
 
-    def charge_lost_transients(task: _Task) -> None:
+    def charge_lost_transients(self, task: _Task) -> None:
         # A pool-mate's crash can destroy a future whose TransientError
         # was already raised (and ledger-charged) but not yet delivered.
         # Without this, that attempt would vanish: the victim requeues
@@ -530,26 +675,27 @@ def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
         token = task.payload[4]
         if token is None:
             return
-        claims = plan.claim_count("task.transient", token)
+        claims = self.plan.claim_count("task.transient", token)
         while task.transient_claims < claims:
             task.transient_claims += 1
-            if task.retries >= policy.max_retries:
-                fail(task, TransientError(
-                    f"task {task.index} ({_fn_label(fn)}) exhausted its "
-                    f"retry budget (last attempt lost with its pool)"))
+            if task.retries >= self.policy.max_retries:
+                self.fail(task, TransientError(
+                    f"task {task.index} ({_fn_label(self.fn)}) exhausted "
+                    f"its retry budget (last attempt lost with its pool)"))
                 return
             task.retries += 1
 
-    def handle_pool_death(victims: list[_Task]) -> None:
+    def handle_pool_death(self, victims: list[_Task], pool) -> None:
         """Attribute a pool death, quarantine poison, requeue the rest."""
-        shutdown_pool(wait=False)
+        _retire_pool(pool)
+        policy, report = self.policy, self.report
         blamed: list[_Task] = []
-        if plan is not None:
+        if self.plan is not None:
             for task in victims:
                 token = task.payload[4]
                 if token is None:
                     continue
-                claims = plan.claim_count("task.crash", token)
+                claims = self.plan.claim_count("task.crash", token)
                 if claims > task.crash_claims:
                     task.crash_claims = claims
                     blamed.append(task)
@@ -561,140 +707,152 @@ def _supervise(fn: Callable[..., Any], payloads: Sequence[tuple],
             report.pool_deaths += len(blamed)
             for task in victims:
                 if task not in blamed:
-                    charge_lost_transients(task)
+                    self.charge_lost_transients(task)
                     if report.outcomes[task.index].error is None:
-                        pending.appendleft(task)
+                        self.pending.appendleft(task)
             for task in blamed:
                 task.pool_deaths += 1
                 if task.pool_deaths >= policy.max_pool_deaths:
-                    fail(task, _poison_error(fn, task, policy))
+                    self.fail(task, _poison_error(self.fn, task, policy))
                 else:
-                    pending.appendleft(task)
+                    self.pending.appendleft(task)
             return
         # No ledger: the culprit is unknown, so every victim is charged
         # one death and the survivors rerun one at a time — the next
-        # death then identifies the poison task unambiguously.
-        report.pool_deaths += 1
+        # death then identifies the poison task unambiguously.  A death
+        # that several batches saw counts once.
+        if not getattr(pool, "_repro_death_counted", False):
+            pool._repro_death_counted = True
+            report.pool_deaths += 1
         for task in victims:
             task.pool_deaths += 1
             if task.pool_deaths >= policy.max_pool_deaths:
-                fail(task, _poison_error(fn, task, policy))
+                self.fail(task, _poison_error(self.fn, task, policy))
             else:
-                solo.append(task)
+                self.solo.append(task)
 
-    try:
-        while pending or waiting or solo or inflight:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, _, task = heapq.heappop(waiting)
-                pending.append(task)
-            try:
-                if solo:
-                    # Solo tasks run strictly alone: let in-flight work
-                    # drain, then dispatch one at a time so the next
-                    # pool death is unambiguously theirs; normal work
-                    # resumes only once the solo queue is empty.
-                    if not inflight:
-                        submit(solo.popleft(), solo)
-                else:
-                    while pending and len(inflight) < max_inflight:
-                        if not submit(pending.popleft(), pending):
-                            break
-            except _POOL_FAILURES:
-                shutdown_pool(wait=False)
-                drain_serially()
-                continue
-            if not inflight:
+    def settle(self, future, task: _Task, victims: list[_Task]) -> bool:
+        """Record one finished future; True when its pool had died."""
+        try:
+            value, shipped = future.result()
+        except BrokenProcessPool:
+            victims.append(task)
+            return True
+        except CancelledError:
+            # Another batch retired the pool before this task started.
+            self.pending.appendleft(task)
+        except TransientError as error:
+            self.requeue_transient(task, error)
+        except Exception as error:
+            self.fail(task, error)
+        else:
+            self.succeed(task, value)
+            _merge_shipped(shipped, self.tracer, self.merge_into)
+        return False
+
+    def run(self) -> DispatchReport:
+        """The supervised dispatch loop, to completion."""
+        policy = self.policy
+        pending, waiting, solo, inflight = \
+            self.pending, self.waiting, self.solo, self.inflight
+        try:
+            while pending or waiting or solo or inflight:
+                now = time.monotonic()
+                while waiting and waiting[0][0] <= now:
+                    _, _, task = heapq.heappop(waiting)
+                    pending.append(task)
+                if not self.pump():
+                    continue
+                if not inflight:
+                    if waiting:
+                        time.sleep(max(0.0,
+                                       waiting[0][0] - time.monotonic()))
+                    continue
+                timeout = None
                 if waiting:
-                    time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
-                continue
-            timeout = None
-            if waiting:
-                timeout = max(0.0, waiting[0][0] - now)
-            deadlines = [task.deadline for task in inflight.values()
-                         if task.deadline is not None]
-            if deadlines:
-                expiry = max(0.001, min(deadlines) - now)
-                timeout = expiry if timeout is None else min(timeout, expiry)
-            done, _ = wait(list(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            broken = False
-            victims: list[_Task] = []
-            for future in done:
-                task = inflight.pop(future)
-                try:
-                    value, shipped = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    victims.append(task)
-                except TransientError as error:
-                    requeue_transient(task, error)
-                except Exception as error:
-                    fail(task, error)
-                else:
-                    succeed(task, value)
-                    _merge_shipped(shipped, tracer, merge_into)
-            if broken:
-                # Everything still in flight died with the pool; a few
-                # futures may have real results racing in — keep those.
-                for future, task in list(inflight.items()):
-                    if future.done():
-                        try:
-                            value, shipped = future.result()
-                        except BrokenProcessPool:
-                            victims.append(task)
-                        except TransientError as error:
-                            requeue_transient(task, error)
-                        except Exception as error:
-                            fail(task, error)
-                        else:
-                            succeed(task, value)
-                            _merge_shipped(shipped, tracer, merge_into)
+                    timeout = max(0.0, waiting[0][0] - now)
+                deadlines = [task.deadline for task in inflight.values()
+                             if task.deadline is not None]
+                if deadlines:
+                    expiry = max(0.001, min(deadlines) - now)
+                    timeout = expiry if timeout is None \
+                        else min(timeout, expiry)
+                done, _ = wait(list(inflight), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                dead = None
+                victims: list[_Task] = []
+                for future in done:
+                    task = inflight.pop(future)
+                    if self.settle(future, task, victims):
+                        dead = task.pool
+                if dead is not None:
+                    # Everything still in flight on that pool died with
+                    # it; a few futures may have real results racing in
+                    # — keep those.
+                    for future, task in list(inflight.items()):
+                        if task.pool is not dead:
+                            continue
+                        del inflight[future]
+                        if not future.done() \
+                                or self.settle(future, task, victims):
+                            if task not in victims:
+                                victims.append(task)
+                    self.handle_pool_death(victims, dead)
+                    # A *poison task* racks up deaths alone; when two
+                    # distinct tasks are each charged twice, the pool
+                    # environment itself is broken (workers cannot
+                    # start) — fall back to a serial run like the
+                    # classic path.
+                    charged = sum(1 for task in self.tasks
+                                  if task.pool_deaths >= 2)
+                    if charged >= 2:
+                        self.drain_serially()
+                    continue
+                if policy.task_timeout is None:
+                    continue
+                now = time.monotonic()
+                expired = [task for task in inflight.values()
+                           if task.deadline is not None
+                           and task.deadline <= now]
+                if not expired:
+                    continue
+                # A hung worker holds its queue slot until killed — tear
+                # the whole pool down and retry the expired task(s) as
+                # transient failures; non-expired in-flight tasks
+                # requeue without being charged.
+                self.report.timeouts += len(expired)
+                pool = expired[0].pool
+                _terminate_pool_processes(pool)
+                _retire_pool(pool)
+                for task in inflight.values():
+                    if task in expired:
+                        self.requeue_transient(task, TransientError(
+                            f"task timed out after "
+                            f"{policy.task_timeout:.1f}s "
+                            f"({_fn_label(self.fn)})"))
                     else:
-                        victims.append(task)
+                        pending.appendleft(task)
                 inflight.clear()
-                handle_pool_death(victims)
-                # A *poison task* racks up deaths alone; when two
-                # distinct tasks are each charged twice, the pool
-                # environment itself is broken (workers cannot start)
-                # — fall back to a serial run like the classic path.
-                charged = sum(1 for task in tasks if task.pool_deaths >= 2)
-                if charged >= 2:
-                    drain_serially()
-                continue
-            if policy.task_timeout is None:
-                continue
-            now = time.monotonic()
-            expired = [task for task in inflight.values()
-                       if task.deadline is not None and task.deadline <= now]
-            if not expired:
-                continue
-            # A hung worker holds its queue slot until killed — tear
-            # the whole pool down and retry the expired task(s) as
-            # transient failures; non-expired in-flight tasks requeue
-            # without being charged.
-            report.timeouts += len(expired)
+        except KeyboardInterrupt:
+            # Ctrl-C mid-batch: kill the workers outright so no
+            # forkserver zombies outlive the interrupt, then let the
+            # caller exit clean.
             pool = _pool
             if pool is not None:
                 _terminate_pool_processes(pool)
             shutdown_pool(wait=False)
-            for task in inflight.values():
-                if task in expired:
-                    requeue_transient(task, TransientError(
-                        f"task timed out after {policy.task_timeout:.1f}s "
-                        f"({_fn_label(fn)})"))
-                else:
-                    pending.appendleft(task)
-            inflight.clear()
-    except KeyboardInterrupt:
-        # Ctrl-C mid-batch: kill the workers outright so no forkserver
-        # zombies outlive the interrupt, then let the caller exit clean.
-        pool = _pool
-        if pool is not None:
-            _terminate_pool_processes(pool)
-        shutdown_pool(wait=False)
-        raise
-    return report
+            raise
+        return self.report
+
+    def cancel(self) -> None:
+        futures = list(self.inflight)
+        for future in futures:
+            future.cancel()
+        wait(futures, timeout=self.policy.task_timeout)
+        self.pending.clear()
+        self.waiting.clear()
+        self.solo.clear()
+        self.inflight.clear()
 
 
 def _fn_label(fn: Callable[..., Any]) -> str:

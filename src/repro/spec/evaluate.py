@@ -19,18 +19,22 @@ result carrying ``feasible=False``, never an exception, which is what
 lets physical-aware sweeps report infeasible regions instead of aborting.
 The summary belongs to the chip — :func:`physical_summary` takes the
 ``(tech, arch, flow)`` sections, not the workload — so many-point
-evaluation (:func:`map_physical`) runs each chip's flow once.
+evaluation (:func:`map_physical`) runs each chip's flow once, on the
+process pool while the analytic stage runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import EvaluationFailure, require
 from repro.perf.compare import BenefitReport, compare_designs
 from repro.perf.simulator import simulate
-from repro.runtime.engine import EvaluationEngine, default_engine
+from repro.runtime.cache import MISSING
+from repro.runtime.engine import EvaluationEngine, MapHandle, default_engine
+from repro.runtime.keys import stable_key
+from repro.runtime.memo import memo_table
 from repro.runtime.serialize import from_jsonable, to_jsonable
 from repro.spec.design import (
     ArchSpec,
@@ -53,7 +57,12 @@ __all__ = [
     "physical_summary",
     "spec_benefit",
     "spec_calls",
+    "submit_flows",
 ]
+
+#: Analytic memo: stable_key(tech, arch, workload, pdk) -> the six
+#: analytic fields of :func:`evaluate_spec`.
+_ANALYTIC_MEMO = memo_table("spec.analytic")
 
 
 @dataclass(frozen=True)
@@ -235,16 +244,29 @@ def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
     ``physical=True`` additionally attaches the chip's
     :func:`physical_summary` (knobs from ``spec.flow``); infeasible
     points return normally with ``physical.feasible == False``.
+
+    The six analytic fields are memoized per ``(tech, arch, workload,
+    pdk)`` in the ``spec.analytic`` table: the flow section plays no part
+    in :func:`spec_benefit`, so points that differ only in flow knobs
+    simulate once.
     """
-    benefit = spec_benefit(spec, pdk)
+    key = stable_key(spec.tech, spec.arch, spec.workload, pdk)
+    fields = _ANALYTIC_MEMO.get(key)
+    if fields is MISSING:
+        benefit = spec_benefit(spec, pdk)
+        fields = (benefit.baseline.design.n_cs, benefit.m3d.design.n_cs,
+                  benefit.m3d.design.area.footprint, benefit.speedup,
+                  benefit.energy_benefit, benefit.edp_benefit)
+        _ANALYTIC_MEMO.put(key, fields)
+    n_cs_2d, n_cs_m3d, footprint, speedup, energy, edp = fields
     return SpecEvaluation(
         spec=spec,
-        n_cs_2d=benefit.baseline.design.n_cs,
-        n_cs_m3d=benefit.m3d.design.n_cs,
-        footprint=benefit.m3d.design.area.footprint,
-        speedup=benefit.speedup,
-        energy_benefit=benefit.energy_benefit,
-        edp_benefit=benefit.edp_benefit,
+        n_cs_2d=n_cs_2d,
+        n_cs_m3d=n_cs_m3d,
+        footprint=footprint,
+        speedup=speedup,
+        energy_benefit=energy,
+        edp_benefit=edp,
         physical=(physical_summary(spec.tech, spec.arch, spec.flow, pdk)
                   if physical else None),
     )
@@ -266,40 +288,66 @@ def spec_calls(specs: Iterable[DesignSpec],
     return [((spec, pdk), {}) for spec in specs]
 
 
+def submit_flows(engine: EvaluationEngine, specs: Sequence[DesignSpec],
+                 pdk: PDK | None = None, jobs: int | None = None,
+                 stage: str = "spec", on_error: str = "raise") -> MapHandle:
+    """Submit the ``<stage>.physical`` stage of ``specs``: the
+    :func:`physical_summary` of each point's chip, with ``jobs`` workers.
+
+    The key omits the workload, so the engine's dedup, cache and
+    in-flight sharing run each chip's flow once however many networks
+    (or submissions) put points on it.
+    """
+    chips = [(spec.tech, spec.arch, spec.flow) for spec in specs]
+    return engine.submit(
+        physical_summary,
+        chips if pdk is None else [(*chip, pdk) for chip in chips],
+        stage=f"{stage}.physical", jobs=jobs, on_error=on_error)
+
+
 def map_physical(engine: EvaluationEngine, specs: Sequence[DesignSpec],
                  pdk: PDK | None = None, jobs: int | None = None,
-                 stage: str = "spec", on_error: str = "raise") -> list:
+                 stage: str = "spec", on_error: str = "raise",
+                 flows: MapHandle | None = None,
+                 meanwhile: Callable[[], None] | None = None) -> list:
     """``evaluate_spec(spec, pdk, physical=True)`` over ``specs``, as two
     engine stages; one result (or, with ``on_error="record"``, one
     :class:`~repro.errors.EvaluationFailure`) per spec, in order.
 
-    1. ``<stage>.evaluate`` — the analytic ``evaluate_spec`` calls of
+    1. ``<stage>.physical`` — :func:`submit_flows`, unless ``flows``
+       already holds that submission for these specs.  The flows run on
+       the pool while this process does the rest.
+    2. ``<stage>.evaluate`` — the analytic ``evaluate_spec`` calls of
        :func:`spec_calls`, in this process (two scalar simulations cost
        less than a pool round trip), under the keys non-physical
-       evaluations and ``/v1/eval`` use.
-    2. ``<stage>.physical`` — :func:`physical_summary` of each evaluated
-       point's chip, with ``jobs`` workers.  The key omits the workload,
-       so the engine's dedup and cache run each chip's flow once however
-       many networks the points put on it.
+       evaluations and ``/v1/eval`` use.  ``meanwhile`` runs next (the
+       sweep submits later chunks' flows there), then the flows are
+       joined.
 
-    A point whose analytic stage failed records that failure and runs no
-    flow; a failed chip summary is recorded for each point on that chip.
+    A point whose analytic stage failed records that failure; its chip's
+    flow still ran (it was submitted first) and counts as evaluated in
+    ``<stage>.physical``.  A failed chip summary is recorded for each
+    point on that chip.
     """
-    results = engine.map(evaluate_spec, spec_calls(specs, pdk),
-                         stage=f"{stage}.evaluate", jobs=1, on_error=on_error)
-    slots = [slot for slot, value in enumerate(results)
-             if not isinstance(value, EvaluationFailure)]
-    if not slots:
-        return results
-    chip_args = [(specs[slot].tech, specs[slot].arch, specs[slot].flow)
-                 for slot in slots]
-    summaries = engine.map(
-        physical_summary,
-        chip_args if pdk is None else [(*args, pdk) for args in chip_args],
-        stage=f"{stage}.physical", jobs=jobs, on_error=on_error)
-    for slot, summary in zip(slots, summaries):
-        results[slot] = summary if isinstance(summary, EvaluationFailure) \
-            else replace(results[slot], physical=summary)
+    analytic = engine.submit(evaluate_spec, spec_calls(specs, pdk),
+                             stage=f"{stage}.evaluate", jobs=1,
+                             on_error=on_error)
+    if flows is None:
+        flows = submit_flows(engine, specs, pdk, jobs, stage, on_error)
+    try:
+        if meanwhile is not None:
+            meanwhile()
+        results = analytic.result()
+    except BaseException:
+        analytic.cancel()
+        flows.cancel()
+        raise
+    for slot, summary in enumerate(flows.result()):
+        value = results[slot]
+        if not isinstance(value, EvaluationFailure):
+            results[slot] = summary \
+                if isinstance(summary, EvaluationFailure) \
+                else replace(value, physical=summary)
     return results
 
 

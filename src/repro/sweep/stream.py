@@ -34,26 +34,31 @@ uninterrupted runs.  Engine calls are built by
 :func:`~repro.spec.evaluate.spec_calls`, the same helper
 ``evaluate_specs`` uses, so both share cache entries; physical points
 evaluate through :func:`~repro.spec.evaluate.map_physical`, the
-``evaluate_specs`` path too (``sweep.evaluate`` then ``sweep.physical``,
-one flow pair per chip).
+``evaluate_specs`` path too (``sweep.evaluate`` and ``sweep.physical``,
+one flow pair per chip).  Without pruning, a physical sweep submits the
+flows of later chunks while it evaluates and joins the current one, so
+the pool does not drain at every chunk.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.errors import EvaluationFailure, PermanentError
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled, span as _span
-from repro.runtime.engine import EvaluationEngine, default_engine
+from repro.runtime.engine import EvaluationEngine, MapHandle, default_engine
+from repro.runtime.pmap import default_jobs, inflight_limit
 from repro.spec.evaluate import (
     SpecEvaluation,
     evaluate_spec,
     map_physical,
     spec_calls,
+    submit_flows,
 )
 from repro.spec.sweep import SweepSpec
 from repro.sweep.bounds import spec_bounds
@@ -109,6 +114,18 @@ class SweepChunk:
     def failed(self) -> int:
         """Points recorded as failed in this chunk."""
         return len(self.failures)
+
+
+@dataclass
+class _Planned:
+    """A chunk read from the grid: its checkpoint record, if any, and
+    its flows when they were submitted ahead of it."""
+
+    index: int
+    chunk: tuple
+    specs_hash: str | None = None
+    record: ChunkRecord | None = None
+    flows: MapHandle | None = None
 
 
 @dataclass(frozen=True)
@@ -203,7 +220,14 @@ def stream_sweep(
     sweeps *report* infeasible points instead of aborting) but is never
     admitted to the frontier.  The physical path is scalar-only, so
     ``batch`` is ignored when ``physical`` is set, mirroring
-    ``evaluate_specs``.
+    ``evaluate_specs``.  Without ``prune`` (and without task deadlines)
+    the flows of later chunks are submitted while the current chunk's
+    analytic stage runs and its flows are joined: chunks are read ahead
+    while fewer than the dispatcher's in-flight limit (2 x ``jobs``)
+    flow tasks are outstanding, chunks the checkpoint holds submit
+    nothing, and closing the generator cancels what it submitted.  A
+    later chunk's chip that an earlier chunk is still evaluating shares
+    that evaluation as a cache hit, so counts match a serial run.
 
     ``max_failures`` selects **partial-results mode**: with the default
     ``0`` the first failed point raises (the classic all-or-nothing
@@ -246,11 +270,12 @@ def stream_sweep(
                 evaluations.append(value)
         return tuple(evaluations), tuple(failures)
 
-    def evaluate(specs) -> list:
+    def evaluate(specs, flows=None, meanwhile=None) -> list:
         """Engine results for ``specs``, one per spec."""
         if physical:
             return map_physical(engine, specs, pdk, jobs=jobs,
-                                stage="sweep", on_error=on_error)
+                                stage="sweep", on_error=on_error,
+                                flows=flows, meanwhile=meanwhile)
         return engine.map(evaluate_spec, spec_calls(specs, pdk),
                           stage="sweep.evaluate", jobs=jobs,
                           on_error=on_error,
@@ -286,12 +311,10 @@ def stream_sweep(
         return replace(record, evaluations=tuple(ordered),
                        failures=tuple(still_failed))
 
-    for index, chunk in enumerate(sweep.chunks(chunk_size)):
-        start = time.perf_counter()
-        record = None
-        if store is not None:  # only the store reads the chunk hash
-            specs_hash = chunk_hash(chunk)
-            record = store.get(index, specs_hash)
+    def process(planned: _Planned, start: float, meanwhile) -> SweepChunk:
+        """Evaluate (or replay) one chunk and fold it into the frontier."""
+        nonlocal failed_total
+        index, chunk, record = planned.index, planned.chunk, planned.record
         with _span("sweep.chunk", index=index, size=len(chunk)) as sp:
             if record is not None:
                 if record.failures:
@@ -323,13 +346,13 @@ def stream_sweep(
                             pruned += 1
                     survivors = tuple(kept)
                 if survivors:
-                    evaluations, failures = split(survivors,
-                                                  evaluate(survivors))
+                    evaluations, failures = split(survivors, evaluate(
+                        survivors, planned.flows, meanwhile))
                 else:
                     evaluations = failures = ()
                 if store is not None:
                     store.store(ChunkRecord(
-                        index=index, specs_hash=specs_hash,
+                        index=index, specs_hash=planned.specs_hash,
                         pruned=pruned, evaluations=evaluations,
                         failures=failures))
             infeasible = 0
@@ -372,11 +395,67 @@ def stream_sweep(
                 f"sweep exceeded --max-failures={max_failures}: "
                 f"{failed_total} point(s) failed; last: "
                 f"{failures[-1].error_type}: {failures[-1].message}")
-        yield SweepChunk(
+        return SweepChunk(
             index=index, size=len(chunk), evaluations=evaluations,
             pruned=pruned, resumed=record is not None,
             frontier_size=len(frontier), seconds=elapsed,
             infeasible=infeasible, failures=failures)
+
+    # Flow tasks (and chunks) that may wait ahead of the current chunk.
+    # Pruning decides a chunk's survivors from the frontier of the chunks
+    # before it, and under deadlines a queued task would spend its
+    # deadline waiting, so neither reads ahead.
+    lookahead = 0
+    if physical and not prune and not engine.retry_policy.task_timeout:
+        width = engine.jobs if jobs is None else jobs
+        lookahead = inflight_limit(width if width > 0 else default_jobs(),
+                                   engine.retry_policy)
+    source = enumerate(sweep.chunks(chunk_size))
+    ahead: deque[_Planned] = deque()
+    # Flow tasks submitted for the chunks in ``ahead``.
+    outstanding = 0
+
+    def plan(index: int, chunk) -> _Planned:
+        if store is None:  # only the store reads the chunk hash
+            return _Planned(index, chunk)
+        specs_hash = chunk_hash(chunk)
+        return _Planned(index, chunk, specs_hash,
+                        store.get(index, specs_hash))
+
+    def prefetch() -> None:
+        """Submit later chunks' flows while the pool has room."""
+        nonlocal outstanding
+        while outstanding < lookahead and len(ahead) < lookahead:
+            item = next(source, None)
+            if item is None:
+                return
+            planned = plan(*item)
+            if planned.record is None:
+                planned.flows = submit_flows(
+                    engine, planned.chunk, pdk, jobs=jobs, stage="sweep",
+                    on_error=on_error)
+                outstanding += planned.flows.tasks
+            ahead.append(planned)
+
+    try:
+        while True:
+            start = time.perf_counter()
+            if ahead:
+                planned = ahead.popleft()
+                if planned.flows is not None:
+                    outstanding -= planned.flows.tasks
+            else:
+                item = next(source, None)
+                if item is None:
+                    return
+                planned = plan(*item)
+            yield process(planned, start, prefetch if lookahead else None)
+    finally:
+        # A generator closed early abandons the flows it submitted.
+        while ahead:
+            flows = ahead.pop().flows
+            if flows is not None:
+                flows.cancel()
 
 
 def run_streaming_sweep(

@@ -603,6 +603,127 @@ class TestDedupAndPool:
         assert pmap_module._pool is None
 
 
+def _pid_after_a_pause(_):
+    import time
+
+    time.sleep(0.2)
+    return os.getpid()
+
+
+class _NoSemaphores:
+    """A multiprocessing context that cannot build a barrier."""
+
+    def Barrier(self, parties):
+        raise OSError("no semaphores in this sandbox")
+
+
+class TestReadyPool:
+    """A pool handed out by the dispatcher has every worker started."""
+
+    def test_a_fresh_pool_has_every_worker_started(self):
+        pmap_module = sys.modules["repro.runtime.pmap"]
+        shutdown_pool()
+        pool = pmap_module._acquire_pool(2, None)
+        workers = dict(pool._processes)
+        assert len(workers) == 2
+        assert all(process.is_alive() for process in workers.values())
+        pids = pmap(_pid_after_a_pause, range(2), jobs=2)
+        assert len(set(pids)) == 2
+        assert set(pids) == set(workers)
+        shutdown_pool()
+
+    def test_a_deadline_pool_never_times_out_on_cold_start(self):
+        import operator
+
+        from repro.runtime.pmap import RetryPolicy
+
+        shutdown_pool()
+        report = pmap_outcomes(
+            operator.neg, [((x,), {}) for x in range(6)], jobs=2,
+            policy=RetryPolicy(task_timeout=0.5, max_retries=0))
+        assert report.timeouts == 0
+        assert [o.value for o in report.outcomes] == [-x for x in range(6)]
+        shutdown_pool()
+
+    def test_no_barrier_falls_back_to_the_serial_path(self, monkeypatch):
+        pmap_module = sys.modules["repro.runtime.pmap"]
+        shutdown_pool()
+        monkeypatch.setattr(pmap_module, "_pool_context", _NoSemaphores)
+        report = pmap_outcomes(_square, [((x,), {}) for x in range(4)],
+                               jobs=2)
+        assert [o.value for o in report.outcomes] == [0, 1, 4, 9]
+        assert pmap_module._pool is None
+
+
+class TestSubmit:
+    """``EvaluationEngine.submit``: ``map`` is ``submit(...).result()``,
+    and a call an unfinished submission evaluates is shared."""
+
+    def test_map_is_submit_then_result(self):
+        mapped, submitted = EvaluationEngine(), EvaluationEngine()
+        calls = [3, 1, 3, (2,), {"x": 4}]
+        assert mapped.map(_square, calls, stage="s") \
+            == submitted.submit(_square, calls, stage="s").result() \
+            == [9, 1, 9, 4, 16]
+        first, second = (engine.report().stage("s")
+                         for engine in (mapped, submitted))
+        assert dataclasses.replace(first, wall_time=0.0) \
+            == dataclasses.replace(second, wall_time=0.0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_inflight_call_is_shared_as_a_cache_hit(self, jobs):
+        _EVALUATIONS.clear()
+        engine = EvaluationEngine(jobs=jobs)
+        early = engine.submit(_tracked_square, [2, 3], stage="s")
+        late = engine.submit(_tracked_square, [3, 4, 3], stage="s")
+        assert late.tasks == 1 and late.cache_hits == 2
+        # The later submission finishes the earlier one it shares.
+        assert late.result() == [9, 16, 9]
+        assert early.result() == [4, 9]
+        stage = engine.report().stage("s")
+        assert (stage.calls, stage.cache_hits, stage.cache_misses,
+                stage.evaluated) == (5, 2, 3, 3)
+        if jobs == 1:
+            assert sorted(_EVALUATIONS) == [2, 3, 4]
+        assert engine._unfinished == []
+
+    def test_nothing_is_shared_without_a_cache(self):
+        _EVALUATIONS.clear()
+        engine = EvaluationEngine(use_cache=False)
+        early = engine.submit(_tracked_square, [5], stage="s")
+        late = engine.submit(_tracked_square, [5], stage="s")
+        assert late.result() == early.result() == [25]
+        assert _EVALUATIONS == [5, 5]
+
+    def test_a_shared_failure_is_recorded_once(self):
+        engine = EvaluationEngine()
+        early = engine.submit(_fragile_square, [-1, 2], stage="s",
+                              on_error="record")
+        late = engine.submit(_fragile_square, [-1], stage="s",
+                             on_error="record")
+        shared, = late.result()
+        failed, fine = early.result()
+        assert isinstance(shared, EvaluationFailure) and shared == failed
+        assert fine == 4
+        stage = engine.report().stage("s")
+        assert (stage.failures, stage.evaluated, stage.cache_hits) \
+            == (1, 2, 1)
+        with pytest.raises(ValueError, match="negative input -1"):
+            engine.submit(_fragile_square, [-1], stage="t").result()
+
+    def test_cancel_removes_the_submission(self):
+        engine = EvaluationEngine(jobs=2)
+        handle = engine.submit(_square, [6, 7, 8], stage="s")
+        handle.cancel()
+        assert engine._unfinished == []
+        stage = engine.report().stage("s")
+        assert (stage.calls, stage.cache_misses, stage.evaluated) \
+            == (0, 0, 0)
+        with pytest.raises(ConfigurationError, match="cancelled"):
+            handle.result()
+        assert engine.map(_square, [6, 7], stage="s") == [36, 49]
+
+
 class TestFingerprintCache:
     def test_dumps_matches_uncached_reference(self, pdk):
         from repro.runtime import clear_fingerprint_cache
