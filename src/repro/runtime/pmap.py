@@ -43,8 +43,10 @@ tasks on it, and only the first one replaces the pool.
 
 Workers are persistent: the executor is reused while ``(jobs, fault
 plan)`` are unchanged.  A new pool is ready when it is handed out:
-every worker has started and run its initializer (a rendezvous of
-``jobs`` tasks on a barrier).  When observability is on in the parent
+as many workers as the batch has tasks (all of them under deadlines)
+have started and run the initializer (a rendezvous on a barrier), and
+a pool that cannot get there runs the batch serially.  When
+observability is on in the parent
 (:mod:`repro.obs`), each task ships its span tree and metric snapshot
 back alongside its result.
 """
@@ -292,46 +294,62 @@ def inflight_limit(jobs: int, policy: RetryPolicy) -> int:
     return jobs if policy.task_timeout else jobs * 2
 
 
-def _acquire_pool(jobs: int, plan_json: str | None) -> ProcessPoolExecutor:
+def _acquire_pool(jobs: int, plan_json: str | None,
+                  workers: int | None = None) -> ProcessPoolExecutor:
     """The persistent executor for ``(jobs, plan)``, creating or
     replacing it as needed.
 
-    A new pool is *ready* when this returns: every worker has started
-    and run :func:`_init_worker`.  Task deadlines therefore measure run
-    time, not cold start (a fresh forkserver pool takes a sizeable
-    fraction of a second to spawn its workers; charging that to the
-    first tasks would time them out, and each timeout's teardown would
-    meet another cold pool), and the first batch spreads over every
-    worker instead of queueing behind the one that happened to start.
-    A context that cannot build the barrier raises one of
-    ``_POOL_FAILURES``, which the dispatcher turns into a serial run.
+    A new pool is *ready* when this returns: ``workers`` of its ``jobs``
+    workers have started and run :func:`_init_worker`, and the rest
+    start on demand.  The first tasks spread over started workers
+    instead of queueing behind the one that happened to start, and a
+    batch smaller than the pool starts no more workers than it has
+    tasks.  ``workers=None`` (a batch with task deadlines) asks for
+    every worker and replaces a live pool that started fewer, so
+    deadlines measure run time, not cold start (a fresh forkserver pool
+    takes a sizeable fraction of a second to spawn its workers; charging
+    that to the first tasks would time them out, and each timeout's
+    teardown would meet another cold pool).
+
+    When the pool cannot start that many workers — the context cannot
+    build the barrier, or a worker dies or stalls while starting — this
+    raises one of ``_POOL_FAILURES``, which the dispatcher turns into a
+    serial run.
     """
     global _pool, _pool_token
     token = (jobs, plan_json)
     if _pool is not None and token == _pool_token \
-            and not getattr(_pool, "_broken", False):
+            and not getattr(_pool, "_broken", False) \
+            and (workers is not None or _pool._repro_ready == jobs):
         return _pool
+    workers = jobs if workers is None else min(workers, jobs)
     shutdown_pool()
     context = _pool_context()
-    barrier = context.Barrier(jobs)
+    barrier = context.Barrier(workers)
     pool = ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=context,
         initializer=_init_worker,
         initargs=(plan_json, barrier))
+    pool._repro_ready = workers
     _pool = pool
     _pool_token = token
     try:
-        futures = [pool.submit(_rendezvous) for _ in range(jobs)]
+        futures = [pool.submit(_rendezvous) for _ in range(workers)]
         wait(futures, timeout=_READY_TIMEOUT)
+        started = all(future.done() and not future.cancelled()
+                      and future.exception() is None for future in futures)
     except BrokenProcessPool:
-        # A worker died while starting: the first real task meets the
-        # broken pool and the dispatcher respawns it.
-        pass
+        started = False
     except KeyboardInterrupt:
         _terminate_pool_processes(pool)
         shutdown_pool(wait=False)
         raise
+    if not started:
+        _terminate_pool_processes(pool)
+        shutdown_pool(wait=False)
+        raise OSError(f"the worker pool could not start {workers} of "
+                      f"its {jobs} workers")
     return pool
 
 
@@ -497,65 +515,39 @@ def dispatch(fn: Callable[..., Any],
     observe = _obs_enabled() and tracer is not None
     payloads = [(fn, args, kwargs, observe, tokens[i])
                 for i, (args, kwargs) in enumerate(calls)]
-    if jobs == 1 or len(payloads) <= 1:
-        return Dispatch(payloads, policy)
-    try:
-        pickle.dumps(fn)
-    except Exception:
-        # Unpicklable callables (lambdas, closures) can never cross the
-        # process boundary — run serially rather than failing every task.
-        return Dispatch(payloads, policy)
-    supervisor = _Supervisor(fn, payloads, jobs, policy, plan, tracer,
-                             observe)
-    supervisor.pump()
-    return Dispatch(payloads, policy, supervisor)
+    serial = jobs == 1 or len(payloads) <= 1
+    if not serial:
+        try:
+            pickle.dumps(fn)
+        except Exception:
+            # Unpicklable callables (lambdas, closures) can never cross
+            # the process boundary — run serially rather than failing
+            # every task.
+            serial = True
+    batch = Dispatch(fn, payloads, jobs, policy, plan, tracer, observe,
+                     serial)
+    if not serial:
+        batch.pump()
+    return batch
 
 
 class Dispatch:
-    """One supervised batch between :func:`dispatch` and :meth:`join`."""
-
-    def __init__(self, payloads: Sequence[tuple], policy: RetryPolicy,
-                 supervisor: "_Supervisor | None" = None) -> None:
-        self._payloads = payloads
-        self._policy = policy
-        self._supervisor = supervisor
-        self._report: DispatchReport | None = None
-
-    def join(self) -> DispatchReport:
-        """Run the supervised loop to completion (once; later calls
-        return the same report)."""
-        if self._report is None:
-            supervisor = self._supervisor
-            if supervisor is None:
-                self._report = _run_serial(self._payloads, self._policy)
-            else:
-                with _span("pmap.batch", calls=len(self._payloads),
-                           jobs=supervisor.jobs):
-                    self._report = supervisor.run()
-            self._supervisor = None
-        return self._report
-
-    def cancel(self) -> None:
-        """Abandon the batch: cancel queued tasks, wait out running ones.
-
-        Leaves no task of this batch on a worker; the batch cannot be
-        joined afterwards.
-        """
-        supervisor, self._supervisor = self._supervisor, None
-        if supervisor is not None:
-            supervisor.cancel()
-        self._payloads = ()
-
-
-class _Supervisor:
-    """The supervised dispatch loop of one batch (see module docstring)."""
+    """One supervised batch between :func:`dispatch` and :meth:`join`:
+    its queues and the dispatch loop (see module docstring).  A
+    ``serial`` batch runs :func:`_run_serial` at :meth:`join` instead."""
 
     def __init__(self, fn: Callable[..., Any], payloads: Sequence[tuple],
                  jobs: int, policy: RetryPolicy, plan, tracer,
-                 observe: bool) -> None:
+                 observe: bool, serial: bool) -> None:
         self.fn = fn
+        self.payloads = payloads
         self.jobs = jobs
         self.policy = policy
+        self.serial = serial
+        self.joined = False
+        self.inflight: dict[Any, _Task] = {}
+        if serial:
+            return
         self.plan = plan
         self.plan_json = plan.to_json() if plan is not None else None
         self.tracer = tracer
@@ -568,9 +560,25 @@ class _Supervisor:
         # (ready_at, seq, task)
         self.waiting: list[tuple[float, int, _Task]] = []
         self.solo: deque[_Task] = deque()
-        self.inflight: dict[Any, _Task] = {}
         self.seq = 0
         self.max_inflight = inflight_limit(jobs, policy)
+        # Workers a new pool starts before its first task: all of them
+        # under deadlines (None), else no more than this batch has tasks.
+        self.ready_workers = None if policy.task_timeout \
+            else min(jobs, len(payloads))
+
+    def join(self) -> DispatchReport:
+        """Run the batch to completion (once; later calls return the
+        same report)."""
+        if not self.joined:
+            if self.serial:
+                self.report = _run_serial(self.payloads, self.policy)
+            else:
+                with _span("pmap.batch", calls=len(self.payloads),
+                           jobs=self.jobs):
+                    self.run()
+            self.joined = True
+        return self.report
 
     def fail(self, task: _Task, error: BaseException) -> None:
         outcome = self.report.outcomes[task.index]
@@ -604,7 +612,8 @@ class _Supervisor:
 
     def submit(self, task: _Task, queue: deque) -> bool:
         try:
-            pool = _acquire_pool(self.jobs, self.plan_json)
+            pool = _acquire_pool(self.jobs, self.plan_json,
+                                 self.ready_workers)
         except BaseException:
             # Back in its queue, so a serial drain still runs it.
             queue.appendleft(task)
@@ -800,9 +809,9 @@ class _Supervisor:
                     self.handle_pool_death(victims, dead)
                     # A *poison task* racks up deaths alone; when two
                     # distinct tasks are each charged twice, the pool
-                    # environment itself is broken (workers cannot
-                    # start) — fall back to a serial run like the
-                    # classic path.
+                    # environment itself is broken (workers start but
+                    # die on every task; ones that cannot start fail
+                    # _acquire_pool) — fall back to a serial run.
                     charged = sum(1 for task in self.tasks
                                   if task.pool_deaths >= 2)
                     if charged >= 2:
@@ -845,6 +854,12 @@ class _Supervisor:
         return self.report
 
     def cancel(self) -> None:
+        """Abandon the batch: cancel queued tasks, wait out running
+        ones, so no task of it stays on a worker.  It cannot be joined
+        afterwards."""
+        self.joined = True
+        if self.serial:
+            return
         futures = list(self.inflight)
         for future in futures:
             future.cancel()

@@ -26,7 +26,7 @@ process pool while the analytic stage runs here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import EvaluationFailure, require
 from repro.perf.compare import BenefitReport, compare_designs
@@ -308,8 +308,7 @@ def submit_flows(engine: EvaluationEngine, specs: Sequence[DesignSpec],
 def map_physical(engine: EvaluationEngine, specs: Sequence[DesignSpec],
                  pdk: PDK | None = None, jobs: int | None = None,
                  stage: str = "spec", on_error: str = "raise",
-                 flows: MapHandle | None = None,
-                 meanwhile: Callable[[], None] | None = None) -> list:
+                 flows: MapHandle | None = None) -> list:
     """``evaluate_spec(spec, pdk, physical=True)`` over ``specs``, as two
     engine stages; one result (or, with ``on_error="record"``, one
     :class:`~repro.errors.EvaluationFailure`) per spec, in order.
@@ -320,27 +319,28 @@ def map_physical(engine: EvaluationEngine, specs: Sequence[DesignSpec],
     2. ``<stage>.evaluate`` — the analytic ``evaluate_spec`` calls of
        :func:`spec_calls`, in this process (two scalar simulations cost
        less than a pool round trip), under the keys non-physical
-       evaluations and ``/v1/eval`` use.  ``meanwhile`` runs next (the
-       sweep submits later chunks' flows there), then the flows are
-       joined.
+       evaluations and ``/v1/eval`` use.  Then the flows are joined.
+       A stage submitted before this call (``flows``) lists first in
+       the engine's report.
 
     A point whose analytic stage failed records that failure; its chip's
     flow still ran (it was submitted first) and counts as evaluated in
     ``<stage>.physical``.  A failed chip summary is recorded for each
     point on that chip.
     """
+    # Serial, so nothing runs before result(): submitting it first only
+    # keeps the report's stage order (analytic, then physical).
     analytic = engine.submit(evaluate_spec, spec_calls(specs, pdk),
                              stage=f"{stage}.evaluate", jobs=1,
                              on_error=on_error)
-    if flows is None:
-        flows = submit_flows(engine, specs, pdk, jobs, stage, on_error)
     try:
-        if meanwhile is not None:
-            meanwhile()
+        if flows is None:
+            flows = submit_flows(engine, specs, pdk, jobs, stage, on_error)
         results = analytic.result()
     except BaseException:
         analytic.cancel()
-        flows.cancel()
+        if flows is not None:
+            flows.cancel()
         raise
     for slot, summary in enumerate(flows.result()):
         value = results[slot]

@@ -221,8 +221,9 @@ def stream_sweep(
     admitted to the frontier.  The physical path is scalar-only, so
     ``batch`` is ignored when ``physical`` is set, mirroring
     ``evaluate_specs``.  Without ``prune`` (and without task deadlines)
-    the flows of later chunks are submitted while the current chunk's
-    analytic stage runs and its flows are joined: chunks are read ahead
+    the current chunk's flows and then later chunks' flows are submitted
+    before the current chunk's analytic stage runs and its flows are
+    joined, so the pool works through both: chunks are read ahead
     while fewer than the dispatcher's in-flight limit (2 x ``jobs``)
     flow tasks are outstanding, chunks the checkpoint holds submit
     nothing, and closing the generator cancels what it submitted.  A
@@ -270,12 +271,12 @@ def stream_sweep(
                 evaluations.append(value)
         return tuple(evaluations), tuple(failures)
 
-    def evaluate(specs, flows=None, meanwhile=None) -> list:
+    def evaluate(specs, flows=None) -> list:
         """Engine results for ``specs``, one per spec."""
         if physical:
             return map_physical(engine, specs, pdk, jobs=jobs,
                                 stage="sweep", on_error=on_error,
-                                flows=flows, meanwhile=meanwhile)
+                                flows=flows)
         return engine.map(evaluate_spec, spec_calls(specs, pdk),
                           stage="sweep.evaluate", jobs=jobs,
                           on_error=on_error,
@@ -311,7 +312,7 @@ def stream_sweep(
         return replace(record, evaluations=tuple(ordered),
                        failures=tuple(still_failed))
 
-    def process(planned: _Planned, start: float, meanwhile) -> SweepChunk:
+    def process(planned: _Planned, start: float) -> SweepChunk:
         """Evaluate (or replay) one chunk and fold it into the frontier."""
         nonlocal failed_total
         index, chunk, record = planned.index, planned.chunk, planned.record
@@ -346,8 +347,13 @@ def stream_sweep(
                             pruned += 1
                     survivors = tuple(kept)
                 if survivors:
+                    if lookahead:
+                        # This chunk's flows first, then later chunks'.
+                        if planned.flows is None:
+                            planned.flows = submit_chunk(planned.chunk)
+                        prefetch()
                     evaluations, failures = split(survivors, evaluate(
-                        survivors, planned.flows, meanwhile))
+                        survivors, planned.flows))
                 else:
                     evaluations = failures = ()
                 if store is not None:
@@ -422,6 +428,10 @@ def stream_sweep(
         return _Planned(index, chunk, specs_hash,
                         store.get(index, specs_hash))
 
+    def submit_chunk(chunk) -> MapHandle:
+        return submit_flows(engine, chunk, pdk, jobs=jobs, stage="sweep",
+                            on_error=on_error)
+
     def prefetch() -> None:
         """Submit later chunks' flows while the pool has room."""
         nonlocal outstanding
@@ -431,12 +441,11 @@ def stream_sweep(
                 return
             planned = plan(*item)
             if planned.record is None:
-                planned.flows = submit_flows(
-                    engine, planned.chunk, pdk, jobs=jobs, stage="sweep",
-                    on_error=on_error)
+                planned.flows = submit_chunk(planned.chunk)
                 outstanding += planned.flows.tasks
             ahead.append(planned)
 
+    planned = None
     try:
         while True:
             start = time.perf_counter()
@@ -449,9 +458,12 @@ def stream_sweep(
                 if item is None:
                     return
                 planned = plan(*item)
-            yield process(planned, start, prefetch if lookahead else None)
+            yield process(planned, start)
     finally:
-        # A generator closed early abandons the flows it submitted.
+        # A generator closed early (or a chunk that raised) abandons the
+        # flows it submitted; cancelling a joined submission is a no-op.
+        if planned is not None:
+            ahead.appendleft(planned)
         while ahead:
             flows = ahead.pop().flows
             if flows is not None:

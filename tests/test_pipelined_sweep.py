@@ -86,8 +86,7 @@ def test_closing_early_leaves_nothing_running(pdk, ahead_submissions):
     assert first.index == 0 and ahead_submissions
     futures = [future for handle in ahead_submissions
                if handle.dispatch is not None
-               and handle.dispatch._supervisor is not None
-               for future in handle.dispatch._supervisor.inflight]
+               for future in handle.dispatch.inflight]
     generator.close()
     assert all(future.done() for future in futures)
     assert engine._unfinished == []
@@ -161,6 +160,27 @@ def test_a_failed_analytic_stage_still_counts_its_chips_flow(
     # 8 analytic + 4 flow evaluations.
     assert report.stage("sweep.physical").evaluated == 4
     assert report.evaluated == 12
+
+
+def test_a_raising_analytic_stage_leaves_nothing_submitted(
+        monkeypatch, pdk, ahead_submissions):
+    analytic = evaluate_mod.evaluate_spec
+
+    def failing_at_64mb(spec, pdk=None, physical=False):
+        if spec.arch.capacity_bits == 64 * MEGABYTE:
+            raise ConfigurationError("no analytic model at 64 MB")
+        return analytic(spec, pdk, physical)
+
+    monkeypatch.setattr(evaluate_mod, "evaluate_spec", failing_at_64mb)
+    engine = EvaluationEngine(jobs=2)
+    with pytest.raises(ConfigurationError, match="64 MB"):
+        run_streaming_sweep(_chips_sweep(), pdk, engine=engine, jobs=2,
+                            chunk_size=2, physical=True)
+    # The raising chunk's flows and those read ahead were cancelled.
+    assert len(ahead_submissions) > 1
+    assert engine._unfinished == []
+    pool = sys.modules["repro.runtime.pmap"]._pool
+    assert pool is None or not pool._pending_work_items
 
 
 def _flow_knob_grid():

@@ -610,6 +610,10 @@ def _pid_after_a_pause(_):
     return os.getpid()
 
 
+def _failing_init(*_args):
+    raise RuntimeError("this worker cannot start")
+
+
 class _NoSemaphores:
     """A multiprocessing context that cannot build a barrier."""
 
@@ -653,6 +657,48 @@ class TestReadyPool:
                                jobs=2)
         assert [o.value for o in report.outcomes] == [0, 1, 4, 9]
         assert pmap_module._pool is None
+
+    def test_workers_that_cannot_start_run_the_batch_serially(
+            self, monkeypatch):
+        pmap_module = sys.modules["repro.runtime.pmap"]
+        shutdown_pool()
+        # Workers resolve the initializer by name, so they run this one.
+        monkeypatch.setattr(pmap_module, "_init_worker", _failing_init)
+        with pytest.raises(OSError, match="could not start 2 of its 2"):
+            pmap_module._acquire_pool(2, None)
+        assert pmap_module._pool is None
+        report = pmap_outcomes(_square, [((x,), {}) for x in range(4)],
+                               jobs=2)
+        assert [o.value for o in report.outcomes] == [0, 1, 4, 9]
+        assert (report.pool_deaths, report.retries) == (0, 0)
+        assert pmap_module._pool is None
+
+    def test_a_small_batch_starts_only_its_workers(self):
+        from repro.runtime.pmap import RetryPolicy
+
+        pmap_module = sys.modules["repro.runtime.pmap"]
+        shutdown_pool()
+        assert pmap_outcomes(_square, [((3,), {}), ((4,), {})],
+                             jobs=4).outcomes[1].value == 16
+        small = pmap_module._pool
+        assert small._repro_ready == 2
+        # A pool's first rendezvous spawns one worker per party.
+        shutdown_pool()
+        small = pmap_module._acquire_pool(4, None, 2)
+        assert len(small._processes) == 2
+        # A batch without deadlines takes the live pool as it is.
+        assert pmap_module._acquire_pool(4, None, 4) is small
+        # A deadline batch needs every worker started: it replaces the
+        # pool, and the full pool serves smaller batches too.
+        report = pmap_outcomes(
+            _square, [((x,), {}) for x in range(2)], jobs=4,
+            policy=RetryPolicy(task_timeout=5.0, max_retries=0))
+        assert [o.value for o in report.outcomes] == [0, 1]
+        full = pmap_module._pool
+        assert full is not small and full._repro_ready == 4
+        assert len(full._processes) == 4
+        assert pmap_module._acquire_pool(4, None, 2) is full
+        shutdown_pool()
 
 
 class TestSubmit:
