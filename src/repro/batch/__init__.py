@@ -5,7 +5,8 @@ Public surface:
 * :class:`~repro.batch.kernel.BatchKernel` — batched ``evaluate_spec``
   with delta-evaluation between neighboring sweep points, running the
   simulator's own per-layer cost model (:mod:`repro.perf.layer_cost`)
-  on numpy arrays.
+  on a call's new design rows: through the simulator's layer memo while
+  they are few, as numpy arrays once they outweigh numpy's import.
 """
 
 from repro.batch.kernel import BatchKernel

@@ -1,4 +1,4 @@
-"""The vectorized batch evaluation kernel.
+"""The batch evaluation kernel.
 
 :class:`BatchKernel` evaluates many ``evaluate_spec`` calls at once:
 
@@ -10,13 +10,22 @@
    (:class:`~repro.batch.pack.PackMemo`).  Specs the row schema cannot
    express fall back to scalar ``evaluate_spec`` (counted as
    ``batch.fallback_scalar``).
-2. **Evaluate** (arrays): the distinct ``(design row, workload)`` pairs
+2. **Evaluate** (per call): the distinct ``(design row, workload)`` pairs
    that no earlier point — in this batch or a previous one — already
    evaluated run through :func:`~repro.perf.layer_cost.layer_cost`, the
-   per-layer cost model the scalar simulator runs too, here on numpy
-   ops: each workload's group computes as (rows x layers) broadcast
-   matrices and reduces over the layers.  Reused pairs count as
-   ``batch.delta_hits``.
+   per-layer cost model the scalar simulator runs too.  Reused pairs
+   count as ``batch.delta_hits``.  The new pairs evaluate one of two
+   ways, chosen per call by :func:`_numpy_pays`:
+
+   * scalar: each row's layers through the simulator's layer memo
+     (:func:`~repro.perf.simulator.row_layer_cost`), totalled by
+     :func:`pairwise_sum`;
+   * numpy: each workload's group as (rows x layers) broadcast matrices
+     reduced with ``.sum(axis=1)`` (:func:`_evaluate_rows`).
+
+   Both sum each row's layers in numpy's pairwise order, so they return
+   bit-identical totals; the choice only decides whether this process
+   pays numpy's import for the call.
 3. **Assemble** (python, per point): per-design cycle/energy totals
    combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
    with the exact ratio arithmetic of ``compare_designs``.
@@ -36,9 +45,8 @@ evaluated when the point is.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.batch.pack import (
     ROW_RESULTS,
@@ -54,6 +62,7 @@ from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
 from repro.arch.systolic import ArrayOps
 from repro.perf.layer_cost import layer_cost
+from repro.perf.simulator import row_layer_cost
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import stable_key
 from repro.runtime.memo import add_counts
@@ -67,26 +76,105 @@ from repro.sweep.bounds import (
 )
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
-__all__ = ["BatchKernel"]
+__all__ = ["BatchKernel", "pairwise_sum"]
 
-#: The cost model's ops over (rows x layers) broadcast arrays.
-_NUMPY_OPS = ArrayOps(maximum=np.maximum, minimum=np.minimum,
-                      where=np.where, ceil=np.ceil)
+#: New (row, distinct layer shape) costs the scalar path may run in one
+#: process before a call imports numpy instead (see :func:`_numpy_pays`):
+#: numpy's import (51-82 ms, median 70 ms, in fresh processes on a 2-vCPU
+#: VM) over the scalar path's cost per distinct shape of a new row
+#: (6-31 us across the ten networks, median 11.5 us).
+SCALAR_BUDGET = 6_000
+
+#: (row, distinct layer shape) costs this process ran on the scalar path.
+#: Unlocked: an update lost between threads only delays the import, and
+#: both paths return the same bits.
+_scalar_spent = 0
 
 
-def _design_columns(rows: Sequence[DesignRow]) -> DesignRow:
-    """Stack design rows into (R, 1) column vectors for broadcasting."""
-    return DesignRow._make(
-        np.array(values, dtype=bool if name == "row_packing"
-                 else np.float64)[:, None]
-        for name, values in zip(DesignRow._fields, zip(*rows)))
+def _numpy_pays(cost: int) -> bool:
+    """Whether a call whose new rows cost ``cost`` (row, distinct layer
+    shape) pairs takes the numpy path.
+
+    Ski rental, with numpy's import as the purchase: once numpy is
+    loaded (by any module) it always pays.  Until then a call stays
+    scalar while the process's scalar spending, this call's included,
+    is within :data:`SCALAR_BUDGET` (about one import's worth), and the
+    first call past it imports numpy.  So choosing costs a process at
+    most about one import over the better of the two paths.  The unit is
+    the distinct shape because the scalar path runs one ``layer_cost``
+    per distinct shape of a new row and memo hits for the repeats.
+    """
+    global _scalar_spent
+    if "numpy" in sys.modules or _scalar_spent + cost > SCALAR_BUDGET:
+        return True
+    _scalar_spent += cost
+    return False
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``values`` summed in numpy's pairwise order.
+
+    The order of ``numpy.add.reduce`` over a contiguous float64 row (what
+    ``.sum(axis=1)`` does to each row of the numpy path's matrices):
+    fewer than 8 values add left to right; up to 128 add into 8 strided
+    partial sums combined as a tree, then the remainder; longer runs
+    split at a multiple of 8 near the middle and recurse.  Float addition
+    does not associate, so the scalar path totals with this, not
+    ``sum()``, to return the numpy path's bits.
+    """
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count <= 128:
+        lanes = list(values[:8])
+        end = count - count % 8
+        for block in range(8, end, 8):
+            for lane in range(8):
+                lanes[lane] += values[block + lane]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) \
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        for value in values[end:]:
+            total += value
+        return total
+    half = count // 2 - count // 2 % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _scalar_rows(rows: Sequence[DesignRow],
+                 stage: WorkloadStage) -> "list[tuple[float, float]]":
+    """Total (cycles, energy) of each design row on the stage's network,
+    one layer at a time through the simulator's layer memo."""
+    layers = stage.network.layers
+    totals = []
+    for row in rows:
+        cycles = []
+        energy = []
+        for layer in layers:
+            costs = row_layer_cost(row, layer)
+            cycles.append(costs[3])
+            energy.append(costs[4] + costs[5])
+        totals.append((pairwise_sum(cycles), pairwise_sum(energy)))
+    return totals
 
 
 def _evaluate_rows(rows: Sequence[DesignRow],
                    stage: WorkloadStage) -> "list[tuple[float, float]]":
-    """Total (cycles, energy) of each design row on the stage's network."""
+    """Total (cycles, energy) of each design row on the stage's network,
+    as (rows x layers) numpy matrices."""
+    import numpy as np
+
+    ops = ArrayOps(maximum=np.maximum, minimum=np.minimum,
+                   where=np.where, ceil=np.ceil)
+    # The design rows as (R, 1) column vectors for broadcasting.
+    design = DesignRow._make(
+        np.array(values, dtype=bool if name == "row_packing"
+                 else np.float64)[:, None]
+        for name, values in zip(DesignRow._fields, zip(*rows)))
     _, _, _, cycles, dynamic, leakage = layer_cost(
-        _NUMPY_OPS, _design_columns(rows), stage.columns())
+        ops, design, stage.columns())
     total_cycles = cycles.sum(axis=1)
     total_energy = (dynamic + leakage).sum(axis=1)
     return list(zip(total_cycles.tolist(), total_energy.tolist()))
@@ -98,11 +186,12 @@ def _delta_evaluate(point_rows: "Iterable[tuple[tuple, Sequence[DesignRow]]]",
     ``({workload key: {id(row): (cycles, energy)}}, hits)``.
 
     Only the distinct pairs no earlier call already evaluated (the
-    ``batch.rows`` memo) run through :func:`_evaluate_rows`, one
-    vectorized group per workload; every other pair is a delta hit.
-    Results are keyed on the row *object* (which the caller pins), so a
-    row shared by many points (:class:`~repro.batch.pack.PackMemo`
-    interns them) is hashed by content once, not once per point.
+    ``batch.rows`` memo) are evaluated, one group per workload, all on
+    the path :func:`_numpy_pays` picks for the call; every other pair is
+    a delta hit.  Results are keyed on the row *object* (which the
+    caller pins), so a row shared by many points
+    (:class:`~repro.batch.pack.PackMemo` interns them) is hashed by
+    content once, not once per point.
     """
     by_workload: dict = {}
     local: dict = {}
@@ -130,9 +219,12 @@ def _delta_evaluate(point_rows: "Iterable[tuple[tuple, Sequence[DesignRow]]]",
     groups: dict = {}
     for row, workload_key in pending:
         groups.setdefault(workload_key, []).append(row)
+    stages = {key: workload_stage(*key) for key in groups}
+    evaluate = _evaluate_rows if _numpy_pays(sum(
+        len(rows) * stages[key].shapes for key, rows in groups.items())) \
+        else _scalar_rows
     for workload_key, rows in groups.items():
-        stage = workload_stage(*workload_key)
-        for row, totals in zip(rows, _evaluate_rows(rows, stage)):
+        for row, totals in zip(rows, evaluate(rows, stages[workload_key])):
             row_key = (row, workload_key)
             local[row_key] = totals
             ROW_RESULTS.put(row_key, totals)

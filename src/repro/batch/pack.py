@@ -52,8 +52,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.arch.accelerator import (
     DEFAULT_BANK_WIDTH_BITS,
     DEFAULT_WRITEBACK_BUS_BITS,
@@ -68,6 +66,7 @@ from repro.runtime.memo import memo_table
 from repro.spec.design import ArchSpec, DesignSpec, TechSpec, WorkloadSpec
 from repro.spec.resolve import build_workload, design_stage
 from repro.tech.pdk import PDK
+from repro.workloads.layers import shape_key
 
 __all__ = [
     "DesignRow",
@@ -93,14 +92,20 @@ class UnsupportedSpec(Exception):
 
 
 class WorkloadStage:
-    """Per-layer features of one (network, layer-restriction) workload."""
+    """Per-layer features of one (network, layer-restriction) workload.
 
-    __slots__ = ("key", "network", "layers", "_columns")
+    ``shapes`` counts the network's distinct layer shapes: the layer
+    costs a new design row runs on the kernel's scalar path, where
+    repeated shapes hit the simulator's layer memo.
+    """
+
+    __slots__ = ("key", "network", "layers", "shapes", "_columns")
 
     def __init__(self, key: tuple, network) -> None:
         self.key = key
         self.network = network
         self.layers = tuple(layer_row(layer) for layer in network.layers)
+        self.shapes = len({shape_key(layer) for layer in network.layers})
         self._columns = None
 
     def weight_bits(self, precision_bits: int) -> int:
@@ -110,6 +115,8 @@ class WorkloadStage:
     def columns(self) -> LayerRow:
         """The layer features as (1, L) numpy row vectors, built lazily."""
         if self._columns is None:
+            import numpy as np
+
             stacked = list(zip(*self.layers)) if self.layers else \
                 [[] for _ in LayerRow._fields]
             self._columns = LayerRow._make(

@@ -14,9 +14,10 @@ limit), so the same body runs in two ways:
   :meth:`AcceleratorSimulator.run_layer
   <repro.perf.simulator.AcceleratorSimulator.run_layer>`;
 * with numpy ops on broadcast arrays, one row per design and one column
-  per layer — the batch kernel (:mod:`repro.batch.kernel`), which builds
-  its op set beside its numpy import so the scalar path never loads
-  numpy.
+  per layer — the batch kernel's numpy path (:mod:`repro.batch.kernel`),
+  which builds its op set beside its numpy import so the scalar path
+  never loads numpy.  The kernel's other path runs the scalar ops
+  through the simulator's layer memo.
 
 ``where`` replaces control flow and evaluates both branches in either
 mode; every branch is total (no division by zero on the untaken side).

@@ -369,23 +369,35 @@ def test_default_resolves_share_one_design_stage():
     assert retained < 6e6, retained
 
 
-def test_the_serving_path_loads_no_numpy():
+def test_the_serving_path_loads_no_numpy(tmp_path):
+    # So does a batched, pruned, checkpointed sweep of 640 points: its
+    # few new design rows stay on the batch kernel's scalar path.
     code = (
         "import sys\n"
         "import repro.serve.app\n"
         "from repro.runtime.keys import call_key\n"
         "from repro.spec.design import DesignSpec\n"
         "from repro.spec.evaluate import evaluate_spec\n"
+        "from repro.spec.sweep import SweepSpec\n"
+        "from repro.sweep import stream_sweep\n"
         "spec = DesignSpec()\n"
         "evaluate_spec(spec)\n"
         "call_key(evaluate_spec, (spec,), {})\n"
         "spec.fingerprint()\n"
-        "print('numpy' in sys.modules)\n")
+        "sweep = SweepSpec(base=spec, grid={\n"
+        "    'arch.capacity_mb': [12 + 2 * i for i in range(40)],\n"
+        "    'arch.tier_pairs': [1, 2, 4, 8],\n"
+        "    'arch.precision_bits': [4, 8],\n"
+        "    'workload.network': ['resnet18', 'mobilenet_v1']})\n"
+        "points = sum(chunk.size for chunk in stream_sweep(\n"
+        "    sweep, chunk_size=32, batch=True, prune=True,\n"
+        "    checkpoint=sys.argv[1]))\n"
+        "print(points, 'numpy' in sys.modules)\n")
     src = str(Path(repro.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-c", code], check=True,
-                            env=dict(os.environ, PYTHONPATH=src),
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                            check=True, env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["640", "False"]
 
 
 def test_threads_sharing_the_encoder_get_exact_keys(monkeypatch):
