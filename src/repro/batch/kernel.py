@@ -1,46 +1,42 @@
-"""The batch evaluation kernel.
+"""The batch evaluation kernel: the one analytic value path.
 
-:class:`BatchKernel` evaluates many ``evaluate_spec`` calls at once:
+One-point ``evaluate_spec`` and ``spec_bounds`` (:func:`analytic_fields`,
+:func:`analytic_bounds`) and :class:`BatchKernel`'s many-call batches
+all run the same three steps:
 
 1. **Pack** (python, per design): each spec lowers to two
    :class:`~repro.perf.layer_cost.DesignRow` parameter rows through the
    delta-evaluation stage tables (:mod:`repro.batch.pack`), built by the
-   same staged design construction the scalar resolver and simulator
-   use, once per ``(tech, arch, batch)`` design of the call
-   (:class:`~repro.batch.pack.PackMemo`).  Specs the row schema cannot
-   express fall back to scalar ``evaluate_spec`` (counted as
-   ``batch.fallback_scalar``).
+   same staged design construction the resolver and simulator use, once
+   per ``(tech, arch, batch)`` design of the call
+   (:class:`~repro.batch.pack.PackMemo`).
 2. **Evaluate** (per call): the distinct ``(design row, workload)`` pairs
-   that no earlier point — in this batch or a previous one — already
+   that no earlier point — in this call or a previous one — already
    evaluated run through :func:`~repro.perf.layer_cost.layer_cost`, the
-   per-layer cost model the scalar simulator runs too.  Reused pairs
-   count as ``batch.delta_hits``.  The new pairs evaluate one of two
-   ways, chosen per call by :func:`_numpy_pays`:
-
-   * scalar: each row's layers through the simulator's layer memo
-     (:func:`~repro.perf.simulator.row_layer_cost`), totalled by
-     :func:`pairwise_sum`;
-   * numpy: each workload's group as (rows x layers) broadcast matrices
-     reduced with ``.sum(axis=1)`` (:func:`_evaluate_rows`).
-
-   Both sum each row's layers in numpy's pairwise order, so they return
-   bit-identical totals; the choice only decides whether this process
-   pays numpy's import for the call.
-3. **Assemble** (python, per point): per-design cycle/energy totals
-   combine into :class:`~repro.spec.evaluate.SpecEvaluation` results
-   with the exact ratio arithmetic of ``compare_designs``.
+   per-layer cost model the simulator runs too.  Reused pairs count as
+   ``batch.delta_hits``.  The new pairs evaluate one of two ways, chosen
+   per call by :func:`_numpy_pays`: each row's layers through the
+   simulator's layer memo (:func:`~repro.perf.simulator.row_layer_cost`),
+   or each workload's group as (rows x layers) numpy matrices
+   (:func:`_evaluate_rows`).  Both add a row's layers left to right
+   (:func:`~repro.perf.layer_cost.ordered_sum`, over the matrices' layer
+   columns on the numpy path), as the simulator's reports do, so every
+   path returns the same bits on every interpreter; the choice only
+   decides whether this process pays numpy's import for the call.
+3. **Assemble** (python, per point): ``compare_designs``' ratio
+   arithmetic (:func:`_fields`), or certified bounds
+   (:func:`~repro.sweep.bounds.point_bounds`).
 
 :meth:`BatchKernel.evaluate_calls` is the ``batch_fn`` of
 ``EvaluationEngine.map`` for the ``spec.evaluate`` / ``sweep.evaluate``
-stages — cache keys, dedup and counters stay identical to the scalar
-path, so a batch run warms the same cache a scalar run reads and vice
-versa.  :meth:`BatchKernel.bound_calls` is the ``batch_fn`` of the
-pruned sweep's ``sweep.bounds`` stage the same way: it runs each point's 2D row and the
-two relaxed M3D rows of :func:`~repro.sweep.bounds.relaxed_rows` through
-the same delta evaluation (counted as ``batch.bound_points`` /
-``batch.bound_delta_hits`` / ``batch.bound_fallback_scalar``), so the
-bound reuses the one cost model and a survivor's baseline row is already
-evaluated when the point is.
+stages, and :meth:`BatchKernel.bound_calls` that of the pruned sweep's
+``sweep.bounds`` stage: the relaxed M3D rows of
+:func:`~repro.sweep.bounds.relaxed_rows` run beside the 2D rows, so a
+survivor's baseline row is already evaluated when the point is.  Cache
+keys, dedup and results equal per-point dispatch: a batch decides only
+how calls are dispatched, never which bits come back.  Calls the kernel
+does not pack go one by one (``batch.fallback_scalar``,
+``batch.bound_fallback_scalar``).
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from repro.batch.pack import (
     DesignRow,
     PackMemo,
     PackedPoint,
-    UnsupportedSpec,
     WorkloadStage,
     pack_point,
     workload_stage,
@@ -61,7 +56,7 @@ from repro.batch.pack import (
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.trace import is_enabled as _obs_enabled
 from repro.arch.systolic import ArrayOps
-from repro.perf.layer_cost import layer_cost
+from repro.perf.layer_cost import layer_cost, ordered_sum
 from repro.perf.simulator import row_layer_cost
 from repro.runtime.cache import MISSING
 from repro.runtime.keys import stable_key
@@ -76,7 +71,7 @@ from repro.sweep.bounds import (
 )
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 
-__all__ = ["BatchKernel", "pairwise_sum"]
+__all__ = ["BatchKernel", "analytic_bounds", "analytic_fields"]
 
 #: New (row, distinct layer shape) costs the scalar path may run in one
 #: process before a call imports numpy instead (see :func:`_numpy_pays`):
@@ -111,52 +106,15 @@ def _numpy_pays(cost: int) -> bool:
     return False
 
 
-def pairwise_sum(values: Sequence[float]) -> float:
-    """``values`` summed in numpy's pairwise order.
-
-    The order of ``numpy.add.reduce`` over a contiguous float64 row (what
-    ``.sum(axis=1)`` does to each row of the numpy path's matrices):
-    fewer than 8 values add left to right; up to 128 add into 8 strided
-    partial sums combined as a tree, then the remainder; longer runs
-    split at a multiple of 8 near the middle and recurse.  Float addition
-    does not associate, so the scalar path totals with this, not
-    ``sum()``, to return the numpy path's bits.
-    """
-    count = len(values)
-    if count < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if count <= 128:
-        lanes = list(values[:8])
-        end = count - count % 8
-        for block in range(8, end, 8):
-            for lane in range(8):
-                lanes[lane] += values[block + lane]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) \
-            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        for value in values[end:]:
-            total += value
-        return total
-    half = count // 2 - count // 2 % 8
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
 def _scalar_rows(rows: Sequence[DesignRow],
                  stage: WorkloadStage) -> "list[tuple[float, float]]":
     """Total (cycles, energy) of each design row on the stage's network,
     one layer at a time through the simulator's layer memo."""
-    layers = stage.network.layers
     totals = []
     for row in rows:
-        cycles = []
-        energy = []
-        for layer in layers:
-            costs = row_layer_cost(row, layer)
-            cycles.append(costs[3])
-            energy.append(costs[4] + costs[5])
-        totals.append((pairwise_sum(cycles), pairwise_sum(energy)))
+        costs = [row_layer_cost(row, layer) for layer in stage.network.layers]
+        totals.append((ordered_sum(cost[3] for cost in costs),
+                       ordered_sum(cost[4] + cost[5] for cost in costs)))
     return totals
 
 
@@ -175,8 +133,9 @@ def _evaluate_rows(rows: Sequence[DesignRow],
         for name, values in zip(DesignRow._fields, zip(*rows)))
     _, _, _, cycles, dynamic, leakage = layer_cost(
         ops, design, stage.columns())
-    total_cycles = cycles.sum(axis=1)
-    total_energy = (dynamic + leakage).sum(axis=1)
+    # One layer column at a time across all rows: the scalar order.
+    total_cycles = ordered_sum(cycles.T)
+    total_energy = ordered_sum((dynamic + leakage).T)
     return list(zip(total_cycles.tolist(), total_energy.tolist()))
 
 
@@ -233,13 +192,46 @@ def _delta_evaluate(point_rows: "Iterable[tuple[tuple, Sequence[DesignRow]]]",
             for workload_key, seen in by_workload.items()}, delta_hits
 
 
+def _fields(point: PackedPoint, workload_totals: dict) -> tuple:
+    """The six analytic fields of ``evaluate_spec`` from a point's
+    evaluated rows (runtime = cycles * cycle time)."""
+    row_2d, row_m3d = point.row_2d, point.row_m3d
+    cycles_2d, energy_2d = workload_totals[id(row_2d)]
+    cycles_m3d, energy_m3d = workload_totals[id(row_m3d)]
+    speedup = (cycles_2d * row_2d.cycle_time) \
+        / (cycles_m3d * row_m3d.cycle_time)
+    energy_benefit = energy_2d / energy_m3d
+    return (row_2d.n_cs, row_m3d.n_cs, point.footprint, speedup,
+            energy_benefit, speedup * energy_benefit)
+
+
+def analytic_fields(spec: DesignSpec, pdk: PDK | None = None) -> tuple:
+    """One spec's six ``evaluate_spec`` fields, the way
+    :meth:`BatchKernel.evaluate_calls` computes them, counting nothing.
+    Raises what :func:`pack_point` raises for a spec it cannot lower."""
+    point = pack_point(spec, pdk if pdk is not None else foundry_m3d_pdk())
+    totals, _ = _delta_evaluate(
+        ((point.workload_key, (point.row_2d, point.row_m3d)),))
+    return _fields(point, totals[point.workload_key])
+
+
+def analytic_bounds(spec: DesignSpec, pdk: PDK | None = None) -> PointBounds:
+    """One spec's bounds, the way :meth:`BatchKernel.bound_calls`
+    computes them (see :func:`analytic_fields`)."""
+    point = pack_point(spec, pdk if pdk is not None else foundry_m3d_pdk())
+    timing, energy = relaxed_rows(point.row_m3d)
+    totals, _ = _delta_evaluate(
+        ((point.workload_key, (point.row_2d, timing, energy)),))
+    return point_bounds(point, timing, energy, totals[point.workload_key])
+
+
 class BatchKernel:
-    """Batched ``evaluate_spec`` against one base PDK.
+    """Batched ``evaluate_spec`` and ``spec_bounds`` against one base PDK.
 
     ``pdk=None`` means the default foundry M3D PDK, matching
-    ``evaluate_spec(spec)``'s default — the kernel then only accepts the
-    one-argument call shape, so its results answer exactly the calls the
-    scalar path would have made.
+    ``evaluate_spec(spec)``'s default — the kernel then only packs the
+    one-argument call shape, so its results answer exactly the calls
+    per-point dispatch would have made.
     """
 
     def __init__(self, pdk: PDK | None = None) -> None:
@@ -259,9 +251,9 @@ class BatchKernel:
 
         This is the ``batch_fn`` :meth:`EvaluationEngine.map` invokes for
         cache-missing calls.  Results are positional; calls the kernel
-        cannot take (unexpected shape, mismatched PDK, unsupported spec)
-        evaluate through scalar ``evaluate_spec`` — errors those specs
-        would raise scalar-side propagate unchanged.
+        does not pack (unexpected shape, mismatched PDK, unsupported spec)
+        go through ``evaluate_spec`` one by one, which evaluates them on
+        their own PDK or raises the spec's scalar diagnostic.
         """
         results: list = [None] * len(calls)
         packed, fallback = self._pack_calls(calls)
@@ -270,17 +262,8 @@ class BatchKernel:
             for _, point in packed)
 
         for index, point in packed:
-            row_2d, row_m3d = point.row_2d, point.row_m3d
-            workload_totals = totals[point.workload_key]
-            cycles_2d, energy_2d = workload_totals[id(row_2d)]
-            cycles_m3d, energy_m3d = workload_totals[id(row_m3d)]
-            # compare_designs ratio arithmetic, with runtime = cycles * t.
-            speedup = (cycles_2d * row_2d.cycle_time) \
-                / (cycles_m3d * row_m3d.cycle_time)
-            energy_benefit = energy_2d / energy_m3d
             results[index] = SpecEvaluation(
-                point.spec, row_2d.n_cs, row_m3d.n_cs, point.footprint,
-                speedup, energy_benefit, speedup * energy_benefit)
+                point.spec, *_fields(point, totals[point.workload_key]))
 
         for index in fallback:
             args, kwargs = calls[index]
@@ -306,7 +289,7 @@ class BatchKernel:
         (:func:`~repro.sweep.bounds.relaxed_rows`) run through the same
         delta evaluation as :meth:`evaluate_calls`, so a survivor's
         baseline row is already evaluated when the point is.  Calls the
-        kernel cannot take fall back to scalar ``spec_bounds``.
+        kernel does not pack go through ``spec_bounds`` one by one.
         """
         results: list = [None] * len(calls)
         packed, fallback = self._pack_calls(calls)
@@ -325,16 +308,8 @@ class BatchKernel:
             for _, point, timing, energy in relaxed)
 
         for index, point, timing, energy in relaxed:
-            workload_totals = totals[point.workload_key]
-            cycles_2d, energy_2d = workload_totals[id(point.row_2d)]
-            cycles_lb = workload_totals[id(timing)][0]
-            # Zero static power: the energy row's total is its dynamic
-            # energy exactly.
-            energy_lb = workload_totals[id(energy)][1]
-            results[index] = point_bounds(
-                point.spec, point.footprint,
-                cycles_2d * point.row_2d.cycle_time, energy_2d,
-                cycles_lb * timing.cycle_time, energy_lb)
+            results[index] = point_bounds(point, timing, energy,
+                                          totals[point.workload_key])
 
         for index in fallback:
             args, kwargs = calls[index]
@@ -348,7 +323,7 @@ class BatchKernel:
     def _pack_calls(self, calls: "Sequence[tuple[tuple, dict]]",
                     ) -> "tuple[list[tuple[int, PackedPoint]], list[int]]":
         """Split ``(spec[, pdk])`` calls into packed points and the
-        indices that must take the scalar path."""
+        indices that must go one by one."""
         packed: "list[tuple[int, PackedPoint]]" = []
         fallback: list[int] = []
         memo = PackMemo()
@@ -363,10 +338,9 @@ class BatchKernel:
                     packed.append(
                         (index, pack_point(args[0], self.base, memo)))
                     continue
-                except UnsupportedSpec:
-                    pass
                 except Exception:
-                    # Invalid specs re-raise their scalar diagnostics.
+                    # Unsupported and invalid specs raise their scalar
+                    # diagnostics one by one.
                     pass
             fallback.append(index)
         return packed, fallback

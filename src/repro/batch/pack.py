@@ -82,12 +82,12 @@ __all__ = [
 
 
 class UnsupportedSpec(Exception):
-    """Raised when a spec cannot take the vectorized path.
+    """Raised when a spec cannot be lowered to design rows.
 
-    The kernel answers by falling back to scalar ``evaluate_spec`` for
-    that point, which either evaluates it correctly or raises the same
-    diagnostic the scalar path always raised (e.g. for weights that do
-    not fit on chip) — the batch layer never invents new behavior.
+    Every such spec is one the scalar pipeline rejects (e.g. weights
+    that do not fit on chip): ``evaluate_spec`` and ``spec_bounds``
+    raise that pipeline's diagnostic — the batch layer never invents
+    new behavior.
     """
 
 
@@ -194,8 +194,8 @@ def pack_point(spec: DesignSpec, base: PDK,
     designs and rows from, so they equal the scalar pipeline's rows.
     With a ``memo``, a design the batch already packed is looked up, not
     rebuilt; only the weight-fit check and the point stay per spec.
-    Raises :class:`UnsupportedSpec` for anything the scalar path would
-    reject, so that path raises its own diagnostic.
+    Raises :class:`UnsupportedSpec` for anything the scalar pipeline
+    would reject, so callers can raise that pipeline's own diagnostic.
     """
     if memo is None:
         memo = PackMemo()

@@ -26,6 +26,7 @@ from repro.errors import require
 from repro.tech.pdk import PDK, foundry_m3d_pdk
 from repro.arch.accelerator import AcceleratorDesign
 from repro.arch.systolic import pool_tiles, scalar_ops
+from repro.perf.layer_cost import ordered_sum
 from repro.core.params import (
     _compute_energy_per_op,
     _cs_idle_energy_per_cycle,
@@ -73,7 +74,7 @@ class AnalyticalNetworkResult:
     @property
     def cycles(self) -> float:
         """Total cycles."""
-        return sum(item.cycles for item in self.layers)
+        return ordered_sum(item.cycles for item in self.layers)
 
     @property
     def runtime(self) -> float:
@@ -83,7 +84,7 @@ class AnalyticalNetworkResult:
     @property
     def energy(self) -> float:
         """Total energy in joules."""
-        return sum(item.energy for item in self.layers)
+        return ordered_sum(item.energy for item in self.layers)
 
     @property
     def edp(self) -> float:

@@ -43,6 +43,7 @@ __all__ = [
     "WRITEBACK_WIRE_LENGTH",
     "layer_cost",
     "layer_row",
+    "ordered_sum",
 ]
 
 #: Average on-chip distance for writeback-bus transfers, metres.
@@ -193,3 +194,13 @@ def layer_cost(ops: ArrayOps, d, f):
     # Idle CSs keep leaking over the whole layer.
     leakage = d.static_power * cycles * d.cycle_time
     return used_cs, compute, writeback, cycles, dynamic, leakage
+
+
+def ordered_sum(values):
+    """``values`` added left to right from ``0.0``: every network total
+    of per-layer costs, floats or numpy layer columns.  ``sum()`` adds
+    this way only up to CPython 3.11; 3.12's compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total

@@ -38,7 +38,7 @@ from repro.arch.accelerator import (
 from repro.arch.systolic import SystolicArrayConfig, scalar_ops
 from repro.runtime.cache import MISSING
 from repro.runtime.memo import memo_table
-from repro.perf.layer_cost import DesignRow, layer_cost, layer_row
+from repro.perf.layer_cost import DesignRow, layer_cost, layer_row, ordered_sum
 from repro.workloads.layers import Layer, shape_key
 from repro.workloads.models import Network
 
@@ -92,7 +92,7 @@ class ExecutionReport:
     @property
     def cycles(self) -> float:
         """Total cycles for one inference."""
-        return sum(item.cycles for item in self.layers)
+        return ordered_sum(item.cycles for item in self.layers)
 
     @property
     def runtime(self) -> float:
@@ -102,7 +102,7 @@ class ExecutionReport:
     @property
     def energy(self) -> float:
         """Total energy in joules."""
-        return sum(item.energy for item in self.layers)
+        return ordered_sum(item.energy for item in self.layers)
 
     @property
     def edp(self) -> float:
@@ -230,15 +230,19 @@ class AcceleratorSimulator:
 
     def run(self, network: Network) -> ExecutionReport:
         """Execute a full network, one inference."""
-        require(network.weight_bits(self.design.precision_bits)
-                <= self.design.rram_capacity_bits,
-                f"{network.name} weights do not fit in on-chip RRAM "
-                f"({network.weight_bits(self.design.precision_bits)} bits > "
-                f"{self.design.rram_capacity_bits} bits)")
+        require_weights_fit(self.design, network)
         with _span("simulator.run", network=network.name,
                    n_cs=self.design.n_cs):
             results = tuple(self.run_layer(layer) for layer in network.layers)
         return ExecutionReport(design=self.design, network=network, layers=results)
+
+
+def require_weights_fit(design: AcceleratorDesign, network: Network) -> None:
+    """Raise unless ``network``'s weights fit in ``design``'s RRAM."""
+    bits = network.weight_bits(design.precision_bits)
+    require(bits <= design.rram_capacity_bits,
+            f"{network.name} weights do not fit in on-chip RRAM "
+            f"({bits} bits > {design.rram_capacity_bits} bits)")
 
 
 def simulate(design: AcceleratorDesign, network: Network,

@@ -2,7 +2,8 @@
 
 :func:`spec_benefit` resolves a spec and runs the simulator on the
 resulting 2D/M3D pair at the spec's batch, keeping the per-layer
-reports; :func:`evaluate_spec` condenses that into a summary;
+reports; :func:`evaluate_spec` gets the same totals' summary from the
+batch kernel's design rows (:mod:`repro.batch.kernel`);
 :func:`evaluate_specs` batches many specs through
 the evaluation engine, which content-hashes each ``evaluate_spec(spec)``
 call.  Because a spec is pure data, that cache key is a canonical-JSON
@@ -238,25 +239,30 @@ def spec_benefit(spec: DesignSpec, pdk: PDK | None = None) -> BenefitReport:
 
 def evaluate_spec(spec: DesignSpec, pdk: PDK | None = None,
                   physical: bool = False) -> SpecEvaluation:
-    """Resolve and simulate one design spec: :func:`spec_benefit`'s
-    whole-network summary.
+    """One design spec's whole-network benefit summary.
+
+    The six analytic fields are :func:`spec_benefit`'s, bit for bit, from
+    the batch kernel's rows (:func:`repro.batch.kernel.analytic_fields`),
+    memoized per ``(tech, arch, workload, pdk)`` in the ``spec.analytic``
+    table, so points that differ only in flow knobs evaluate once.
 
     ``physical=True`` additionally attaches the chip's
     :func:`physical_summary` (knobs from ``spec.flow``); infeasible
     points return normally with ``physical.feasible == False``.
-
-    The six analytic fields are memoized per ``(tech, arch, workload,
-    pdk)`` in the ``spec.analytic`` table: the flow section plays no part
-    in :func:`spec_benefit`, so points that differ only in flow knobs
-    simulate once.
     """
     key = stable_key(spec.tech, spec.arch, spec.workload, pdk)
     fields = _ANALYTIC_MEMO.get(key)
     if fields is MISSING:
-        benefit = spec_benefit(spec, pdk)
-        fields = (benefit.baseline.design.n_cs, benefit.m3d.design.n_cs,
-                  benefit.m3d.design.area.footprint, benefit.speedup,
-                  benefit.energy_benefit, benefit.edp_benefit)
+        # Imported here: the kernel imports this module.
+        from repro.batch.kernel import analytic_fields
+
+        try:
+            fields = analytic_fields(spec, pdk)
+        except Exception:
+            pass
+        if fields is MISSING:
+            spec_benefit(spec, pdk)  # raises the scalar diagnostic
+            fields = analytic_fields(spec, pdk)  # or re-raises
         _ANALYTIC_MEMO.put(key, fields)
     n_cs_2d, n_cs_m3d, footprint, speedup, energy, edp = fields
     return SpecEvaluation(
@@ -317,7 +323,7 @@ def map_physical(engine: EvaluationEngine, specs: Sequence[DesignSpec],
        already holds that submission for these specs.  The flows run on
        the pool while this process does the rest.
     2. ``<stage>.evaluate`` — the analytic ``evaluate_spec`` calls of
-       :func:`spec_calls`, in this process (two scalar simulations cost
+       :func:`spec_calls`, in this process (a point's kernel rows cost
        less than a pool round trip), under the keys non-physical
        evaluations and ``/v1/eval`` use.  Then the flows are joined.
        A stage submitted before this call (``flows``) lists first in
@@ -369,11 +375,11 @@ def evaluate_specs(
     :func:`repro.sweep.stream.run_streaming_sweep` instead; this is the
     entry for an explicit list of specs.
 
-    ``batch=True`` evaluates cache-missing specs as one call of the
-    vectorized kernel (:class:`repro.batch.kernel.BatchKernel`) instead
-    of per-spec scalar calls — same cache keys, same counters, results
-    within 1e-9 of the scalar path.  Specs the kernel cannot express
-    fall back to scalar evaluation point by point.
+    ``batch=True`` evaluates cache-missing specs as one in-process call
+    of the batch kernel (:class:`repro.batch.kernel.BatchKernel`)
+    instead of one engine task per spec — same cache keys, same
+    counters, the same bits.  Specs the kernel cannot express go through
+    ``evaluate_spec`` one by one.
 
     ``physical=True`` attaches each point's chip summary (see
     :func:`evaluate_spec`), evaluated through :func:`map_physical` as the

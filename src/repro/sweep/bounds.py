@@ -27,20 +27,18 @@ the design rows:
 Each relaxation takes the best case of every term that depends on the
 CS count, so one relaxed pair bounds — and is shared by — every
 ``tier_pairs`` / ``n_cs`` sibling of a grid point.  There is no
-second copy of the per-layer formula: the scalar :func:`spec_bounds`
-relaxes the simulator's row and runs ``layer_cost`` on it with scalar
-ops (:func:`~repro.perf.simulator.row_layer_cost`, through the
-simulator's layer memo), and the batch kernel's
-:meth:`~repro.batch.kernel.BatchKernel.bound_calls` runs the same
-relaxed rows through its vectorized delta evaluation — together with
-the baseline rows, which survivors then reuse.
+second copy of the per-layer formula and no second path:
+:func:`spec_bounds` runs one point's baseline and relaxed rows through
+the batch kernel's delta evaluation, and
+:meth:`~repro.batch.kernel.BatchKernel.bound_calls` a chunk's, whose
+baseline rows survivors then reuse.
 :data:`repro.mapper.cost.BOUND_MARGIN` keeps the benefit ratio on the
 admissible side of float reassociation.  Admissibility —
 ``spec_bounds(spec).edp_benefit_ub >= evaluate_spec(spec).edp_benefit``
 and exact footprints — is what makes frontier pruning provably exact;
 ``tests/test_streaming_sweep.py`` checks the inequality across the joint
 grid, ``tests/test_batched_bounds.py`` the batched path's parity with
-the scalar one, and ``tests/test_pareto_properties.py`` the frontier
+the one-point one, and ``tests/test_pareto_properties.py`` the frontier
 side.
 """
 
@@ -52,7 +50,7 @@ from typing import Any
 from repro.errors import require
 from repro.mapper.cost import BOUND_MARGIN
 from repro.perf.layer_cost import DesignRow
-from repro.perf.simulator import AcceleratorSimulator, row_layer_cost, simulate
+from repro.perf.simulator import require_weights_fit
 from repro.runtime.serialize import from_jsonable, to_jsonable
 from repro.spec.design import DesignSpec
 from repro.spec.resolve import resolve
@@ -120,18 +118,22 @@ def relaxed_rows(row: DesignRow) -> tuple[DesignRow, DesignRow]:
     return timing, energy
 
 
-def point_bounds(spec: DesignSpec, footprint: float,
-                 baseline_runtime: float, baseline_energy: float,
-                 runtime_lb: float, energy_lb: float) -> PointBounds:
-    """The certified benefit bounds from the exact baseline totals and the
-    M3D lower bounds (shared by the scalar and the batched path)."""
+def point_bounds(point, timing: DesignRow, energy: DesignRow,
+                 totals: dict) -> PointBounds:
+    """A packed point's certified benefit bounds from the kernel's
+    ``{id(row): (cycles, energy)}`` totals of its exact 2D row and of
+    its M3D row's :func:`relaxed_rows`."""
+    cycles_2d, energy_2d = totals[id(point.row_2d)]
+    runtime_lb = totals[id(timing)][0] * timing.cycle_time
+    # Zero static power: the energy row's total is its dynamic energy.
+    energy_lb = totals[id(energy)][1]
     require(runtime_lb > 0.0 and energy_lb > 0.0,
             "M3D lower bounds must be positive")
-    t_ratio = baseline_runtime / runtime_lb
-    e_ratio = baseline_energy / energy_lb
+    t_ratio = cycles_2d * point.row_2d.cycle_time / runtime_lb
+    e_ratio = energy_2d / energy_lb
     return PointBounds(
-        spec=spec,
-        footprint=footprint,
+        spec=point.spec,
+        footprint=point.footprint,
         speedup_ub=t_ratio / BOUND_MARGIN,
         energy_benefit_ub=e_ratio / BOUND_MARGIN,
         edp_benefit_ub=t_ratio * e_ratio / BOUND_MARGIN,
@@ -145,18 +147,17 @@ def spec_bounds(spec: DesignSpec, pdk: PDK | None = None) -> PointBounds:
     :func:`repro.spec.evaluate.evaluate_spec`), so the evaluation engine
     can content-hash, deduplicate, and pool-dispatch it; the streaming
     executor maps it as its own ``sweep.bounds`` stage (through
-    :meth:`~repro.batch.kernel.BatchKernel.bound_calls` when batched).
+    :meth:`~repro.batch.kernel.BatchKernel.bound_calls`, the same bits,
+    when batched).  A spec the kernel cannot lower raises the scalar
+    pipeline's diagnostic.
     """
-    point = resolve(spec, pdk)
-    batch = spec.workload.batch
-    baseline = simulate(point.baseline, point.network, point.pdk,
-                        batch=batch)
-    timing, energy = relaxed_rows(
-        AcceleratorSimulator(point.m3d, point.pdk, batch=batch).row)
-    cycles_lb = energy_lb = 0.0
-    for layer in point.network.layers:
-        cycles_lb += row_layer_cost(timing, layer)[3]
-        energy_lb += row_layer_cost(energy, layer)[4]
-    return point_bounds(spec, point.footprint, baseline.runtime,
-                        baseline.energy, cycles_lb * timing.cycle_time,
-                        energy_lb)
+    # Imported here: the kernel imports this module.
+    from repro.batch.kernel import analytic_bounds
+
+    try:
+        return analytic_bounds(spec, pdk)
+    except Exception:
+        pass
+    point = resolve(spec, pdk)  # raises the scalar diagnostic
+    require_weights_fit(point.baseline, point.network)
+    return analytic_bounds(spec, pdk)  # or re-raises

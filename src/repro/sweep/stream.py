@@ -202,13 +202,13 @@ def stream_sweep(
     what replay reproduces — resumed runs prune identically.
 
     ``batch=True`` evaluates each chunk's survivors — and, with
-    ``prune``, bounds the whole chunk first — as one vectorized kernel
+    ``prune``, bounds the whole chunk first — as one in-process kernel
     call (the ``batch_fn`` of :meth:`EvaluationEngine.map`:
     :class:`repro.batch.kernel.BatchKernel`'s ``evaluate_calls`` and
-    ``bound_calls``) instead of per-point scalar dispatch; points the
-    kernel cannot express fall back to scalar evaluation inside the
-    batch.  Cache keys and checkpoint records match the scalar path, and
-    results agree with it within 1e-9.
+    ``bound_calls``) instead of per-point engine dispatch (where fault
+    injection, retries and pool respawns apply); points the kernel cannot
+    express go one by one.  Both run the kernel's rows, so cache keys,
+    checkpoint records and results are the same bits.
 
     ``physical=True`` attaches every evaluated point's chip summary
     (``evaluate_spec(..., physical=True)``, evaluated through

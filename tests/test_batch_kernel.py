@@ -4,8 +4,7 @@ The contract under test (ISSUE PR 7 acceptance):
 
 * the scalar path is untouched — ``evaluate_spec`` equals the direct
   resolve+simulate pipeline bit-for-bit;
-* the batched path agrees with the scalar path within 1e-9 relative on
-  speedup/energy/EDP (and exactly on CS counts and footprints);
+* the batched path agrees with the scalar path bit for bit;
 * the design rows ``pack_point`` derives equal, exactly, the rows the
   simulator builds from the resolved designs (both paths then run the
   one per-layer cost model, :mod:`repro.perf.layer_cost`) — on fixed
@@ -52,9 +51,6 @@ from repro.spec.evaluate import spec_calls
 from repro.sweep import run_streaming_sweep
 from repro.tech.pdk import foundry_m3d_pdk
 from repro.units import MEGABYTE
-
-REL = 1e-9
-
 
 def _grid_specs() -> list[DesignSpec]:
     """A DSE-like joint grid (the ``core.dse`` axes)."""
@@ -105,17 +101,6 @@ EDGE_SPECS = [
 ]
 
 
-def _assert_close(batched, scalar, rel=REL):
-    assert batched.spec == scalar.spec
-    assert batched.n_cs_2d == scalar.n_cs_2d
-    assert batched.n_cs_m3d == scalar.n_cs_m3d
-    assert batched.footprint == scalar.footprint
-    assert batched.speedup == pytest.approx(scalar.speedup, rel=rel)
-    assert batched.energy_benefit == \
-        pytest.approx(scalar.energy_benefit, rel=rel)
-    assert batched.edp_benefit == pytest.approx(scalar.edp_benefit, rel=rel)
-
-
 # --- parity ----------------------------------------------------------------------
 
 
@@ -136,7 +121,7 @@ def test_scalar_path_is_bit_identical_to_direct_pipeline():
 
 def test_dse_grid_parity():
     """On the joint grid and the 1,008-point scaled grid the batch path
-    agrees with the scalar path within 1e-9, falls back to scalar for no
+    agrees with the scalar path bit for bit, falls back to scalar for no
     point, and a warm batch re-run evaluates nothing."""
     for specs in (_grid_specs(), _scaled_grid_specs()):
         scalar = evaluate_specs(specs, engine=EvaluationEngine(jobs=1))
@@ -146,7 +131,7 @@ def test_dse_grid_parity():
         assert _batch_counter("fallback_scalar") == fallbacks
         assert len(batched) == len(scalar) == len(specs)
         for b, s in zip(batched, scalar):
-            _assert_close(b, s)
+            assert b == s
         assert evaluate_specs(specs, engine=engine, batch=True) == batched
         stage = engine.report().stage("spec.evaluate")
         assert stage.evaluated == len(specs)
@@ -158,7 +143,7 @@ def test_edge_spec_parity():
     batched = evaluate_specs(EDGE_SPECS, engine=EvaluationEngine(jobs=1),
                              batch=True)
     for b, s in zip(batched, scalar):
-        _assert_close(b, s)
+        assert b == s
 
 
 def test_batch_size_chunking_matches_single_batch():
@@ -301,7 +286,7 @@ def test_random_spec_parity(spec):
             kernel.evaluate_calls(spec_calls([spec]))
         return
     batched, = kernel.evaluate_calls(spec_calls([spec]))
-    _assert_close(batched, scalar)
+    assert batched == scalar
 
 
 @settings(max_examples=50, deadline=None)
@@ -472,7 +457,7 @@ def test_batch_packing_of_shared_designs_matches_scalar(monkeypatch):
         if index in unsupported:
             assert result == outcome
         else:
-            _assert_close(result, outcome)
+            assert result == outcome
 
 
 # --- wired call sites ------------------------------------------------------------
@@ -495,7 +480,7 @@ def test_streaming_sweep_batch_parity():
     assert batched.points == scalar.points
     assert batched.pruned == scalar.pruned == 0
     for b, s in zip(batched.evaluations, scalar.evaluations):
-        _assert_close(b, s)
+        assert b == s
     assert len(batched.frontier) == len(scalar.frontier)
 
 
@@ -521,8 +506,8 @@ def test_dse_explore_batch_parity():
         assert b.spec == s.spec
         assert (b.n_cs_m3d, b.n_cs_2d) == (s.n_cs_m3d, s.n_cs_2d)
         assert b.footprint == s.footprint
-        assert b.speedup == pytest.approx(s.speedup, rel=REL)
-        assert b.edp_benefit == pytest.approx(s.edp_benefit, rel=REL)
+        assert b.speedup == s.speedup
+        assert b.edp_benefit == s.edp_benefit
 
 
 def test_cli_sweep_batch(tmp_path, capsys):

@@ -7,9 +7,9 @@ through the kernel's delta evaluation.  The guarantees under test:
 
 * **Pinned** — the scalar bounds are bit-identical to the term-by-term
   formula they replaced (values recorded from it);
-* **Parity** — batched bounds equal scalar bounds within 1e-12 relative,
-  with exact footprints, and stay admissible against the batch kernel's
-  own evaluations; calls the kernel cannot take fall back to scalar;
+* **Parity** — batched bounds equal scalar bounds bit for bit, and stay
+  admissible against the batch kernel's own evaluations; calls the
+  kernel cannot take fall back to scalar;
 * **Pruning** — a batched pruned sweep prunes exactly what the scalar
   pruned sweep prunes, chunk by chunk, keeps the exhaustive frontier,
   and resumes from its checkpoint with zero re-evaluations;
@@ -40,8 +40,6 @@ from repro.sweep import run_streaming_sweep, spec_bounds, stream_sweep
 from repro.sweep.bounds import UNBOUNDED_CS, relaxed_rows
 from repro.tech.pdk import foundry_m3d_pdk
 from repro.units import MEGABYTE
-
-REL = 1e-12
 
 #: ``(footprint, speedup_ub, energy_benefit_ub, edp_benefit_ub)`` of each
 #: spec, recorded from the per-layer lower-bound formula that restated
@@ -166,8 +164,7 @@ def test_bound_calls_match_scalar_spec_bounds(parity_specs):
         assert bound.spec == spec
         assert bound.footprint == scalar.footprint
         for name in ("speedup_ub", "energy_benefit_ub", "edp_benefit_ub"):
-            assert getattr(bound, name) == pytest.approx(
-                getattr(scalar, name), rel=REL, abs=0.0)
+            assert getattr(bound, name) == getattr(scalar, name)
 
 
 def test_bound_calls_are_admissible_against_the_kernel(parity_specs):
@@ -188,8 +185,7 @@ def test_bound_calls_fall_back_to_scalar_for_a_foreign_pdk():
     packed, fallback = BatchKernel().bound_calls(
         [((spec,), {}), ((spec, other), {})])
     after = _batch_counters()
-    assert _bound_tuple(packed) == pytest.approx(
-        _bound_tuple(spec_bounds(spec)), rel=REL, abs=0.0)
+    assert _bound_tuple(packed) == _bound_tuple(spec_bounds(spec))
     assert fallback == spec_bounds(spec, other)
     assert after["bound_points"] - before.get("bound_points", 0) == 2
     assert after["bound_fallback_scalar"] \
@@ -235,8 +231,7 @@ def test_bound_calls_relax_each_distinct_m3d_row_once(monkeypatch):
     assert len(relaxed) == 3
     assert len({id(row) for row in relaxed}) == 3
     for spec, bound in zip(specs, bounds):
-        assert _bound_tuple(bound) == pytest.approx(
-            _bound_tuple(spec_bounds(spec)), rel=REL, abs=0.0)
+        assert _bound_tuple(bound) == _bound_tuple(spec_bounds(spec))
 
 
 def test_bound_keys_match_the_generic_call_key():

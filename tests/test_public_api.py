@@ -9,8 +9,10 @@ rename, removal, or addition fails CI and forces a deliberate decision
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +67,41 @@ def test_no_duplicate_exports():
 def test_every_export_resolves():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} does not resolve"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path in one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for part in parts[split:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
+
+
+def test_design_doc_names_resolve():
+    """Every backticked ``repro.…`` dotted name in DESIGN.md resolves, and
+    every ``test_…`` name there is a test module or a test function."""
+    root = Path(__file__).resolve().parent.parent
+    spans = re.findall(r"`([^`\n]+)`", (root / "DESIGN.md").read_text())
+    dotted = {name for span in spans
+              for name in re.findall(r"\brepro(?:\.\w+)+", span)}
+    tests = {name for span in spans
+             for name in re.findall(r"\btest_\w+", span)}
+    assert dotted and tests
+    defined = set()
+    for path in (root / "tests").glob("test_*.py"):
+        defined.add(path.stem)
+        defined.update(re.findall(r"^\s*(?:async )?def (test_\w+)",
+                                  path.read_text(), re.MULTILINE))
+    assert sorted(name for name in dotted if not _resolves(name)) == []
+    assert sorted(tests - defined) == []
 
 
 def test_serve_entry_points_are_complete():
